@@ -305,9 +305,9 @@ class ReachabilityIndex(ABC):
         """Attach (or with ``None`` detach) a slow-query log; returns it.
 
         Once attached, every scalar query is timed and offered to the
-        log, and :meth:`query_many` answers pair by pair through the
-        scalar path so slow pairs inside batches are caught individually
-        (trading the vectorized batch cut for per-pair visibility).
+        log.  :meth:`query_many` keeps its vectorized cut pass: each
+        survivor search is timed and offered individually, and each
+        cut-decided pair is offered with its share of the cut pass.
         """
         self._slow_log = log
         self._refresh_hot_obs()
@@ -510,17 +510,20 @@ class ReachabilityIndex(ABC):
     ) -> list[bool]:
         """Answer a batch of queries.
 
-        Dispatches to the overridable :meth:`_query_many`, so indexes
-        with a vectorized path (FELINE's numpy cuts) answer batches
-        without per-pair Python dispatch while every subclass keeps this
-        exact entry point.  Statistics counters update identically to
-        the scalar path.
+        Dispatches to the overridable :meth:`_query_many` — the
+        vectorized cut pass of :mod:`repro.perf.engine` for every index
+        with a cut table — so batches are answered without per-pair
+        Python dispatch while every subclass keeps this exact entry
+        point.  Statistics counters update identically to the scalar
+        path.
 
         All pairs are validated upfront (uniform
-        :class:`~repro.exceptions.InvalidVertexError`).  With a
-        ``budget``, each pair is answered through the guarded scalar
-        path — the budget applies *per query*, and answers may contain
+        :class:`~repro.exceptions.InvalidVertexError`).  A ``budget``
+        applies *per query*: each survivor search runs under its own
+        guard, and answers may contain
         :data:`~repro.resilience.budget.UNKNOWN` depending on policy.
+        An attached slow log is offered every pair (survivor searches
+        timed individually); a tracer gets one ``query_many`` span.
         """
         if not self._built:
             raise IndexNotBuiltError(
@@ -536,23 +539,11 @@ class ReachabilityIndex(ABC):
         chaos.fire(
             "index.query_many", method=self.method_name, pairs=len(pairs)
         )
-        if budget is not None:
-            return [self.query(u, v, budget=budget) for u, v in pairs]
-        slow = self._slow_log
         tracer = self._query_tracer
         hist = self._batch_hist
-        if slow is None and tracer is None:
-            if hist is None:
-                return self._query_many(pairs)
-            start = now_ns()
-            answers = self._query_many(pairs)
-            hist.observe(elapsed_s(start))
-            self._batch_size_hist.observe(len(pairs))
-            return answers
+        if tracer is None and hist is None:
+            return self._query_many(pairs, budget)
 
-        # Per-pair visibility requested: a slow log needs each pair
-        # timed individually (scalar path), and a tracer gets one batch
-        # span that per-query spans parent under via the ambient span.
         span = None
         if tracer is not None:
             span = tracer.span(
@@ -561,10 +552,7 @@ class ReachabilityIndex(ABC):
             span.__enter__()
         start = now_ns()
         try:
-            if slow is not None:
-                answers = [self.query(u, v) for u, v in pairs]
-            else:
-                answers = self._query_many(pairs)
+            answers = self._query_many(pairs, budget)
         except BaseException as exc:
             if span is not None:
                 span.__exit__(type(exc), exc, None)
@@ -579,19 +567,27 @@ class ReachabilityIndex(ABC):
             self._batch_size_hist.observe(len(pairs))
         return answers
 
-    def _query_many(self, pairs: Iterable[tuple[int, int]]) -> list[bool]:
+    def _query_many(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        budget: QueryBudget | None = None,
+    ) -> list[bool]:
         """Batch implementation: the vectorized cut pass when the index
         declares a cut table, the scalar loop otherwise.
 
         Every registered family declares one (see
         :meth:`_make_cut_table`), so the scalar loop only serves
-        out-of-tree subclasses.  Both paths own the ``stats.queries``
+        out-of-tree subclasses; with a ``budget`` or a slow log it runs
+        through :meth:`query`, which guards and logs each pair.  Both
+        paths own the ``stats.queries``
         accounting (the scalar loop counts per pair; the engine counts
         the batch), so the public wrapper adds no double counting, and
         both produce identical answers and statistics.
         """
         if self._cut_table is not None:
-            return vectorized_query_many(self, pairs)
+            return vectorized_query_many(self, pairs, budget)
+        if budget is not None or self._slow_log is not None:
+            return [self.query(u, v, budget=budget) for u, v in pairs]
         query = self._query
         stats = self.stats
         answers = []

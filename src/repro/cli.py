@@ -93,8 +93,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from collections.abc import Callable
+from contextlib import contextmanager
 
 from repro import Reachability, available_methods, obs
 from repro.bench import runner
@@ -691,6 +694,29 @@ def _enable_cli_tracing(args: argparse.Namespace):
     return enable_tracing()
 
 
+@contextmanager
+def _sigterm_as_interrupt():
+    """Deliver SIGTERM as ``KeyboardInterrupt`` while the block runs.
+
+    A server stopped with SIGTERM then drains and runs the same clean-up
+    as Ctrl-C (``server.stop()``, ``service.close()``), so no shard
+    worker or shared-memory segment outlives it.  Signal handlers can
+    only be set from the main thread; elsewhere this is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: warm an index, serve query traffic."""
     from repro.serve import ReachServer, ServeConfig
@@ -700,8 +726,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     oracle = None
     try:
         graph, oracle = _build_serving_oracle(args)
-        # The slow log goes on after warming: it forces per-pair scalar
-        # batches (its documented trade-off), which would skew the warm.
+        # The slow log goes on after warming, so it logs served
+        # traffic only.
         oracle.enable_slow_log(threshold_ms=args.slow_ms)
         config = ServeConfig(
             host=args.host,
@@ -737,8 +763,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                     print(body if len(body) < 2000 else body[:2000] + "...")
                 return 0
             try:
-                import threading
-
                 threading.Event().wait()  # serve until interrupted
             except KeyboardInterrupt:
                 print("interrupted, shutting down")
@@ -959,8 +983,6 @@ def _run_shard_serve(args: argparse.Namespace) -> int:
                     print(body if len(body) < 2000 else body[:2000] + "...")
                 return 0
             try:
-                import threading
-
                 threading.Event().wait()  # serve until interrupted
             except KeyboardInterrupt:
                 print("interrupted, shutting down")
@@ -1164,13 +1186,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if explanation.verdict else 1
 
     if args.command == "serve":
-        return _run_serve(args)
+        with _sigterm_as_interrupt():
+            return _run_serve(args)
 
     if args.command == "loadgen":
         return _run_loadgen(args)
 
     if args.command == "shard-serve":
-        return _run_shard_serve(args)
+        with _sigterm_as_interrupt():
+            return _run_shard_serve(args)
 
     if args.command == "trace":
         return _run_trace(args)

@@ -161,6 +161,31 @@ class SlowQueryLog:
                 return rec
             return None
 
+    def record_many(
+        self,
+        us,
+        vs,
+        verdicts,
+        elapsed_ns: int,
+        method: str,
+        trace_id: int | None = None,
+    ) -> None:
+        """Offer a batch of queries that each took ``elapsed_ns``.
+
+        Equivalent to :meth:`record` per ``(u, v, verdict)`` triple; in
+        threshold mode a batch under the threshold only advances
+        ``observed``.  ``us``/``vs``/``verdicts`` are aligned sequences
+        (numpy arrays included).
+        """
+        if self.mode == "threshold" and elapsed_ns < self.threshold_ns:
+            with self._lock:
+                self.observed += len(us)
+            return
+        if hasattr(us, "tolist"):  # numpy arrays: plain ints and bools
+            us, vs, verdicts = us.tolist(), vs.tolist(), verdicts.tolist()
+        for u, v, verdict in zip(us, vs, verdicts):
+            self.record(u, v, verdict, elapsed_ns, method, trace_id=trace_id)
+
     def records(self) -> list[SlowQueryRecord]:
         """Retained records, insertion order (threshold) or slot order."""
         with self._lock:

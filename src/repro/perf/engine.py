@@ -12,7 +12,8 @@ when one is attached to the index).
 This is the implementation behind the base
 :meth:`~repro.baselines.base.ReachabilityIndex._query_many` for every
 index that declares a cut table — which, as of this engine, is every
-registered family.  Answers are bit-identical to the scalar path; the
+registered family — and it is the only batch route: budgets and the slow
+log ride on it too.  Answers are bit-identical to the scalar path; the
 win is constant-factor (no Python interpreter work for the cut
 majority), typically 3-10x on cut-dominated workloads.
 
@@ -24,18 +25,49 @@ deltas are scaled by the pair's multiplicity (searches are deterministic
 — the timestamped visited arrays make a repeat expand identically).
 ``searches`` itself still counts every survivor occurrence, like the
 scalar loop.
+
+A :class:`~repro.resilience.budget.QueryBudget` applies per pair, as on
+the scalar path: each survivor search runs under a fresh guard, in
+process (pool workers never carry guards), with representatives visited
+in first-occurrence order so a ``"raise"`` policy raises for the
+lowest-position exhausted pair.  The index's ``_degrade`` runs once per
+exhausted *occurrence*, so the degradation counters and metrics match
+the scalar loop too; ``UNKNOWN`` answers land at their positions.  An
+attached :class:`~repro.obs.slowlog.SlowQueryLog` is offered every pair:
+survivors with their own search time, cut-decided pairs with their share
+of the cut pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 import numpy as np
 
+from repro.exceptions import QueryBudgetExceeded
 from repro.obs.metrics import get_registry
-from repro.obs.spans import get_tracer
+from repro.obs.spans import current_span, get_tracer
+from repro.obs.timing import elapsed_ns, now_ns
+from repro.resilience.budget import UNKNOWN
 
 __all__ = ["vectorized_query_many"]
+
+
+def _dedup(index, sources, targets, survivors):
+    """Collapse duplicated survivor pairs.
+
+    Returns ``(first, inverse, counts)`` from :func:`numpy.unique` over
+    the survivors' ``(u, v)`` keys: ``survivors[first]`` are the
+    representatives, ``inverse`` maps each survivor to its
+    representative, ``counts`` are the multiplicities.
+    """
+    n = max(index.graph.num_vertices, 1)
+    keys = sources[survivors] * np.int64(n) + targets[survivors]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
 
 
 def _search_survivors(index, sources, targets, survivors, answers) -> None:
@@ -45,11 +77,7 @@ def _search_survivors(index, sources, targets, survivors, answers) -> None:
     ``(u, v)`` pairs collapse to one search whose stats deltas are
     weighted by the multiplicity (see module doc).
     """
-    n = max(index.graph.num_vertices, 1)
-    keys = sources[survivors] * np.int64(n) + targets[survivors]
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
+    first, inverse, counts = _dedup(index, sources, targets, survivors)
     reps = survivors[first]
     pool = index._search_pool
     if pool is not None and len(survivors) >= pool.min_batch:
@@ -78,6 +106,67 @@ def _search_survivors(index, sources, targets, survivors, answers) -> None:
             stats.expanded += (stats.expanded - expanded) * (weight - 1)
             stats.pruned += (stats.pruned - pruned) * (weight - 1)
     answers[survivors] = rep_answers[inverse]
+
+
+def _search_guarded(
+    index, sources, targets, survivors, answers, budget, slow
+) -> list[int]:
+    """:func:`_search_survivors` with a per-search budget and slow log.
+
+    Runs in process (pool workers never carry guards), one search per
+    representative in first-occurrence order — the scalar loop's order,
+    so a ``"raise"`` policy raises for the lowest-position exhausted
+    pair.  Each search gets a fresh guard from ``budget`` (when given);
+    an exhausted one goes through ``index._degrade`` once per
+    occurrence.  Each occurrence is offered to ``slow`` (when given)
+    with the time of one search plus one degrade.  Returns the
+    positions whose answer is ``UNKNOWN``.
+    """
+    first, inverse, counts = _dedup(index, sources, targets, survivors)
+    reps = survivors[first]
+    stats = index.stats
+    search = index._search_pair
+    method = index.method_name
+    span = current_span() if slow is not None else None
+    trace_id = span.trace_id if span is not None else None
+    rep_us, rep_vs = sources[reps].tolist(), targets[reps].tolist()
+    weights = counts.tolist()
+    rep_answers = np.zeros(len(reps), dtype=bool)
+    unknown = np.zeros(len(reps), dtype=bool)
+    for j in np.argsort(first).tolist():
+        u, v, weight = rep_us[j], rep_vs[j], weights[j]
+        expanded, pruned = stats.expanded, stats.pruned
+        start = now_ns() if slow is not None else 0
+        exhausted = None
+        if budget is not None:
+            index._set_guard(budget.new_guard())
+        try:
+            answer = search(u, v)
+        except QueryBudgetExceeded as exc:
+            exhausted = exc
+        finally:
+            if budget is not None:
+                index._set_guard(None)
+        if exhausted is not None:
+            answer = index._degrade(u, v, budget, exhausted)
+        duration = elapsed_ns(start) if slow is not None else 0
+        if weight > 1:
+            stats.expanded += (stats.expanded - expanded) * (weight - 1)
+            stats.pruned += (stats.pruned - pruned) * (weight - 1)
+            if exhausted is not None:
+                for _ in range(weight - 1):
+                    index._degrade(u, v, budget, exhausted)
+        if slow is not None:
+            for _ in range(weight):
+                slow.record(u, v, answer, duration, method, trace_id=trace_id)
+        if answer is UNKNOWN:
+            unknown[j] = True
+        else:
+            rep_answers[j] = answer
+    answers[survivors] = rep_answers[inverse]
+    if not unknown.any():
+        return []
+    return survivors[unknown[inverse]].tolist()
 
 
 def _observe_layer(index, hits_positive, hits_negative, num, survivors):
@@ -111,17 +200,22 @@ def _observe_layer(index, hits_positive, hits_negative, num, survivors):
     ).set(survivors / num)
 
 
-def vectorized_query_many(index, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+def vectorized_query_many(
+    index, pairs: Sequence[tuple[int, int]], budget=None
+) -> list:
     """Answer ``pairs`` on ``index`` through its cut table.
 
     ``index`` must be built and carry a materialized ``_cut_table``.
-    Returns a plain ``list[bool]`` aligned with ``pairs`` (the base-class
-    contract).  Statistics counters update identically to the scalar
-    loop: ``queries``, ``equal_cuts``, ``observer_positive`` /
-    ``observer_negative`` (when an observer layer is attached),
-    ``negative_cuts``, ``positive_cuts``, ``searches`` here; per-search
-    ``expanded`` / ``pruned`` inside the survivor searches (merged back
-    from worker processes when a pool runs them).
+    Returns a plain list aligned with ``pairs`` (the base-class
+    contract): booleans, plus :data:`~repro.resilience.budget.UNKNOWN`
+    where a ``budget`` degraded a survivor search.  Statistics counters
+    update identically to the scalar loop: ``queries``, ``equal_cuts``,
+    ``observer_positive`` / ``observer_negative`` (when an observer layer
+    is attached), ``negative_cuts``, ``positive_cuts``, ``searches``
+    here; per-search ``expanded`` / ``pruned`` inside the survivor
+    searches (merged back from worker processes when a pool runs them);
+    ``budget_exhausted`` / ``fallbacks`` / ``unknowns`` in the index's
+    ``_degrade``.
 
     An empty batch returns ``[]`` immediately — no masks are built and
     neither the observers nor the pool are touched.
@@ -129,6 +223,8 @@ def vectorized_query_many(index, pairs: Sequence[tuple[int, int]]) -> list[bool]
     num = len(pairs)
     if num == 0:
         return []
+    slow = index._slow_log
+    start = now_ns() if slow is not None else 0
     table = index._cut_table
     stats = index.stats
     tracer = get_tracer()
@@ -180,14 +276,33 @@ def vectorized_query_many(index, pairs: Sequence[tuple[int, int]]) -> list[bool]
         answers |= obs_positive
     survivors = np.flatnonzero(undecided)
     stats.searches += len(survivors)
+    if slow is not None:
+        # Each cut-decided pair is offered at its share of the cut pass.
+        decided = ~undecided
+        span = current_span()
+        slow.record_many(
+            sources[decided], targets[decided], answers[decided],
+            elapsed_ns(start) // num, index.method_name,
+            trace_id=span.trace_id if span is not None else None,
+        )
+    unknown = []
     if len(survivors):
-        if traced:
-            with tracer.span("engine.search", survivors=len(survivors)):
+        with (
+            tracer.span("engine.search", survivors=len(survivors))
+            if traced
+            else nullcontext()
+        ):
+            if budget is None and slow is None:
                 _search_survivors(index, sources, targets, survivors, answers)
-        else:
-            _search_survivors(index, sources, targets, survivors, answers)
+            else:
+                unknown = _search_guarded(
+                    index, sources, targets, survivors, answers, budget, slow
+                )
     if observers is not None:
         _observe_layer(
             index, hits_positive, hits_negative, num, len(survivors)
         )
-    return answers.tolist()
+    result = answers.tolist()
+    for position in unknown:
+        result[position] = UNKNOWN
+    return result

@@ -18,10 +18,11 @@ Guarantees and caveats:
 * **Graceful fallback** — on platforms without ``fork`` (or with
   ``workers <= 1``) the pool runs the searches in process; same
   answers, no crash.
-* **Budgets stay scalar** — a :class:`~repro.resilience.budget.QueryBudget`
-  on ``query_many`` routes the whole batch through the guarded scalar
-  path *before* the engine runs (the budget is per query), so pooled
-  searches never carry a guard.
+* **Budgets stay in process** — with a
+  :class:`~repro.resilience.budget.QueryBudget` (or a slow log) on
+  ``query_many`` the engine searches the survivors in process, each
+  under its own guard (the budget is per query), so pooled searches
+  never carry a guard.
 * **Crash hardening** — chunks are dispatched asynchronously and the
   pool is watched while they run: a worker that dies mid-batch (OOM
   kill, SIGKILL, segfault) is detected by pid/exitcode change, finished

@@ -24,6 +24,7 @@ on fork-COW.
 
 from __future__ import annotations
 
+import os
 import weakref
 
 import numpy as np
@@ -68,6 +69,21 @@ def _untrack(name: str) -> None:
 
         resource_tracker.unregister(f"/{name}", "shared_memory")
     except Exception:
+        pass
+
+
+def _release_descriptor(shm) -> None:
+    """Finish a ``SharedMemory.close`` that live buffer exports refused.
+
+    ``close`` has already released ``shm.buf``; the mmap object stays
+    alive through the views' exports and unmaps when the last one goes.
+    """
+    try:
+        shm._mmap = None
+        if shm._fd >= 0:
+            os.close(shm._fd)
+            shm._fd = -1
+    except (AttributeError, OSError):
         pass
 
 
@@ -171,9 +187,15 @@ class SharedIndexPages:
                 f"shared index pages {self.label!r} are closed"
             )
         offset, dtype, shape = self._layout[name]
-        return np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=offset
-        )
+        count = int(np.prod(shape, dtype=np.int64))
+        if count == 0:
+            return np.empty(shape, dtype=np.dtype(dtype))
+        # np.frombuffer holds a buffer export on the mapping, so a view
+        # outliving close() keeps its pages mapped (np.ndarray(buffer=)
+        # does not: closing under it would unmap live memory).
+        return np.frombuffer(
+            self._shm.buf, dtype=np.dtype(dtype), count=count, offset=offset
+        ).reshape(shape)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -183,8 +205,10 @@ class SharedIndexPages:
         except BufferError:
             # Live views still hold the mapping; the unlink below still
             # removes the /dev/shm name, and the memory goes when the
-            # last view does.
-            pass
+            # last view does.  Hand the mapping over to those views and
+            # close the descriptor now, so SharedMemory.__del__ finds
+            # nothing left to close.
+            _release_descriptor(shm)
         except Exception:
             pass
         if owner:

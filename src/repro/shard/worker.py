@@ -96,7 +96,8 @@ def _handle(state: ShardState, op: str, payload):
             if budget_ms <= 0:
                 return [None] * len(local_pairs)
             # Per-pair allowance, exactly as a sequence of ``local``
-            # calls: query_many creates a fresh guard for every pair.
+            # calls: the batch engine installs a fresh guard around
+            # every survivor search (cut-decided pairs need none).
             budget = QueryBudget(
                 deadline_s=budget_ms / 1000.0, policy="unknown"
             )

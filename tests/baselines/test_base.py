@@ -10,6 +10,9 @@ from repro.baselines.base import (
     register_index,
 )
 from repro.exceptions import DatasetError, IndexNotBuiltError
+from repro.graph.traversal import dfs_reachable
+from repro.obs.slowlog import SlowQueryLog
+from repro.resilience import UNKNOWN, QueryBudget
 
 
 class TestRegistry:
@@ -94,3 +97,34 @@ class TestLifecycleGuards:
         answers = index.query_many([(0, 7), (7, 0), (3, 3)])
         assert answers == [True, False, True]
         assert index.stats.queries == 3
+
+    def test_query_many_without_cut_table_keeps_budget_and_slow_log(
+        self, paper_dag
+    ):
+        # An out-of-tree index with no cut table answers batches through
+        # its guarded scalar loop.
+        class SearchOnly(ReachabilityIndex):
+            method_name = "search-only-test"
+
+            def _build(self):
+                pass
+
+            def _query(self, u, v):
+                self.stats.searches += 1
+                return dfs_reachable(self.graph, u, v, guard=self._guard)
+
+            def index_size_bytes(self):
+                return 0
+
+        n = paper_dag.num_vertices
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        budget = QueryBudget(max_steps=2, policy="unknown")
+        batch_index = SearchOnly(paper_dag).build()
+        log = batch_index.attach_slow_log(SlowQueryLog(threshold_ns=0))
+        scalar_index = SearchOnly(paper_dag).build()
+        batch = batch_index.query_many(pairs, budget=budget)
+        scalar = [scalar_index.query(u, v, budget=budget) for u, v in pairs]
+        assert UNKNOWN in batch
+        assert all(got is want for got, want in zip(batch, scalar))
+        assert batch_index.stats.as_dict() == scalar_index.stats.as_dict()
+        assert log.observed == len(pairs)

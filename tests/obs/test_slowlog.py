@@ -1,11 +1,17 @@
 """Unit tests for the bounded slow-query log (threshold + reservoir)."""
 
+import random
+import time
+from collections import Counter
+
 import pytest
 
 from repro.baselines.base import create_index
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import random_dag
 from repro.obs.slowlog import SlowQueryLog
-from repro.resilience import UNKNOWN
+from repro.obs.spans import new_trace_id, tracing_enabled
+from repro.resilience import UNKNOWN, QueryBudget
 
 
 class TestThresholdMode:
@@ -108,3 +114,91 @@ class TestIndexIntegration:
         assert index._hot_obs is None
         index.query(0, 3)
         assert index.slow_log is None
+
+
+class TestBatchOnTheEngine:
+    """A slow-logged ``query_many`` keeps the vectorized cut pass: each
+    survivor search is timed and offered on its own, each cut-decided
+    pair with its share of the cut pass."""
+
+    SLOW_NS = 2_000_000
+
+    def _index(self, log):
+        g = random_dag(60, avg_degree=2.5, seed=3)
+        index = create_index("feline", g).build()
+        index.attach_slow_log(log)
+        return g, index
+
+    def _pairs(self, n):
+        rng = random.Random(5)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(150)]
+        return pairs + pairs[:40] + [(3, 3)]
+
+    def _slow_searches(self, index):
+        """Make every survivor search take at least ``SLOW_NS``."""
+        inner = index._search_pair
+        searched = []
+
+        def slow_search(u, v):
+            searched.append((u, v))
+            time.sleep(self.SLOW_NS * 1e-9)
+            return inner(u, v)
+
+        index._search_pair = slow_search
+        return searched
+
+    def test_threshold_mode_records_every_slow_survivor(self):
+        log = SlowQueryLog(capacity=1024, threshold_ns=self.SLOW_NS)
+        g, index = self._index(log)
+        searched = self._slow_searches(index)
+        pairs = self._pairs(g.num_vertices)
+        answers = index.query_many(pairs)
+        assert searched, "the workload needs survivor searches"
+        searched = set(searched)
+        survivors = Counter(pair for pair in pairs if pair in searched)
+        recorded = Counter((r.u, r.v) for r in log.records())
+        assert recorded == survivors
+        truth = dict(zip(pairs, answers))
+        for record in log.records():
+            assert record.verdict is truth[(record.u, record.v)]
+            assert record.elapsed_ns >= self.SLOW_NS
+        assert log.observed == len(pairs)
+
+    def test_budgeted_batch_offers_every_pair(self):
+        log = SlowQueryLog(capacity=1024, threshold_ns=0)
+        g, index = self._index(log)
+        pairs = self._pairs(g.num_vertices)
+        answers = index.query_many(
+            pairs, budget=QueryBudget(max_steps=1, policy="unknown")
+        )
+        assert UNKNOWN in answers
+        assert log.observed == len(pairs)
+        assert Counter((r.u, r.v, r.verdict) for r in log.records()) == (
+            Counter((u, v, a) for (u, v), a in zip(pairs, answers))
+        )
+
+    def test_reservoir_mode_samples_cut_decided_pairs(self):
+        log = SlowQueryLog(capacity=1024, mode="reservoir")
+        g, index = self._index(log)
+        searched = self._slow_searches(index)
+        pairs = self._pairs(g.num_vertices)
+        index.query_many(pairs)
+        assert log.observed == len(pairs)
+        decided = {(r.u, r.v) for r in log.records()} - set(searched)
+        assert (3, 3) in decided
+        assert len(decided) > 1
+
+    def test_tracer_yields_one_batch_span_whose_trace_id_lands(self):
+        with tracing_enabled() as tracer:
+            log = SlowQueryLog(capacity=1024, threshold_ns=0)
+            g, index = self._index(log)
+            pairs = self._pairs(g.num_vertices)
+            trace_id = new_trace_id()
+            with tracer.span("request", trace_id=trace_id):
+                index.query_many(pairs)
+            batch = [s for s in tracer.spans() if s.name == "query_many"]
+            assert len(batch) == 1
+            assert batch[0].trace_id == trace_id
+            assert not [s for s in tracer.spans() if s.name == "query"]
+        assert log.observed == len(pairs)
+        assert {r.trace_id for r in log.records()} == {trace_id}

@@ -101,6 +101,23 @@ class TestArenaBasics:
         with pytest.raises(ReproError, match="no longer exists"):
             SharedIndexPages.attach(manifest)
 
+    def test_view_outliving_close_stays_mapped(self):
+        # A consumer that still holds a view after close() (an index
+        # re-staged onto a new arena copies from its old views) must
+        # read valid memory, not unmapped pages.
+        pages = SharedIndexPages.create(_sample_arrays())
+        name = pages._shm.name
+        weights = pages.view("weights")
+        pages.close()
+        assert not os.path.exists(os.path.join(SHM_DIR, name))
+        gc.collect()
+        assert int(weights.sum()) == sum(range(100))
+        copy = SharedIndexPages.create({"weights": weights})
+        try:
+            assert np.array_equal(copy.view("weights"), np.arange(100))
+        finally:
+            copy.close()
+
     def test_finalizer_backstop_unlinks_a_dropped_arena(self):
         pages = SharedIndexPages.create(_sample_arrays())
         name = pages._shm.name
