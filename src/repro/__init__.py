@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.baselines.base import (
     QueryStats,
@@ -37,6 +39,7 @@ from repro.baselines.base import (
 from repro.exceptions import InvalidVertexError, ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
+from repro.perf.engine import as_pair_array
 from repro.resilience import UNKNOWN, QueryBudget
 
 # Importing these modules registers every built-in method in the factory.
@@ -124,6 +127,8 @@ class Reachability:
         registry = obs.get_registry()
         with registry.phase("facade.init", "condense"):
             self.condensation = condense(graph)
+        # int64 view of the SCC map: one gather maps a whole batch.
+        self._scc_view = np.asarray(self.condensation.scc_of, dtype=np.int64)
         index: ReachabilityIndex = create_index(
             method, self.condensation.dag, **params
         )
@@ -201,22 +206,34 @@ class Reachability:
 
     def reachable_many(
         self,
-        pairs: Sequence[tuple[int, int]] | Iterable[tuple[int, int]],
+        pairs: Sequence[tuple[int, int]]
+        | Iterable[tuple[int, int]]
+        | np.ndarray,
         budget: QueryBudget | None = None,
     ) -> list:
         """Answer a batch of ``(u, v)`` pairs; aligned list of answers.
 
-        Pairs are mapped through the SCC condensation once and routed to
-        the index's batch path (:meth:`ReachabilityIndex.query_many`), so
-        indexes with a vectorized implementation — FELINE's numpy cuts —
-        answer the whole batch without per-pair Python dispatch.
+        ``pairs`` is a sequence or iterable of integer pairs, or an
+        ``(n, 2)`` signed or unsigned integer ndarray — an int64 array
+        skips the list conversion, the largest cost left on this path.
+        The batch is validated once into an int64 array
+        (:func:`repro.perf.engine.as_pair_array`), mapped through the
+        SCC condensation with one gather and routed to the index's batch
+        path (:meth:`ReachabilityIndex.query_many`), so FELINE's numpy
+        cuts answer the whole batch without per-pair Python dispatch.
         Equivalent to ``[self.reachable(u, v) for u, v in pairs]``; the
         optional ``budget`` applies per query, as in :meth:`reachable`.
+
+        Raises :class:`InvalidVertexError` for the first out-of-range id
+        in pair order; ``TypeError`` for a non-integer id or a float,
+        bool, object or 1-D array; ``ValueError`` for a row that is not
+        a pair or an array of the wrong shape.  A rejected batch leaves
+        :attr:`stats` untouched.
         """
-        mapped = [
-            (self._map_vertex(u), self._map_vertex(v)) for u, v in pairs
-        ]
-        return list(self.index.query_many(mapped, budget=budget))
+        pairs = as_pair_array(pairs, self.graph.num_vertices)
+        return list(
+            self.index.query_many(self._scc_view[pairs], budget=budget)
+        )
 
     def explain(self, u: int, v: int, budget: QueryBudget | None = None):
         """Answer ``r(u, v)`` with full provenance — why this verdict?

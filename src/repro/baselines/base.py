@@ -14,9 +14,11 @@ automatically by the :class:`repro.Reachability` facade.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from time import perf_counter
+
+import numpy as np
 
 from repro.exceptions import (
     IndexNotBuiltError,
@@ -31,7 +33,7 @@ from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import get_tracer
 from repro.obs.timing import elapsed_ns, elapsed_s, now_ns
-from repro.perf.engine import vectorized_query_many
+from repro.perf.engine import as_pair_array, vectorized_query_many
 from repro.perf.pool import SearchPool
 from repro.resilience import chaos
 from repro.resilience.budget import UNKNOWN, QueryBudget, bounded_fallback
@@ -505,7 +507,7 @@ class ReachabilityIndex(ABC):
 
     def query_many(
         self,
-        pairs: Iterable[tuple[int, int]],
+        pairs: Iterable[tuple[int, int]] | np.ndarray,
         budget: QueryBudget | None = None,
     ) -> list[bool]:
         """Answer a batch of queries.
@@ -517,8 +519,15 @@ class ReachabilityIndex(ABC):
         point.  Statistics counters update identically to the scalar
         path.
 
-        All pairs are validated upfront (uniform
-        :class:`~repro.exceptions.InvalidVertexError`).  A ``budget``
+        ``pairs`` is a sequence or iterable of integer pairs, or an
+        ``(n, 2)`` signed or unsigned integer ndarray.  The whole batch
+        is validated upfront into one int64 array
+        (:func:`~repro.perf.engine.as_pair_array`):
+        :class:`~repro.exceptions.InvalidVertexError` for the first
+        out-of-range id in pair order, ``TypeError`` for a non-integer
+        id (floats are never truncated) or a float, bool, object or 1-D
+        array, ``ValueError`` for a row that is not a pair or an array
+        of the wrong shape — before any statistic moves.  A ``budget``
         applies *per query*: each survivor search runs under its own
         guard, and answers may contain
         :data:`~repro.resilience.budget.UNKNOWN` depending on policy.
@@ -529,13 +538,7 @@ class ReachabilityIndex(ABC):
             raise IndexNotBuiltError(
                 f"{self.method_name}: call build() before query_many()"
             )
-        pairs = pairs if isinstance(pairs, Sequence) else list(pairs)
-        n = self.graph.num_vertices
-        for u, v in pairs:
-            if not 0 <= u < n:
-                raise InvalidVertexError(u, n)
-            if not 0 <= v < n:
-                raise InvalidVertexError(v, n)
+        pairs = as_pair_array(pairs, self.graph.num_vertices)
         chaos.fire(
             "index.query_many", method=self.method_name, pairs=len(pairs)
         )
@@ -569,11 +572,12 @@ class ReachabilityIndex(ABC):
 
     def _query_many(
         self,
-        pairs: Sequence[tuple[int, int]],
+        pairs: np.ndarray,
         budget: QueryBudget | None = None,
     ) -> list[bool]:
-        """Batch implementation: the vectorized cut pass when the index
-        declares a cut table, the scalar loop otherwise.
+        """Batch implementation over the validated ``(n, 2)`` int64
+        ``pairs``: the vectorized cut pass when the index declares a cut
+        table, the scalar loop otherwise.
 
         Every registered family declares one (see
         :meth:`_make_cut_table`), so the scalar loop only serves
@@ -586,6 +590,7 @@ class ReachabilityIndex(ABC):
         """
         if self._cut_table is not None:
             return vectorized_query_many(self, pairs, budget)
+        pairs = pairs.tolist()
         if budget is not None or self._slow_log is not None:
             return [self.query(u, v, budget=budget) for u, v in pairs]
         query = self._query

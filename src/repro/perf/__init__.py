@@ -9,9 +9,11 @@ family:
   views of an index's O(1)-cut structures (coordinates, levels, interval
   labels, FERRARI bounds, hop labels, ...) materialized **once** at
   ``build()`` time instead of per batch call;
-* :mod:`repro.perf.engine` — :func:`vectorized_query_many`, the generic
-  batch pass: one vectorized cut classification for the whole batch,
-  then per-pair online search only for the survivors.  Answers and
+* :mod:`repro.perf.engine` — :func:`as_pair_array`, the batch boundary
+  that validates a whole batch into one ``(n, 2)`` int64 array, and
+  :func:`vectorized_query_many`, the generic batch pass: one vectorized
+  cut classification for the whole batch, then per-pair online search
+  only for the survivors.  Answers and
   :class:`~repro.baselines.base.QueryStats` are bit-identical to the
   scalar loop;
 * :mod:`repro.perf.observers` — :class:`ObserverLayer`, O'Reach-style
@@ -41,7 +43,7 @@ from repro.perf.cut_table import (
     SearchOnlyCutTable,
     SwappedCutTable,
 )
-from repro.perf.engine import vectorized_query_many
+from repro.perf.engine import as_pair_array, vectorized_query_many
 from repro.perf.kernels import (
     KERNEL_BACKENDS,
     available_backends,
@@ -59,6 +61,7 @@ __all__ = [
     "SwappedCutTable",
     "ObserverLayer",
     "build_observers",
+    "as_pair_array",
     "vectorized_query_many",
     "SearchPool",
     "fork_available",

@@ -36,22 +36,126 @@ the scalar loop too; ``UNKNOWN`` answers land at their positions.  An
 attached :class:`~repro.obs.slowlog.SlowQueryLog` is offered every pair:
 survivors with their own search time, cut-decided pairs with their share
 of the cut pass.
+
+:func:`as_pair_array` is the batch boundary in front of this pass: the
+facade, :meth:`~repro.baselines.base.ReachabilityIndex.query_many` and
+the shard tier turn each batch into one validated ``(n, 2)`` int64
+array with it, so no per-pair Python loop runs between the caller and
+the cuts.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
-from repro.exceptions import QueryBudgetExceeded
+from repro.exceptions import InvalidVertexError, QueryBudgetExceeded
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span, get_tracer
 from repro.obs.timing import elapsed_ns, now_ns
 from repro.resilience.budget import UNKNOWN
 
-__all__ = ["vectorized_query_many"]
+__all__ = ["as_pair_array", "vectorized_query_many"]
+
+
+def _checked_pairs(pairs, num_vertices: int) -> array:
+    """The per-pair validation loop: flat ``array("q")`` or the error.
+
+    Raises exactly what unpacking and range-checking each pair in order
+    raises: ``ValueError`` for a row that is not a pair, ``TypeError``
+    for a non-integer vertex, :class:`InvalidVertexError` for the first
+    id outside ``0 .. n-1`` (``u`` before ``v``).
+    """
+    flat = array("q")
+    for u, v in pairs:
+        if not 0 <= u < num_vertices:
+            raise InvalidVertexError(u, num_vertices)
+        if not 0 <= v < num_vertices:
+            raise InvalidVertexError(v, num_vertices)
+        flat.append(u)
+        flat.append(v)
+    return flat
+
+
+def as_pair_array(pairs, num_vertices: int) -> np.ndarray:
+    """Validate a batch of ``(u, v)`` pairs into an ``(n, 2)`` int64 array.
+
+    ``pairs`` is a sequence or any iterable of integer pairs, or an
+    ``(n, 2)`` ndarray of a signed or unsigned integer dtype.  An int64
+    array passes through without a copy.  Every id must lie in
+    ``0 .. num_vertices - 1``; the first one that does not, in pair
+    order (``u`` before ``v``), raises :class:`InvalidVertexError`
+    carrying its exact value.  Other malformed input raises what
+    unpacking the pairs one by one raises:
+
+    * ``TypeError`` — a vertex that is not an integer (``1.5``, ``"1"``,
+      ``None``); an ndarray of float, bool or object dtype; a 0-d or
+      1-D ndarray;
+    * ``ValueError`` — a row that is not a pair (``(1, 2, 3)``,
+      ``(1,)``); an ndarray of more than two dimensions or whose rows
+      are not pairs.
+
+    An empty batch, in any form, gives an empty ``(0, 2)`` array.
+    """
+    if isinstance(pairs, np.ndarray):
+        return _ndarray_pairs(pairs, num_vertices)
+    if not isinstance(pairs, Sequence):
+        pairs = list(pairs)
+    try:
+        # array("q") rejects non-integers and int64 overflow; rows all
+        # at least two long plus a flat length of 2n means every row is
+        # a pair.
+        flat = array("q", list(chain.from_iterable(pairs)))
+        if len(flat) != 2 * len(pairs) or min(map(len, pairs)) != 2:
+            raise ValueError("not a batch of pairs")
+    except (TypeError, ValueError, OverflowError):
+        # Re-run the per-pair loop for the exact error (or for rows it
+        # still accepts, such as length-less iterables of two ids).
+        flat = _checked_pairs(pairs, num_vertices)
+    arr = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    _check_range(arr, num_vertices)
+    return arr
+
+
+def _ndarray_pairs(arr: np.ndarray, num_vertices: int) -> np.ndarray:
+    """:func:`as_pair_array` for an ndarray batch."""
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim < 2:
+        raise TypeError(
+            f"a batch of pairs needs rows of (u, v), got a {arr.ndim}-d array"
+        )
+    if arr.ndim > 2 or arr.shape[1] != 2:
+        raise ValueError(
+            f"a batch of pairs is an (n, 2) array, got shape {arr.shape}"
+        )
+    if arr.dtype.kind not in "iu":
+        raise TypeError(
+            f"vertex ids must be integers, got an array of dtype {arr.dtype}"
+        )
+    # Range-check in the widest type of the same kind, so a uint64 id
+    # past the int64 range is reported with its real value.
+    if arr.dtype.kind == "u":
+        _check_range(arr.astype(np.uint64, copy=False), num_vertices)
+        return arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
+    _check_range(arr, num_vertices)
+    return arr
+
+
+def _check_range(arr: np.ndarray, num_vertices: int) -> None:
+    """Raise :class:`InvalidVertexError` for the first id outside
+    ``0 .. num_vertices - 1`` in pair order."""
+    bad = arr >= num_vertices
+    if arr.dtype.kind == "i":
+        bad |= arr < 0
+    if bad.any():
+        vertex = arr.reshape(-1)[np.argmax(bad.reshape(-1))]
+        raise InvalidVertexError(int(vertex), num_vertices)
 
 
 def _dedup(index, sources, targets, survivors):
@@ -201,11 +305,15 @@ def _observe_layer(index, hits_positive, hits_negative, num, survivors):
 
 
 def vectorized_query_many(
-    index, pairs: Sequence[tuple[int, int]], budget=None
+    index, pairs: np.ndarray | Sequence[tuple[int, int]], budget=None
 ) -> list:
     """Answer ``pairs`` on ``index`` through its cut table.
 
     ``index`` must be built and carry a materialized ``_cut_table``.
+    ``pairs`` is normally the validated ``(n, 2)`` int64 array from
+    :func:`as_pair_array`, used as-is; a list of in-range pairs is
+    converted with :func:`numpy.asarray`.  Nothing is validated here —
+    :meth:`~repro.baselines.base.ReachabilityIndex.query_many` does that.
     Returns a plain list aligned with ``pairs`` (the base-class
     contract): booleans, plus :data:`~repro.resilience.budget.UNKNOWN`
     where a ``budget`` degraded a survivor search.  Statistics counters

@@ -44,6 +44,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from time import monotonic
 
+import numpy as np
+
 from repro.exceptions import (
     InvalidVertexError,
     QueryBudgetExceeded,
@@ -57,6 +59,7 @@ from repro.obs.distributed import TelemetryMerger, ingest_aux
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_tracer, new_trace_id
 from repro.obs.timing import elapsed_ns, now_ns
+from repro.perf.engine import as_pair_array
 from repro.resilience import chaos
 from repro.resilience.budget import UNKNOWN, QueryBudget
 from repro.resilience.retry import RetryPolicy
@@ -260,6 +263,7 @@ class ShardService:
         self.graph = graph
         self.config = config if config is not None else ShardConfig()
         self.condensation = condense(graph)
+        self._scc_view = np.asarray(self.condensation.scc_of, dtype=np.int64)
         self.plan: ShardPlan = build_shard_plan(
             self.condensation.dag,
             self.config.num_shards,
@@ -859,17 +863,25 @@ class ShardService:
         and deadline semantics are identical to
         ``[self.query(u, v, deadline_ms) for u, v in pairs]``
         (``deadline_ms`` is per pair, as in :meth:`query`).
+
+        ``pairs`` takes the same inputs as
+        :meth:`repro.Reachability.reachable_many` — integer pairs or an
+        ``(n, 2)`` integer ndarray — and rejects malformed ones the same
+        way (:func:`repro.perf.engine.as_pair_array`), mapping vertices
+        with one gather; the RPC frames still carry tuples.
         """
         if self._closed:
             raise ReproError("ShardService is closed")
-        pairs = list(pairs)
-        if not pairs:
+        pairs = as_pair_array(pairs, self.graph.num_vertices)
+        if not len(pairs):
             return []
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-        condensed = [
-            (self._map_vertex(u), self._map_vertex(v)) for u, v in pairs
-        ]
+        mapped = self._scc_view[pairs]
+        condensed = list(zip(mapped[:, 0].tolist(), mapped[:, 1].tolist()))
+        slow = self.slow_log
+        # The slow log records the caller's ids as plain ints.
+        originals = pairs.tolist() if slow is not None else None
         self.stats.queries += len(pairs)
         answers: list = [None] * len(pairs)
         groups: dict[int, list[int]] = {}
@@ -898,7 +910,6 @@ class ShardService:
                 span.trace_id = new_trace_id()
             span.__enter__()
         batch_trace = span.trace_id if span is not None else None
-        slow = self.slow_log
         try:
             chunk = self._LOCAL_MANY_CHUNK
             for shard_id in sorted(groups):
@@ -910,7 +921,7 @@ class ShardService:
                         condensed,
                         deadline_ms,
                         answers,
-                        pairs=pairs,
+                        pairs=originals,
                         trace_id=batch_trace,
                     )
             for i in cross:
@@ -924,7 +935,7 @@ class ShardService:
                     pair_start = now_ns()
                 answers[i] = self._query_condensed(cu, cv, deadline_at)
                 if slow is not None:
-                    u, v = pairs[i]
+                    u, v = originals[i]
                     slow.record(
                         u, v, answers[i], elapsed_ns(pair_start), "shard",
                         trace_id=batch_trace,

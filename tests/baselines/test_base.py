@@ -1,5 +1,6 @@
 """Unit tests for the index interface and factory."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.base import (
@@ -10,9 +11,11 @@ from repro.baselines.base import (
     register_index,
 )
 from repro.exceptions import DatasetError, IndexNotBuiltError
+from repro.graph.generators import random_dag
 from repro.graph.traversal import dfs_reachable
 from repro.obs.slowlog import SlowQueryLog
 from repro.resilience import UNKNOWN, QueryBudget
+from tests.batch_cases import ACCEPTED, EMPTY, MALFORMED, N, PAIRS, ids
 
 
 class TestRegistry:
@@ -128,3 +131,70 @@ class TestLifecycleGuards:
         assert all(got is want for got, want in zip(batch, scalar))
         assert batch_index.stats.as_dict() == scalar_index.stats.as_dict()
         assert log.observed == len(pairs)
+
+
+class TestQueryManyBoundary:
+    """``query_many`` validates its batch once, as an array — the same
+    inputs and errors as the facade's ``reachable_many``."""
+
+    @staticmethod
+    def _index(method="feline"):
+        return create_index(method, random_dag(N, avg_degree=2.0, seed=4)).build()
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=ids(MALFORMED))
+    def test_malformed_batch_rejected(self, case):
+        _, make, error, vertex = case
+        index = self._index()
+        index.query_many(PAIRS)
+        before = index.stats.as_dict()
+        with pytest.raises(error) as raised:
+            index.query_many(make())
+        if vertex is not None:
+            assert raised.value.vertex == vertex
+            assert raised.value.num_vertices == N
+        assert index.stats.as_dict() == before
+
+    @pytest.mark.parametrize("case", ACCEPTED, ids=ids(ACCEPTED))
+    @pytest.mark.parametrize("method", ["feline", "grail"])
+    def test_accepted_batch_matches_scalar(self, case, method):
+        _, make = case
+        index = self._index(method)
+        scalar_index = self._index(method)
+        scalar = [scalar_index.query(u, v) for u, v in PAIRS]
+        answers = index.query_many(make(PAIRS))
+        assert type(answers) is list and len(answers) == len(PAIRS)
+        assert all(got is want for got, want in zip(answers, scalar))
+        assert index.stats.as_dict() == scalar_index.stats.as_dict()
+
+    @pytest.mark.parametrize("case", EMPTY, ids=ids(EMPTY))
+    def test_empty_batch(self, case):
+        index = self._index()
+        assert index.query_many(case[1]()) == []
+        assert index.stats.queries == 0
+
+    def test_scalar_fallback_receives_validated_pairs(self, paper_dag):
+        # An index without a cut table loops over plain int pairs.
+        seen = []
+
+        class Recording(ReachabilityIndex):
+            method_name = "recording-test"
+
+            def _build(self):
+                pass
+
+            def _query(self, u, v):
+                seen.append((type(u), type(v)))
+                self.stats.searches += 1
+                return dfs_reachable(self.graph, u, v)
+
+            def index_size_bytes(self):
+                return 0
+
+        index = Recording(paper_dag).build()
+        pairs = np.array([(0, 7), (7, 0), (3, 4)], dtype=np.int32)
+        assert index.query_many(pairs) == [
+            dfs_reachable(paper_dag, u, v) for u, v in pairs.tolist()
+        ]
+        assert seen == [(int, int)] * 3
+        with pytest.raises(TypeError):
+            index.query_many([(0, 1.5)])

@@ -5,12 +5,14 @@ Two contracts the batch-first API redesign must never break:
 * ``Reachability.reachable_many(pairs)`` is extensionally equal to the
   scalar ``reachable`` loop, for every method — including FELINE, whose
   ``_query_many`` takes the vectorized numpy-cut path rather than the
-  scalar loop;
+  scalar loop — whether the batch is a list or an int64/int32 array,
+  with the same answer objects and the same ``QueryStats``;
 * after *any* workload, scalar or batch, every query was answered by
   exactly one mechanism: ``queries == equal_cuts + negative_cuts +
   positive_cuts + searches``.
 """
 
+import numpy as np
 from hypothesis import given, settings
 
 import repro
@@ -47,6 +49,25 @@ class TestReachableManyEquivalence:
         batch = oracle.reachable_many(pairs)
         scalar = [oracle.reachable(u, v) for u, v in pairs]
         assert batch == scalar
+        # The same pairs as int64 and int32 arrays: answer for answer
+        # the scalar loop's objects, and the same stats on a fresh facade.
+        batches = [
+            pairs,
+            np.asarray(pairs, dtype=np.int64),
+            np.asarray(pairs, dtype=np.int32),
+        ]
+        for pairs_in in batches[1:]:
+            answers = oracle.reachable_many(pairs_in)
+            assert len(answers) == len(scalar)
+            assert all(got is want for got, want in zip(answers, scalar))
+        fresh = repro.Reachability(g, method=method, **params)
+        for u, v in pairs:
+            fresh.reachable(u, v)
+        want_stats = fresh.stats.as_dict()
+        for pairs_in in batches:
+            fresh = repro.Reachability(g, method=method, **params)
+            fresh.reachable_many(pairs_in)
+            assert fresh.stats.as_dict() == want_stats
 
 
 class TestQueryStatsInvariant:

@@ -9,12 +9,16 @@ semantics are identical to the per-pair loop, and the coordinator
 issues **at most one RPC per (shard, sub-batch)** for the local work.
 """
 
+import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import QueryBudgetExceeded
-from repro.graph.generators import crown_graph, random_dag
+from repro.graph.generators import crown_graph, random_dag, random_digraph
+from repro.obs.slowlog import SlowQueryLog
 from repro.resilience import UNKNOWN, QueryBudget, chaos
 from repro.shard import ShardConfig, ShardService
+from tests.batch_cases import ACCEPTED, EMPTY, MALFORMED, N, PAIRS
 from tests.conftest import reachability_oracle
 from tests.shard.test_service import FAST, sample_pairs
 
@@ -121,6 +125,43 @@ class TestSemantics:
         with ShardService(graph, config) as service:
             batch = service.reachable_many(pairs)
             assert batch == [service.reachable(u, v) for u, v in pairs]
+
+
+class TestBatchBoundary:
+    """``query_many`` takes the facade's inputs and rejects malformed
+    ones the same way, before any RPC or counter moves."""
+
+    def test_same_inputs_and_errors_as_the_facade(self):
+        graph = random_digraph(N, 20, seed=4)  # cyclic: condensed first
+        facade = repro.Reachability(graph)
+        want = facade.reachable_many(PAIRS)
+        with ShardService(graph, FAST) as service:
+            for name, make in ACCEPTED:
+                assert service.query_many(make(PAIRS)) == want, name
+            queries = service.stats.queries
+            spy = _RpcSpy(service)
+            for name, make, error, vertex in MALFORMED:
+                with pytest.raises(error) as raised:
+                    service.query_many(make())
+                if vertex is not None:
+                    assert raised.value.vertex == vertex, name
+            for _, make in EMPTY:
+                assert service.query_many(make()) == []
+            assert spy.calls == []
+            assert service.stats.queries == queries
+
+    def test_array_batch_logs_plain_int_ids(self):
+        graph = random_dag(150, avg_degree=2.0, seed=7)
+        pairs = sample_pairs(graph, count=80, seed=4)
+        with ShardService(graph, FAST) as service:
+            want = service.query_many(pairs)
+            log = service.attach_slow_log(SlowQueryLog(threshold_ns=0))
+            got = service.query_many(np.asarray(pairs, dtype=np.int32))
+        assert got == want
+        records = log.records()
+        assert records
+        assert all(type(r.u) is int and type(r.v) is int for r in records)
+        assert {(r.u, r.v) for r in records} <= set(pairs)
 
 
 class TestChaos:

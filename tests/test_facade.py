@@ -6,6 +6,7 @@ import repro
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
 from repro.graph.traversal import dfs_reachable
+from tests.batch_cases import ACCEPTED, EMPTY, MALFORMED, N, PAIRS, ids
 
 
 class TestFacade:
@@ -81,6 +82,47 @@ class TestReachableMany:
         r = repro.Reachability([(0, 1), (1, 2)])
         answers = r.reachable_many([(0, 2)])
         assert isinstance(answers, list) and answers == [True]
+
+
+class TestBatchBoundary:
+    """``reachable_many`` validates its batch once, as an array."""
+
+    @staticmethod
+    def _facade():
+        # Cycles, so the SCC gather maps several ids to one component.
+        return repro.Reachability(random_digraph(N, 20, seed=4))
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=ids(MALFORMED))
+    def test_malformed_batch_rejected(self, case):
+        _, make, error, vertex = case
+        r = self._facade()
+        r.reachable_many(PAIRS)
+        before = r.stats.as_dict()
+        with pytest.raises(error) as raised:
+            r.reachable_many(make())
+        if vertex is not None:
+            assert raised.value.vertex == vertex
+            assert raised.value.num_vertices == N
+        assert r.stats.as_dict() == before
+
+    @pytest.mark.parametrize("case", ACCEPTED, ids=ids(ACCEPTED))
+    def test_accepted_batch_matches_scalar(self, case):
+        _, make = case
+        r = self._facade()
+        scalar = [r.reachable(u, v) for u, v in PAIRS]
+        r.stats.reset()
+        answers = r.reachable_many(make(PAIRS))
+        assert type(answers) is list and len(answers) == len(PAIRS)
+        assert all(got is want for got, want in zip(answers, scalar))
+        reference = self._facade()
+        reference.reachable_many(PAIRS)
+        assert r.stats.as_dict() == reference.stats.as_dict()
+
+    @pytest.mark.parametrize("case", EMPTY, ids=ids(EMPTY))
+    def test_empty_batch(self, case):
+        r = self._facade()
+        assert r.reachable_many(case[1]()) == []
+        assert r.stats.queries == 0
 
 
 class TestStatsProperty:
