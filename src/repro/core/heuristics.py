@@ -21,10 +21,13 @@ never depends on the heuristic, only the *false-positive rate* does.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Sequence
 from random import Random
 
-from repro.exceptions import ReproError
+import numpy as np
+
+from repro.exceptions import NotADAGError, ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.toposort import kahn_order, priority_kahn_order
 
@@ -32,7 +35,38 @@ __all__ = ["Y_HEURISTICS", "compute_y_order", "available_heuristics"]
 
 
 def _max_x(graph: DiGraph, x_ranks: Sequence[int], seed: int) -> list[int]:
-    return priority_kahn_order(graph, key=lambda v: -x_ranks[v])
+    # ``priority_kahn_order(graph, key=lambda v: -x_ranks[v])``, with a
+    # heap of plain ints ``-x_ranks[v]`` mapped back through a rank ->
+    # vertex table.  ``x_ranks`` is a permutation (the ranks of the ``X``
+    # order), so no two keys tie and the pop order is identical.
+    n = graph.num_vertices
+    ranks = np.asarray(x_ranks, dtype=np.int64)
+    vertex_at = np.empty(n, dtype=np.int64)
+    vertex_at[ranks] = np.arange(n, dtype=np.int64)
+    vertex_at = vertex_at.tolist()
+    keys = (-ranks).tolist()
+    in_indptr = graph.in_indptr
+    indegree = [in_indptr[v + 1] - in_indptr[v] for v in range(n)]
+    heap = [keys[v] for v in range(n) if indegree[v] == 0]
+    heapq.heapify(heap)
+    indptr, indices = graph.out_indptr, graph.out_indices
+    heappop, heappush = heapq.heappop, heapq.heappush
+    order: list[int] = []
+    while heap:
+        u = vertex_at[-heappop(heap)]
+        order.append(u)
+        for k in range(indptr[u], indptr[u + 1]):
+            w = indices[k]
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                heappush(heap, keys[w])
+    if len(order) != n:
+        stuck = next(v for v in range(n) if indegree[v] > 0)
+        raise NotADAGError(
+            f"graph has a cycle (vertex {stuck} never became a root)",
+            cycle_hint=stuck,
+        )
+    return order
 
 
 def _min_x(graph: DiGraph, x_ranks: Sequence[int], seed: int) -> list[int]:

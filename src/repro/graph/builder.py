@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import MAX_VERTICES, DiGraph
 
 __all__ = ["GraphBuilder", "EDGE_POLICIES"]
 
@@ -115,6 +115,11 @@ class GraphBuilder:
             raise GraphError(
                 f"vertex count {count} exceeds max_vertices "
                 f"{self._max_vertices}"
+            )
+        if count > MAX_VERTICES:
+            raise GraphError(
+                f"vertex count {count} exceeds the largest supported "
+                f"count {MAX_VERTICES}"
             )
         self._num_vertices = count
 

@@ -12,27 +12,34 @@ substrate every index in this library is built on:
   DFS-based query answering — can avoid per-call overhead.
 
 Instances are immutable once constructed.  Use
-:class:`repro.graph.builder.GraphBuilder` to accumulate edges, or the
+:class:`repro.graph.builder.GraphBuilder` to accumulate edges, the
 convenience classmethods :meth:`DiGraph.from_edges` and
-:meth:`DiGraph.from_adjacency`.
+:meth:`DiGraph.from_adjacency`, or :meth:`DiGraph.from_arrays` when the
+endpoints are already numpy arrays.  Because a graph never changes, the
+per-DAG artifacts several indexes share (DFS post-order, topological
+order, levels) are computed once and cached on it; see
+:meth:`DiGraph.artifact`.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.exceptions import GraphError
 
-if TYPE_CHECKING:  # numpy is only needed by csr(); keep the core lazy
-    import numpy as np
+__all__ = ["DiGraph", "CsrViews", "long_array", "MAX_VERTICES"]
 
-__all__ = ["DiGraph", "CsrViews"]
+# C `long` is 8 bytes on LP64 but 4 on Windows/32-bit platforms; the
+# numpy dtype the CSR storage is copied through must match it.
+_L_DTYPE = np.dtype(f"i{array('l').itemsize}")
 
-# C `long` is 8 bytes on LP64 but 4 on Windows/32-bit platforms; zeroed
-# buffers below must match it, not assume 8.
-_L_ITEMSIZE = array("l").itemsize
+#: The largest vertex count the ``array('l')`` storage can index; every
+#: vertex id is below it.
+MAX_VERTICES = int(np.iinfo(_L_DTYPE).max)
 
 
 class CsrViews(NamedTuple):
@@ -49,28 +56,49 @@ class CsrViews(NamedTuple):
     in_indices: "np.ndarray"
 
 
-def _csr_from_edges(
-    num_vertices: int, sources: Sequence[int], targets: Sequence[int]
+def long_array(values) -> array:
+    """Copy an integer numpy array into an ``array('l')`` (one memcpy).
+
+    ``array('l')`` is the storage of every scalar-path structure in this
+    library; numpy builders hand their results back through this.
+    """
+    out = array("l")
+    out.frombytes(np.ascontiguousarray(values, dtype=_L_DTYPE).tobytes())
+    return out
+
+
+def _csr_from_arrays(
+    num_vertices: int, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[array, array]:
     """Build (indptr, indices) CSR arrays grouping ``targets`` by source.
 
-    Runs in O(|V| + |E|) using a counting pass followed by a placement pass,
-    which keeps construction linear even for tens of millions of edges.
-    Within each source bucket the targets keep their input order.
+    O(|V| + |E| log |E|) in numpy: ``bincount`` + ``cumsum`` give the
+    offsets and a *stable* argsort by source places the targets, so
+    within each source bucket the targets keep their input order.
     """
-    counts = array("l", bytes(_L_ITEMSIZE * (num_vertices + 1)))
-    for s in sources:
-        counts[s + 1] += 1
-    indptr = counts  # reused in place: prefix-sum turns counts into offsets
-    for v in range(1, num_vertices + 1):
-        indptr[v] += indptr[v - 1]
-    indices = array("l", bytes(_L_ITEMSIZE * len(targets)))
-    cursor = array("l", indptr[:num_vertices])
-    for s, t in zip(sources, targets):
-        pos = cursor[s]
-        indices[pos] = t
-        cursor[s] = pos + 1
-    return indptr, indices
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_vertices), out=indptr[1:])
+    indices = targets[np.argsort(sources, kind="stable")]
+    return long_array(indptr), long_array(indices)
+
+
+def _check_count(num_vertices: int) -> None:
+    if num_vertices < 0:
+        raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
+    if num_vertices > MAX_VERTICES:
+        raise GraphError(
+            f"num_vertices {num_vertices} exceeds the largest supported "
+            f"count {MAX_VERTICES}"
+        )
+
+
+def _first_out_of_range(edge_list, n: int) -> int | None:
+    """The first endpoint outside ``[0, n)``, sources scanned first."""
+    for side in (0, 1):
+        for edge in edge_list:
+            if not 0 <= edge[side] < n:
+                return edge[side]
+    return None
 
 
 class DiGraph:
@@ -99,6 +127,7 @@ class DiGraph:
         "in_indptr",
         "in_indices",
         "_csr_views",
+        "_artifacts",
         "name",
         # Weak referenceability: per-graph caches (traversal scratch
         # buffers, kernel registries) key on the graph without pinning it.
@@ -111,25 +140,49 @@ class DiGraph:
         edges: Iterable[tuple[int, int]],
         name: str = "",
     ) -> None:
-        if num_vertices < 0:
-            raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
-        sources = array("l")
-        targets = array("l")
-        for u, v in edges:
-            sources.append(u)
-            targets.append(v)
+        _check_count(num_vertices)
+        edge_list = edges if isinstance(edges, (list, tuple)) else list(edges)
+        try:
+            sources = array("l", [u for u, _ in edge_list])
+            targets = array("l", [v for _, v in edge_list])
+        except OverflowError:
+            # An id past the C long range is out of range for any graph.
+            bad = _first_out_of_range(edge_list, num_vertices)
+            if bad is None:
+                raise
+            raise GraphError(
+                f"edge endpoint {bad} out of range [0, {num_vertices})"
+            ) from None
+        self._init_csr(
+            num_vertices,
+            np.frombuffer(sources, dtype=_L_DTYPE),
+            np.frombuffer(targets, dtype=_L_DTYPE),
+            name,
+        )
+
+    def _init_csr(
+        self,
+        num_vertices: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        name: str,
+    ) -> None:
         n = num_vertices
         for endpoint in (sources, targets):
-            for v in endpoint:
-                if not 0 <= v < n:
-                    raise GraphError(
-                        f"edge endpoint {v} out of range [0, {n})"
-                    )
+            bad = (endpoint < 0) | (endpoint >= n)
+            if bad.any():
+                raise GraphError(
+                    f"edge endpoint {int(endpoint[bad.argmax()])} out of "
+                    f"range [0, {n})"
+                )
+        sources = sources.astype(np.int64, copy=False)
+        targets = targets.astype(np.int64, copy=False)
         self._num_vertices = n
         self._num_edges = len(sources)
-        self.out_indptr, self.out_indices = _csr_from_edges(n, sources, targets)
-        self.in_indptr, self.in_indices = _csr_from_edges(n, targets, sources)
+        self.out_indptr, self.out_indices = _csr_from_arrays(n, sources, targets)
+        self.in_indptr, self.in_indices = _csr_from_arrays(n, targets, sources)
         self._csr_views = None
+        self._artifacts = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -153,6 +206,41 @@ class DiGraph:
                 1 + max(max(u, v) for u, v in edge_list) if edge_list else 0
             )
         return cls(num_vertices, edge_list, name=name)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        num_vertices: int,
+        sources,
+        targets,
+        name: str = "",
+    ) -> "DiGraph":
+        """Build a graph from two parallel integer arrays of endpoints.
+
+        Edge ``i`` is ``(sources[i], targets[i])``; the result equals
+        ``DiGraph(num_vertices, zip(sources, targets), name)`` — same CSR
+        arrays, same out-of-range :class:`GraphError` (the first bad
+        source, else the first bad target) — without a Python loop over
+        the edges.  File readers and the condensation build through it.
+        """
+        _check_count(num_vertices)
+        sources = np.asarray(sources)
+        targets = np.asarray(targets)
+        if sources.ndim != 1 or sources.shape != targets.shape:
+            raise GraphError(
+                "sources and targets must be 1-D arrays of equal length, "
+                f"got shapes {sources.shape} and {targets.shape}"
+            )
+        if len(sources) and (
+            sources.dtype.kind not in "iu" or targets.dtype.kind not in "iu"
+        ):
+            raise GraphError(
+                "edge endpoints must be integers, got dtypes "
+                f"{sources.dtype} and {targets.dtype}"
+            )
+        graph = cls.__new__(cls)
+        graph._init_csr(num_vertices, sources, targets, name)
+        return graph
 
     @classmethod
     def from_adjacency(
@@ -206,6 +294,17 @@ class DiGraph:
             for k in range(indptr[u], indptr[u + 1]):
                 yield u, indices[k]
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as ``int64`` ``(sources, targets)`` arrays, in the
+        order :meth:`edges` yields them (the targets are the cached
+        :meth:`csr` view, not a copy)."""
+        views = self.csr()
+        sources = np.repeat(
+            np.arange(self._num_vertices, dtype=np.int64),
+            np.diff(views.out_indptr),
+        )
+        return sources, views.out_indices
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the directed edge ``(u, v)`` exists (linear in deg(u))."""
         indptr = self.out_indptr
@@ -252,6 +351,7 @@ class DiGraph:
             if views is not None
             else None
         )
+        rev._artifacts = None  # orders and levels differ on the reversal
         rev.name = f"{self.name}-reversed" if self.name else "reversed"
         return rev
 
@@ -289,6 +389,22 @@ class DiGraph:
         previous = self.csr()
         self._csr_views = views
         return previous
+
+    def artifact(self, key: str, build: Callable[[], Any]) -> Any:
+        """The derived artifact ``key``, built by ``build()`` on first use.
+
+        Graph algorithms (DFS post-order, topological order, levels)
+        cache their default-argument results here, so the several indexes
+        and observer layers built on one DAG share a single computation.
+        The stored object is shared: callers must hand out copies.  A
+        failed ``build()`` caches nothing.
+        """
+        cache = self._artifacts
+        if cache is None:
+            cache = self._artifacts = {}
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the CSR arrays, in bytes."""

@@ -17,12 +17,16 @@ line, ``#`` comments) and Graphviz DOT export for small-figure rendering.
 from __future__ import annotations
 
 import gzip
+import io
+import warnings
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from repro.exceptions import CycleError, GraphError
 from repro.graph.builder import GraphBuilder
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import MAX_VERTICES, DiGraph
 
 __all__ = [
     "read_edge_list",
@@ -39,6 +43,71 @@ def _open_text(path: str | Path, mode: str) -> IO[str]:
     if path.suffix == ".gz":
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    """The raw bytes of ``path``, decompressing ``.gz`` like
+    :func:`_open_text`."""
+    path = Path(path)
+    if path.suffix == ".gz":
+        with gzip.open(path, "rb") as handle:
+            return handle.read()
+    return path.read_bytes()
+
+
+# Bytes a clean edge-list body may hold.  Anything else (signs, '.', 'e',
+# '_', '#', non-ASCII digits, ...) may parse differently in numpy than in
+# ``int()`` — or differently across numpy versions — so it never reaches
+# ``np.loadtxt``.
+_CLEAN_BYTES = b"0123456789 \t\n"
+# An id of 19+ digits may not fit int64, and numpy 1.x parses an integer
+# that overflows through float instead of failing.
+_MAX_ID_DIGITS = 18
+
+
+def _clean_edge_array(data: bytes) -> np.ndarray | None:
+    """The ``(m, 2)`` int64 edges of a clean edge list, else ``None``.
+
+    Clean means: after leading blank and ``#`` lines (valid UTF-8), only
+    ASCII digits, spaces, tabs and line breaks, ids of at most 18 digits,
+    and exactly two ids on every non-blank line.  On such input
+    ``np.loadtxt`` and the line loop of :func:`read_edge_list` agree.
+    """
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = 0
+    while True:
+        end = data.find(b"\n", start)
+        line = data[start:] if end < 0 else data[start:end]
+        stripped = line.strip()
+        if stripped and not stripped.startswith(b"#"):
+            break
+        if end < 0:
+            return None  # no edge at all: not worth a fast path
+        start = end + 1
+    body = data[start:]
+    try:
+        data[:start].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if body.translate(None, _CLEAN_BYTES):
+        return None
+    chars = np.frombuffer(body, dtype=np.uint8)
+    breaks = np.flatnonzero(chars < ord("0"))
+    longest = np.diff(breaks, prepend=-1, append=len(chars)).max() - 1
+    if longest > _MAX_ID_DIGITS:
+        return None
+    with warnings.catch_warnings():
+        # A numpy that warns here parses differently from the loop.
+        warnings.simplefilter("error")
+        try:
+            pairs = np.loadtxt(
+                io.StringIO(body.decode("ascii")), dtype=np.int64, ndmin=2
+            )
+        except (ValueError, OverflowError, Warning):
+            return None
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        return None
+    return pairs
 
 
 def _check_dag(graph: DiGraph, path: str | Path) -> DiGraph:
@@ -77,11 +146,38 @@ def read_edge_list(
     the inferred vertex count so one corrupt id cannot balloon the CSR
     arrays.  ``require_dag=True`` additionally rejects cyclic inputs with
     a :class:`~repro.exceptions.CycleError` carrying a witness cycle.
+
+    In the default mode (not ``strict``, duplicates and self loops kept),
+    a clean file — ``#`` lines only at the top, then nothing but ASCII
+    digits and whitespace, two ids of at most 18 digits per line — is
+    parsed by ``np.loadtxt`` and built with :meth:`DiGraph.from_arrays`,
+    with no Python loop per edge.  Any other input (signs, floats,
+    ``1_0``, non-ASCII digits, comments after the first edge, rows of one
+    or three ids, longer ids, a ``max_vertices`` overflow) takes the line
+    loop, so the graph and every error are the same on both paths.
     """
     if on_duplicate is None and strict:
         on_duplicate = "error"
     if on_self_loop is None and strict:
         on_self_loop = "error"
+    if (
+        not dedup
+        and on_duplicate in (None, "keep")
+        and on_self_loop in (None, "keep")
+    ):
+        pairs = _clean_edge_array(_read_bytes(path))
+        if pairs is not None:
+            num_vertices = int(pairs.max()) + 1
+            if max_vertices is None or num_vertices <= max_vertices:
+                graph = DiGraph.from_arrays(
+                    num_vertices,
+                    pairs[:, 0],
+                    pairs[:, 1],
+                    name=name or Path(path).stem,
+                )
+                if require_dag:
+                    _check_dag(graph, path)
+                return graph
     builder = GraphBuilder(
         dedup=dedup,
         auto_grow=True,
@@ -157,6 +253,11 @@ def read_gra(
         if num_vertices < 0:
             raise GraphError(
                 f"{path}: negative vertex count {num_vertices} on line 2"
+            )
+        if num_vertices > MAX_VERTICES:
+            raise GraphError(
+                f"{path}: vertex count {num_vertices} on line 2 exceeds the "
+                f"largest supported count {MAX_VERTICES}"
             )
         builder = GraphBuilder(
             num_vertices=num_vertices,

@@ -17,7 +17,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.graph.digraph import DiGraph
+import numpy as np
+
+from repro.graph.digraph import DiGraph, long_array
+from repro.graph.toposort import dag_post_order_ranks
 
 __all__ = ["strongly_connected_components", "condense", "Condensation", "is_dag"]
 
@@ -120,30 +123,49 @@ def condense(graph: DiGraph) -> Condensation:
     The returned DAG numbers components in *topological order* (component 0
     has no predecessors among components), which several downstream
     algorithms exploit for cache-friendly sweeps.
-    """
-    components = strongly_connected_components(graph)
-    # Tarjan emits components in reverse topological order; flip them.
-    components.reverse()
-    num_components = len(components)
-    scc_of = array("l", [0] * graph.num_vertices)
-    for cid, component in enumerate(components):
-        for v in component:
-            scc_of[v] = cid
 
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for u, v in graph.edges():
-        cu, cv = scc_of[u], scc_of[v]
-        if cu == cv:
-            continue
-        key = (cu, cv)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(key)
+    A plain DFS (the one Tarjan's algorithm would follow: same roots,
+    same edge order) runs first and stops at the first edge back into its
+    own path (:func:`dag_post_order_ranks`).  When it finishes, the input
+    is a DAG with no self loop, Tarjan would emit each vertex alone in
+    post-order, and ``scc_of[v] = n - 1 - post[v]`` directly; the
+    post-order stays cached on ``graph``.  Otherwise Tarjan runs.  Either
+    way the edges are relabelled and deduplicated (first occurrence kept,
+    input order preserved) in numpy, so the result is identical on both
+    paths.
+    """
+    n = graph.num_vertices
+    post = dag_post_order_ranks(graph)
+    if post is not None:
+        scc = n - 1 - np.asarray(post, dtype=np.int64)
+        order = np.empty(n, dtype=np.int64)
+        order[scc] = np.arange(n, dtype=np.int64)
+        components = [[v] for v in order.tolist()]
+        scc_of = long_array(scc)
+    else:
+        components = strongly_connected_components(graph)
+        # Tarjan emits components in reverse topological order; flip them.
+        components.reverse()
+        scc_of = array("l", [0] * n)
+        for cid, component in enumerate(components):
+            for v in component:
+                scc_of[v] = cid
+        scc = np.asarray(scc_of, dtype=np.int64)
+    num_components = len(components)
+
+    sources, targets = graph.edge_arrays()
+    cu, cv = scc[sources], scc[targets]
+    crossing = cu != cv
+    cu, cv = cu[crossing], cv[crossing]
+    keys = cu * num_components + cv
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+    is_first = np.ones(len(keys), dtype=bool)
+    is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = np.sort(by_key[is_first])
 
     name = f"{graph.name}-condensed" if graph.name else "condensed"
-    dag = DiGraph(num_components, edges, name=name)
+    dag = DiGraph.from_arrays(num_components, cu[first], cv[first], name=name)
     return Condensation(dag=dag, scc_of=scc_of, members=components)
 
 

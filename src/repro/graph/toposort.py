@@ -17,6 +17,12 @@ has a cycle, identifying one offending vertex.
 
 Terminology: an *order* is a list ``order[rank] = vertex``; *ranks* is the
 inverse array ``ranks[vertex] = rank``.  :func:`ranks_from_order` converts.
+
+The default-root DFS post-order and the topological order built from it
+are computed once per graph and cached on it (:meth:`DiGraph.artifact`):
+FELINE, the observer layer, GRAIL, FERRARI and the condensation all ask
+for them.  Every call returns a fresh copy, so callers may mutate it; a
+call with an explicit ``root_order`` is computed afresh.
 """
 
 from __future__ import annotations
@@ -25,13 +31,16 @@ import heapq
 from array import array
 from collections.abc import Callable, Sequence
 
+import numpy as np
+
 from repro.exceptions import NotADAGError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, long_array
 
 __all__ = [
     "kahn_order",
     "priority_kahn_order",
     "dfs_post_order_ranks",
+    "dag_post_order_ranks",
     "dfs_topological_order",
     "ranks_from_order",
     "is_topological_order",
@@ -40,10 +49,10 @@ __all__ = [
 
 def ranks_from_order(order: Sequence[int]) -> array:
     """Invert an order list into a rank array (``ranks[v] = position``)."""
-    ranks = array("l", [0] * len(order))
-    for rank, v in enumerate(order):
-        ranks[v] = rank
-    return ranks
+    positions = np.asarray(order, dtype=np.int64)
+    ranks = np.zeros(len(positions), dtype=np.int64)
+    ranks[positions] = np.arange(len(positions), dtype=np.int64)
+    return long_array(ranks)
 
 
 def is_topological_order(graph: DiGraph, order: Sequence[int]) -> bool:
@@ -139,28 +148,69 @@ def dfs_post_order_ranks(
 
     ``root_order`` optionally fixes the order in which DFS roots are tried
     (GRAIL's randomized labellings shuffle it; FELINE uses the default).
+    The default-root ranks are cached on ``graph``; the result is a copy.
     """
+    if root_order is not None:
+        return _dfs_post_order(graph, root_order)
+    return _default_post_order(graph)[:]
+
+
+def dag_post_order_ranks(graph: DiGraph) -> array | None:
+    """The default-root post-order ranks if ``graph`` is a DAG, else ``None``.
+
+    The DFS stops at the first edge back into its own path (a cycle or a
+    self loop), so a cyclic graph pays only for the DFS up to there.  A
+    DFS that finishes is the one :func:`dfs_post_order_ranks` would run
+    and is cached for it.  The answer is cached on ``graph``; the ranks
+    returned are a copy.
+    """
+
+    def build() -> array | None:
+        post = _dfs_post_order(graph, None, stop_at_cycle=True)
+        if post is not None:
+            graph.artifact("dfs_post_order", lambda: post)
+        return post
+
+    post = graph.artifact("dag_post_order", build)
+    return None if post is None else post[:]
+
+
+def _default_post_order(graph: DiGraph) -> array:
+    """The cached default-root post-order ranks (shared; do not mutate)."""
+    return graph.artifact(
+        "dfs_post_order", lambda: _dfs_post_order(graph, None)
+    )
+
+
+def _dfs_post_order(
+    graph: DiGraph,
+    root_order: Sequence[int] | None,
+    stop_at_cycle: bool = False,
+) -> array | None:
     n = graph.num_vertices
     indptr, indices = graph.out_indptr, graph.out_indices
-    visited = bytearray(n)
+    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
     ranks = array("l", [0] * n)
     counter = 0
     starts = root_order if root_order is not None else range(n)
     for root in starts:
-        if visited[root]:
+        if state[root]:
             continue
-        visited[root] = 1
+        state[root] = 1
         stack: list[tuple[int, int]] = [(root, indptr[root])]
         while stack:
             v, edge_pos = stack[-1]
             if edge_pos < indptr[v + 1]:
                 stack[-1] = (v, edge_pos + 1)
                 w = indices[edge_pos]
-                if not visited[w]:
-                    visited[w] = 1
+                if not state[w]:
+                    state[w] = 1
                     stack.append((w, indptr[w]))
+                elif stop_at_cycle and state[w] == 1:
+                    return None
             else:
                 stack.pop()
+                state[v] = 2
                 ranks[v] = counter
                 counter += 1
     return ranks
@@ -171,21 +221,38 @@ def dfs_topological_order(
 ) -> list[int]:
     """A topological order from reversed DFS post-order.
 
-    Raises :class:`NotADAGError` on cyclic input (detected by checking one
-    witness edge per vertex against the candidate ranks would be costly, so
-    we verify via the cheaper full-edge sweep — still O(|V| + |E|)).
+    Raises :class:`NotADAGError` on cyclic input, naming the first edge
+    (in :meth:`DiGraph.edges` order) that goes against the post-order —
+    one vectorized sweep over every edge, O(|V| + |E|).  The default-root
+    order is cached on ``graph``; the result is a fresh list.
+    """
+    if root_order is not None:
+        post = dfs_post_order_ranks(graph, root_order=root_order)
+        return _checked_reverse_post_order(graph, post).tolist()
+    order = graph.artifact(
+        "dfs_topological_order",
+        lambda: _checked_reverse_post_order(graph, _default_post_order(graph)),
+    )
+    return order.tolist()
+
+
+def _checked_reverse_post_order(graph: DiGraph, post: array) -> np.ndarray:
+    """Reverse post-order as an ``int64`` array, or :class:`NotADAGError`.
+
+    A DFS post-order reversal is topological iff the graph is acyclic;
+    every edge ``(u, v)`` must finish ``v`` before ``u``.
     """
     n = graph.num_vertices
-    post = dfs_post_order_ranks(graph, root_order=root_order)
-    order: list[int] = [0] * n
-    for v in range(n):
-        order[n - 1 - post[v]] = v
-    # A DFS post-order reversal is topological iff the graph is acyclic;
-    # verify with one sweep so cyclic inputs fail loudly, like kahn_order.
-    for u, v in graph.edges():
-        if post[u] <= post[v]:
-            raise NotADAGError(
-                f"graph has a cycle (edge ({u}, {v}) violates post-order)",
-                cycle_hint=u,
-            )
+    ranks = np.asarray(post, dtype=np.int64)
+    sources, targets = graph.edge_arrays()
+    backward = ranks[sources] <= ranks[targets]
+    if backward.any():
+        i = int(backward.argmax())
+        u, v = int(sources[i]), int(targets[i])
+        raise NotADAGError(
+            f"graph has a cycle (edge ({u}, {v}) violates post-order)",
+            cycle_hint=u,
+        )
+    order = np.empty(n, dtype=np.int64)
+    order[n - 1 - ranks] = np.arange(n, dtype=np.int64)
     return order

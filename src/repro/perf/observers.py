@@ -35,16 +35,19 @@ Every check is a sound deduction from exact reachability data, so the
 layer never contradicts the index behind it — it only shrinks the
 survivor set the online search must process.  Supporting vertices are
 selected by :func:`build_observers` at build time: degree-ranked
-candidates get exact ancestor/descendant sets (one boolean-matrix DP
-along the topological order), scored by the number of (ordered) pairs
-each would decide, and the top ``k`` win.
+candidates get exact ancestor/descendant sets (one bitset DP over the
+DAG's levels), scored by the number of (ordered) pairs each would
+decide, and the top ``k`` win.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.graph.digraph import DiGraph
+from repro.graph.levels import edge_positions, level_order
 from repro.graph.toposort import (
     dfs_topological_order,
     kahn_order,
@@ -171,28 +174,117 @@ class ObserverLayer:
         )
 
 
-def _reach_matrix(graph: DiGraph, candidates: np.ndarray, forward: bool):
+class _LevelSweep:
+    """Level-by-level ``reduceat`` sweeps of a per-vertex DP over a DAG.
+
+    A vertex's predecessors all sit on lower levels and its successors on
+    higher ones, so one level is a batch whose inputs are final: the DP
+    runs one numpy step per level instead of one Python step per vertex.
+    A numpy step costs far more than a Python one, so a deep DAG — fewer
+    than ``SWEEP_MIN_WORK`` vertices plus edges a level on average —
+    sweeps vertex by vertex in level order instead (64 is the measured
+    break-even on layered DAGs).
+    """
+
+    SWEEP_MIN_WORK = 64
+
+    def __init__(self, graph: DiGraph) -> None:
+        order, bounds = level_order(graph)
+        work = graph.num_vertices + graph.num_edges
+        self._order: list[int] | None = None
+        if work < self.SWEEP_MIN_WORK * (len(bounds) - 1):
+            self._order = order.tolist()
+            self._graph = graph
+            return
+        views = graph.csr()
+        groups = np.split(order, bounds[1:-1])
+        # Per direction: (vertices with an edge, their neighbours, the
+        # reduceat offsets) for each level.
+        self._up = [
+            self._segments(views.in_indptr, views.in_indices, g)
+            for g in groups
+        ]
+        self._down = [
+            self._segments(views.out_indptr, views.out_indices, g)
+            for g in reversed(groups)
+        ]
+
+    @staticmethod
+    def _segments(indptr, indices, group):
+        group = group[indptr[group + 1] > indptr[group]]
+        positions, starts = edge_positions(indptr, group)
+        return group, indices[positions], starts
+
+    def run(self, values: np.ndarray, reduce: np.ufunc, down: bool) -> None:
+        """``values[v] = reduce(values[v], values[w] for each neighbour
+        w)``, in place: over in-edges level by level upwards
+        (``down=False``), or over out-edges from the deepest level down.
+        """
+        if self._order is not None:
+            self._run_per_vertex(values, reduce, down)
+            return
+        for group, neighbours, starts in self._down if down else self._up:
+            if len(group):
+                folded = reduce.reduceat(values[neighbours], starts, axis=0)
+                values[group] = reduce(values[group], folded)
+
+    _SCALAR = {np.maximum: max, np.minimum: min, np.bitwise_or: operator.or_}
+
+    def _run_per_vertex(
+        self, values: np.ndarray, reduce: np.ufunc, down: bool
+    ) -> None:
+        # Rows of a 2-D ``uint64`` matrix become one Python int each.
+        combine = self._SCALAR[reduce]
+        if values.ndim == 1:
+            cells = values.tolist()
+        else:
+            width = values.shape[1] * 8
+            raw = values.astype("<u8", copy=False).tobytes()
+            cells = [
+                int.from_bytes(raw[i:i + width], "little")
+                for i in range(0, len(raw), width)
+            ]
+        graph = self._graph
+        if down:
+            order = reversed(self._order)
+            indptr, indices = graph.out_indptr, graph.out_indices
+        else:
+            order = self._order
+            indptr, indices = graph.in_indptr, graph.in_indices
+        for v in order:
+            lo, hi = indptr[v], indptr[v + 1]
+            if lo < hi:
+                acc = cells[v]
+                for k in range(lo, hi):
+                    acc = combine(acc, cells[indices[k]])
+                cells[v] = acc
+        if values.ndim == 1:
+            values[:] = cells
+        else:
+            raw = b"".join(cell.to_bytes(width, "little") for cell in cells)
+            values[:] = np.frombuffer(raw, dtype="<u8").reshape(values.shape)
+
+
+def _reach_matrix(
+    sweep: _LevelSweep, n: int, candidates: np.ndarray, forward: bool
+) -> np.ndarray:
     """Exact reachability bitsets for ``candidates``, one DP sweep.
 
     Returns an ``(n, len(candidates))`` boolean matrix ``M`` with
     ``M[v, j] = candidate_j ⇝ v`` (``forward=True``) or ``v ⇝
-    candidate_j`` (``forward=False``); reflexive in both directions.
+    candidate_j`` (``forward=False``); reflexive in both directions.  The
+    sweep ORs ``uint64`` words (64 candidates each), unpacked once.
     """
-    n = graph.num_vertices
-    matrix = np.zeros((n, len(candidates)), dtype=bool)
-    matrix[candidates, np.arange(len(candidates))] = True
-    order = dfs_topological_order(graph)
-    if forward:
-        indptr, indices = graph.in_indptr, graph.in_indices
-    else:
-        order = list(reversed(order))
-        indptr, indices = graph.out_indptr, graph.out_indices
-    for v in order:
-        lo, hi = indptr[v], indptr[v + 1]
-        if hi > lo:
-            neighbors = np.asarray(indices[lo:hi], dtype=np.int64)
-            matrix[v] |= matrix[neighbors].any(axis=0)
-    return matrix
+    count = len(candidates)
+    columns = np.arange(count)
+    words = np.zeros((n, (count + 63) // 64), dtype=np.uint64)
+    words[candidates, columns // 64] = np.left_shift(
+        np.uint64(1), (columns % 64).astype(np.uint64)
+    )
+    sweep.run(words, np.bitwise_or, down=not forward)
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    return bits[:, :count].astype(bool)
 
 
 def build_observers(
@@ -204,11 +296,12 @@ def build_observers(
     ``k = 0`` still yields a useful layer (the topological interval and
     rank checks need no supports).  Candidates are the
     ``candidate_factor * k`` vertices with the largest in×out degree
-    product; each gets exact ancestor/descendant sets via one
-    boolean-matrix DP along the topological order, is scored by the
-    ordered pairs it would decide — ``|anc|·|desc|`` positives plus
+    product; each gets exact ancestor/descendant sets via one bitset DP
+    over the DAG's levels, is scored by the ordered pairs it would
+    decide — ``|anc|·|desc|`` positives plus
     ``|desc|·(n−|desc|) + |anc|·(n−|anc|)`` contrapositive negatives —
-    and the best ``k`` win.
+    and the best ``k`` win.  ``t1``, the levels and the DP sweeps reuse
+    the order and levels cached on ``graph``.
     """
     if k < 0:
         raise ValueError(f"observer count must be >= 0, got {k}")
@@ -217,34 +310,21 @@ def build_observers(
     t1 = np.asarray(ranks_from_order(order), dtype=np.int64)
     t2 = np.asarray(ranks_from_order(kahn_order(graph)), dtype=np.int64)
 
+    sweep = _LevelSweep(graph)
     fmax = t1.copy()
+    sweep.run(fmax, np.maximum, down=True)
     bmin = t1.copy()
-    out_indptr, out_indices = graph.out_indptr, graph.out_indices
-    in_indptr, in_indices = graph.in_indptr, graph.in_indices
-    for v in reversed(order):
-        best = fmax[v]
-        for e in range(out_indptr[v], out_indptr[v + 1]):
-            child = fmax[out_indices[e]]
-            if child > best:
-                best = child
-        fmax[v] = best
-    for v in order:
-        best = bmin[v]
-        for e in range(in_indptr[v], in_indptr[v + 1]):
-            parent = bmin[in_indices[e]]
-            if parent < best:
-                best = parent
-        bmin[v] = best
+    sweep.run(bmin, np.minimum, down=False)
 
     k_eff = min(k, n)
     if k_eff:
-        out_deg = np.diff(np.asarray(out_indptr, dtype=np.int64))
-        in_deg = np.diff(np.asarray(in_indptr, dtype=np.int64))
+        out_deg = np.diff(np.asarray(graph.out_indptr, dtype=np.int64))
+        in_deg = np.diff(np.asarray(graph.in_indptr, dtype=np.int64))
         attractiveness = (in_deg + 1) * (out_deg + 1)
         pool = min(n, max(k_eff * max(candidate_factor, 1), k_eff))
         candidates = np.argsort(-attractiveness, kind="stable")[:pool]
-        desc = _reach_matrix(graph, candidates, forward=True)
-        anc = _reach_matrix(graph, candidates, forward=False)
+        desc = _reach_matrix(sweep, n, candidates, forward=True)
+        anc = _reach_matrix(sweep, n, candidates, forward=False)
         num_desc = desc.sum(axis=0, dtype=np.int64)
         num_anc = anc.sum(axis=0, dtype=np.int64)
         score = (

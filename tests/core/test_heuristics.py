@@ -8,11 +8,13 @@ from repro.core.heuristics import (
     compute_y_order,
 )
 from repro.core.index import build_feline_index
-from repro.exceptions import ReproError
+from repro.exceptions import NotADAGError, ReproError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.toposort import (
     dfs_topological_order,
     is_topological_order,
+    priority_kahn_order,
     ranks_from_order,
 )
 
@@ -53,6 +55,17 @@ class TestValidity:
         a = compute_y_order(g, x, heuristic="random", seed=1)
         b = compute_y_order(g, x, heuristic="random", seed=2)
         assert a != b
+
+
+    def test_max_x_on_cyclic_graph_raises_like_priority_kahn(self):
+        g = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+        x = [4, 3, 2, 1, 0]
+        with pytest.raises(NotADAGError) as ref:
+            priority_kahn_order(g, key=lambda v: -x[v])
+        with pytest.raises(NotADAGError) as got:
+            compute_y_order(g, x, heuristic="max-x")
+        assert str(got.value) == str(ref.value)
+        assert got.value.cycle_hint == ref.value.cycle_hint == 1
 
 
 class TestQuality:

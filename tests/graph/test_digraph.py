@@ -1,5 +1,6 @@
 """Unit tests for the CSR DiGraph representation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
@@ -48,6 +49,17 @@ class TestConstruction:
         with pytest.raises(GraphError):
             DiGraph(2, [(0, -1)])
 
+    def test_endpoint_past_int64_is_an_out_of_range_error(self):
+        message = rf"edge endpoint {2**70} out of range \[0, 3\)"
+        with pytest.raises(GraphError, match=message):
+            DiGraph(3, [(0, 2**70)])
+
+    def test_first_bad_endpoint_reported_sources_before_targets(self):
+        with pytest.raises(GraphError, match=r"endpoint 7 out of range \[0, 3\)"):
+            DiGraph(3, [(0, 9), (7, 1), (1, 2**70)])
+        with pytest.raises(GraphError, match=r"endpoint 9 out of range \[0, 3\)"):
+            DiGraph(3, [(0, 9), (1, 2**70)])
+
     def test_duplicate_edges_kept(self):
         g = DiGraph(2, [(0, 1), (0, 1)])
         assert g.num_edges == 2
@@ -71,6 +83,38 @@ class TestFactories:
     def test_from_edges_explicit_count(self):
         g = DiGraph.from_edges([(0, 1)], num_vertices=10)
         assert g.num_vertices == 10
+
+    def test_from_arrays_matches_edge_constructor(self):
+        rng = np.random.default_rng(3)
+        sources = rng.integers(0, 40, size=300)
+        targets = rng.integers(0, 40, size=300)
+        edges = list(zip(sources.tolist(), targets.tolist()))
+        expected = DiGraph(40, edges, name="g")
+        for dtype in (np.int64, np.int32, np.uint16):
+            g = DiGraph.from_arrays(
+                40, sources.astype(dtype), targets.astype(dtype), name="g"
+            )
+            assert g.name == "g" and g.num_edges == 300
+            for attr in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+                assert getattr(g, attr) == getattr(expected, attr)
+                assert getattr(g, attr).typecode == "l"
+
+    def test_from_arrays_rejects_bad_input(self):
+        with pytest.raises(GraphError, match=r"endpoint 5 out of range"):
+            DiGraph.from_arrays(3, np.array([0, 5]), np.array([1, 9]))
+        with pytest.raises(GraphError, match="equal length"):
+            DiGraph.from_arrays(3, np.array([0, 1]), np.array([1]))
+        with pytest.raises(GraphError, match="integers"):
+            DiGraph.from_arrays(3, np.array([0.0]), np.array([1.0]))
+        with pytest.raises(GraphError, match=">= 0"):
+            DiGraph.from_arrays(-1, [], [])
+        assert DiGraph.from_arrays(2, [], []).num_edges == 0
+
+    def test_edge_arrays_follow_edges_order(self, paper_dag):
+        sources, targets = paper_dag.edge_arrays()
+        assert list(zip(sources.tolist(), targets.tolist())) == list(
+            paper_dag.edges()
+        )
 
     def test_from_adjacency(self):
         g = DiGraph.from_adjacency([[1, 2], [2], []])
