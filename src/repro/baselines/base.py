@@ -73,6 +73,11 @@ class QueryStats:
     * ``searches`` — queries that needed a graph search;
     * ``expanded`` — total vertices expanded across all searches;
     * ``pruned`` — search branches cut by the index during searches.
+      Each family defines its unit; for the FELINE family (FELINE,
+      FELINE-I, FELINE-B) it is *child edges cut per expansion*: every
+      child past the ``X`` bisect of an expanded vertex (one bisect
+      over its X-sorted row), plus each first-seen child that fails the
+      ``Y``, reversed-coordinate or level bound.
 
     The resilience layer (``repro.resilience``) adds three degradation
     counters:
@@ -673,7 +678,7 @@ class ReachabilityIndex(ABC):
 
     @property
     def kernel_backend(self) -> str:
-        """The bound search-kernel backend (``"python"`` = original loops)."""
+        """The bound search-kernel backend (``"python"`` = the reference loops)."""
         return self._kernel_backend
 
     def _bind_kernel(self) -> None:

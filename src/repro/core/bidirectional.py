@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
-    FelineCoordinateViews,
+    XSortedAdjacency,
     build_feline_index,
 )
 from repro.core.query import FelineIndex
@@ -190,6 +190,9 @@ class FelineBIndex(ReachabilityIndex):
         self._seed = seed
         self.forward: FelineCoordinates | None = None
         self.backward: FelineCoordinates | None = None
+        # Children sorted by the forward X rank, as in FelineIndex.
+        self.adjacency: XSortedAdjacency | None = None
+        self._dfs = None
         self._visited = array("l", [0] * graph.num_vertices)
         self._stamp = 0
 
@@ -211,6 +214,9 @@ class FelineBIndex(ReachabilityIndex):
             with_level_filter=False,
             with_positive_cut=False,
             seed=self._seed,
+        )
+        self.adjacency = XSortedAdjacency.build(
+            self.graph, self.forward.views.x
         )
 
     def index_size_bytes(self) -> int:
@@ -266,57 +272,32 @@ class FelineBIndex(ReachabilityIndex):
     def _bind_kernel(self) -> None:
         from repro.perf import kernels
 
-        backend = kernels.resolve_backend(self._kernel_choice)
-        self._kernel_backend = backend
-        self._arm_kernel(
-            kernels.feline_kernel(self, backend, self.forward, self.backward)
+        self._dfs = kernels.bind_feline_search(
+            self, self.adjacency, self.forward, self.backward
         )
 
     def _shared_arrays(self) -> dict:
         arrays = super()._shared_arrays()
-        for prefix, coords in (("fwd", self.forward), ("bwd", self.backward)):
-            views = coords.views
-            arrays[f"{prefix}.x"] = views.x
-            arrays[f"{prefix}.y"] = views.y
-            if views.levels is not None:
-                arrays[f"{prefix}.levels"] = views.levels
-            if views.start is not None:
-                arrays[f"{prefix}.start"] = views.start
-                arrays[f"{prefix}.post"] = views.post
+        arrays.update(self.forward.shared_arrays("fwd"))
+        arrays.update(self.backward.shared_arrays("bwd"))
+        arrays.update(self.adjacency.shared_arrays("fwd"))
         return arrays
 
     def _adopt_shared_arrays(self, pages) -> None:
         super()._adopt_shared_arrays(pages)
-        for prefix, coords in (("fwd", self.forward), ("bwd", self.backward)):
-            views = coords.views
-            self._shared_originals[prefix] = views
-            coords.__dict__["views"] = FelineCoordinateViews(
-                x=pages.view(f"{prefix}.x"),
-                y=pages.view(f"{prefix}.y"),
-                levels=(
-                    pages.view(f"{prefix}.levels")
-                    if views.levels is not None
-                    else None
-                ),
-                start=(
-                    pages.view(f"{prefix}.start")
-                    if views.start is not None
-                    else None
-                ),
-                post=(
-                    pages.view(f"{prefix}.post")
-                    if views.post is not None
-                    else None
-                ),
-            )
+        originals = self._shared_originals
+        originals["fwd"] = self.forward.adopt_views(pages, "fwd")
+        originals["bwd"] = self.backward.adopt_views(pages, "bwd")
+        originals["adjacency"] = self.adjacency
+        self.adjacency = self.adjacency.adopt(pages, "fwd")
 
     def _restore_shared_arrays(self) -> None:
         super()._restore_shared_arrays()
         originals = self._shared_originals or {}
-        for prefix, coords in (("fwd", self.forward), ("bwd", self.backward)):
-            views = originals.get(prefix)
-            if views is not None:
-                coords.__dict__["views"] = views
+        if "fwd" in originals:
+            self.forward.restore_views(originals["fwd"])
+            self.backward.restore_views(originals["bwd"])
+            self.adjacency = originals["adjacency"]
 
     def _explain_details(self, u: int, v: int, explanation) -> None:
         """Both coordinate sets; splits the three negative cuts apart."""
@@ -346,57 +327,9 @@ class FelineBIndex(ReachabilityIndex):
     def _search(
         self, u: int, v: int, xv: int, yv: int, rxv: int, ryv: int
     ) -> bool:
-        """Dispatch one four-bound pruned DFS to the bound kernel."""
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.search(u, v, xv, yv, rxv, ryv)
-        return self._search_python(u, v, xv, yv, rxv, ryv)
-
-    def _search_python(
-        self, u: int, v: int, xv: int, yv: int, rxv: int, ryv: int
-    ) -> bool:
-        """DFS restricted to the intersection of both admissible regions."""
-        fwd, bwd = self.forward, self.backward
-        fx, fy = fwd.x, fwd.y
-        bx, by = bwd.x, bwd.y
-        levels = fwd.levels
-        intervals = fwd.tree_intervals
-        level_v = levels[v] if levels is not None else 0
-        indptr = self.graph.out_indptr
-        indices = self.graph.out_indices
-        stats = self.stats
-        guard = self._guard
-
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
-        visited[u] = stamp
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if child == v:
-                    return True
-                if visited[child] == stamp:
-                    continue
-                visited[child] = stamp
-                if fx[child] > xv or fy[child] > yv:
-                    stats.pruned += 1
-                    continue
-                if bx[child] < rxv or by[child] < ryv:
-                    stats.pruned += 1
-                    continue
-                if levels is not None and levels[child] >= level_v:
-                    stats.pruned += 1
-                    continue
-                if intervals is not None and intervals.contains(child, v):
-                    return True
-                stack.append(child)
-        return False
+        """One DFS restricted to the intersection of both admissible
+        regions, on the bound tier (see :meth:`FelineIndex._search`)."""
+        return self._dfs.search(u, v, xv, yv, rxv, ryv)
 
 
 register_index(FelineIIndex)

@@ -23,14 +23,14 @@ folds both into Algorithm 1's construction pass.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from repro.core.heuristics import compute_y_order
 from repro.exceptions import ReproError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, long_array
 from repro.graph.levels import compute_levels
 from repro.graph.spanning import (
     IntervalLabels,
@@ -44,7 +44,12 @@ from repro.graph.toposort import (
 )
 from repro.obs.metrics import get_registry
 
-__all__ = ["FelineCoordinates", "FelineCoordinateViews", "build_feline_index"]
+__all__ = [
+    "FelineCoordinates",
+    "FelineCoordinateViews",
+    "XSortedAdjacency",
+    "build_feline_index",
+]
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,33 @@ class FelineCoordinates:
             post=view_i64(intervals.post) if intervals is not None else None,
         )
 
+    def shared_arrays(self, prefix: str) -> dict:
+        """The cached views as ``{prefix}.<field>`` arrays for a
+        :class:`~repro.perf.shm.SharedIndexPages` arena (absent filters
+        are left out)."""
+        return {
+            f"{prefix}.{name}": arr
+            for name, arr in vars(self.views).items()
+            if arr is not None
+        }
+
+    def adopt_views(self, pages, prefix: str) -> FelineCoordinateViews:
+        """Re-point the cached views at the arena copies written from
+        :meth:`shared_arrays`; returns the previous views for
+        :meth:`restore_views`."""
+        views = self.views
+        # cached_property storage — assign through __dict__ (the
+        # dataclass is frozen; cached_property itself does the same).
+        self.__dict__["views"] = FelineCoordinateViews(**{
+            name: pages.view(f"{prefix}.{name}") if arr is not None else None
+            for name, arr in vars(views).items()
+        })
+        return views
+
+    def restore_views(self, views: FelineCoordinateViews) -> None:
+        """Undo :meth:`adopt_views`."""
+        self.__dict__["views"] = views
+
     def memory_bytes(self) -> int:
         """Index footprint: coordinates plus whichever filters are on."""
         total = self.x.itemsize * len(self.x) + self.y.itemsize * len(self.y)
@@ -130,6 +162,66 @@ class FelineCoordinates:
         if self.tree_intervals is not None:
             total += self.tree_intervals.memory_bytes()
         return total
+
+
+@dataclass(frozen=True)
+class XSortedAdjacency:
+    """The DAG's out-CSR with every row's children ordered by ``X`` rank.
+
+    The pruned DFS (paper Algorithm 3) drops every child ``w`` with
+    ``X[w] > X[v]``.  With each row sorted by ``X`` those children form
+    the row's suffix, so one ``bisect_right`` over ``keys`` cuts them
+    all and only the prefix needs per-child checks.  ``indices[k]`` is
+    a child and ``keys[k] == X[indices[k]]``; row ``w`` spans the
+    graph's own ``out_indptr[w] : out_indptr[w + 1]``, whose CSR is left
+    untouched.
+
+    A search structure, not index data: derived at build and load time
+    (one argsort, 16 bytes per edge), never persisted, and not counted
+    by ``index_size_bytes``.  ``indices``/``keys`` are the ``array``
+    storage the python loop indexes; ``indices_np``/``keys_np`` the
+    ``int64`` views the numpy and numba tiers read (swapped for
+    shared-memory copies by :meth:`adopt`).
+    """
+
+    indices: array
+    keys: array
+    indices_np: np.ndarray
+    keys_np: np.ndarray
+
+    @classmethod
+    def build(cls, graph: DiGraph, x: np.ndarray) -> "XSortedAdjacency":
+        """Sort ``graph``'s out-rows by ``x`` (an ``int64`` rank view)."""
+        from repro.perf.cut_table import view_i64
+
+        csr = graph.csr()
+        n = graph.num_vertices
+        children = csr.out_indices
+        keys = x[children]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.out_indptr))
+        # Ranks are below n, so row·n + X orders by row, then by X (exact
+        # while n² < 2**63).  Only a duplicated edge ties, and its copies
+        # are the same child.
+        order = np.argsort(rows * n + keys)
+        indices = long_array(children[order])
+        keys = long_array(keys[order])
+        return cls(indices, keys, view_i64(indices), view_i64(keys))
+
+    def shared_arrays(self, prefix: str) -> dict:
+        """The numpy views as named arrays for a shared-pages arena."""
+        return {
+            f"{prefix}.adj_indices": self.indices_np,
+            f"{prefix}.adj_keys": self.keys_np,
+        }
+
+    def adopt(self, pages, prefix: str) -> "XSortedAdjacency":
+        """The same adjacency with its numpy views on the arena copies
+        written from :meth:`shared_arrays`."""
+        return replace(
+            self,
+            indices_np=pages.view(f"{prefix}.adj_indices"),
+            keys_np=pages.view(f"{prefix}.adj_keys"),
+        )
 
 
 def build_feline_index(

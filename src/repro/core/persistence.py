@@ -420,10 +420,10 @@ def load_index(
             path=path,
         )
     index = FelineIndex(graph)
-    index.coordinates = coords
-    # Loaded indexes skip build(), so materialize the batch engine's cut
-    # table and bind the search kernel here; numpy views work over both
-    # in-memory and mmap arrays.
+    # Loaded indexes skip build(), so derive the X-sorted adjacency,
+    # materialize the batch engine's cut table and bind the search
+    # kernel here; numpy views work over both in-memory and mmap arrays.
+    index.attach_coordinates(coords)
     index._cut_table = index._make_cut_table()
     index._built = True
     index._bind_kernel()

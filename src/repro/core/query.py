@@ -10,7 +10,11 @@ A query ``r(u, v)`` runs the two-step process of §3:
 2. **Refined online search.**  Otherwise an iterative DFS from ``u``
    expands only vertices ``w`` with ``i(w) ≼ i(v)`` — the per-dimension
    bounds checks that let FELINE discard branches GRAIL (no bound) and
-   FERRARI (one-dimensional bound) keep exploring (Figures 5–7).
+   FERRARI (one-dimensional bound) keep exploring (Figures 5–7).  The
+   DFS walks an X-sorted adjacency, so the ``X`` bound is one bisect
+   per expanded vertex and cuts the children past it as a block;
+   ``stats.pruned`` counts child edges cut per expansion (that block,
+   plus first-seen children failing the ``Y`` or level bound).
 
 The visited set is a *timestamped* array reused across queries, so a query
 costs O(vertices actually expanded), never O(|V|) — essential when a
@@ -26,7 +30,7 @@ import numpy as np
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
-    FelineCoordinateViews,
+    XSortedAdjacency,
     build_feline_index,
 )
 from repro.graph.digraph import DiGraph
@@ -111,6 +115,10 @@ class FelineIndex(ReachabilityIndex):
         self._use_positive_cut = use_positive_cut
         self._seed = seed
         self.coordinates: FelineCoordinates | None = None
+        # The search side: the X-sorted adjacency the pruned DFS walks
+        # and the bound search tier (repro.perf.kernels.FelineSearch).
+        self.adjacency: XSortedAdjacency | None = None
+        self._dfs = None
         # Timestamped visited marks: _visited[w] == _stamp ⇔ w seen in the
         # current query's search.
         self._visited = array("l", [0] * graph.num_vertices)
@@ -118,13 +126,23 @@ class FelineIndex(ReachabilityIndex):
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        self.coordinates = build_feline_index(
-            self.graph,
-            y_heuristic=self._y_heuristic,
-            x_order=self._x_order,
-            with_level_filter=self._use_level_filter,
-            with_positive_cut=self._use_positive_cut,
-            seed=self._seed,
+        self.attach_coordinates(
+            build_feline_index(
+                self.graph,
+                y_heuristic=self._y_heuristic,
+                x_order=self._x_order,
+                with_level_filter=self._use_level_filter,
+                with_positive_cut=self._use_positive_cut,
+                seed=self._seed,
+            )
+        )
+
+    def attach_coordinates(self, coordinates: FelineCoordinates) -> None:
+        """Install built or loaded coordinates and derive the X-sorted
+        adjacency the pruned DFS walks (see :class:`XSortedAdjacency`)."""
+        self.coordinates = coordinates
+        self.adjacency = XSortedAdjacency.build(
+            self.graph, coordinates.views.x
         )
 
     def index_size_bytes(self) -> int:
@@ -142,56 +160,29 @@ class FelineIndex(ReachabilityIndex):
     def _bind_kernel(self) -> None:
         from repro.perf import kernels
 
-        backend = kernels.resolve_backend(self._kernel_choice)
-        self._kernel_backend = backend
-        self._arm_kernel(
-            kernels.feline_kernel(self, backend, self.coordinates)
+        self._dfs = kernels.bind_feline_search(
+            self, self.adjacency, self.coordinates
         )
 
     def _shared_arrays(self) -> dict:
         arrays = super()._shared_arrays()
-        views = self.coordinates.views
-        arrays["feline.x"] = views.x
-        arrays["feline.y"] = views.y
-        if views.levels is not None:
-            arrays["feline.levels"] = views.levels
-        if views.start is not None:
-            arrays["feline.start"] = views.start
-            arrays["feline.post"] = views.post
+        arrays.update(self.coordinates.shared_arrays("feline"))
+        arrays.update(self.adjacency.shared_arrays("feline"))
         return arrays
 
     def _adopt_shared_arrays(self, pages) -> None:
         super()._adopt_shared_arrays(pages)
-        coords = self.coordinates
-        views = coords.views
-        self._shared_originals["feline"] = views
-        # cached_property storage — assign through __dict__ (the
-        # dataclass is frozen; cached_property itself does the same).
-        coords.__dict__["views"] = FelineCoordinateViews(
-            x=pages.view("feline.x"),
-            y=pages.view("feline.y"),
-            levels=(
-                pages.view("feline.levels")
-                if views.levels is not None
-                else None
-            ),
-            start=(
-                pages.view("feline.start")
-                if views.start is not None
-                else None
-            ),
-            post=(
-                pages.view("feline.post")
-                if views.post is not None
-                else None
-            ),
-        )
+        originals = self._shared_originals
+        originals["feline"] = self.coordinates.adopt_views(pages, "feline")
+        originals["adjacency"] = self.adjacency
+        self.adjacency = self.adjacency.adopt(pages, "feline")
 
     def _restore_shared_arrays(self) -> None:
         super()._restore_shared_arrays()
-        views = (self._shared_originals or {}).get("feline")
-        if views is not None:
-            self.coordinates.__dict__["views"] = views
+        originals = self._shared_originals or {}
+        if "feline" in originals:
+            self.coordinates.restore_views(originals["feline"])
+            self.adjacency = originals["adjacency"]
 
     # ------------------------------------------------------------------
     def _query(self, u: int, v: int) -> bool:
@@ -247,63 +238,16 @@ class FelineIndex(ReachabilityIndex):
             details["interval(v)"] = (intervals.start[v], intervals.post[v])
 
     def _search(self, u: int, v: int, xv: int, yv: int) -> bool:
-        """Dispatch one pruned DFS to the bound kernel backend.
+        """One pruned DFS from ``u`` restricted to ``{w : i(w) ≼ i(v)}``.
 
-        The native kernels (``repro.perf.kernels``) are bit-identical to
-        :meth:`_search_python` in answers, stats, and budget semantics;
-        without one (the ``python`` backend) the original loop runs.
+        Runs on the bound tier (:mod:`repro.perf.kernels`; every tier
+        is bit-identical in answers, stats and budget semantics) and
+        honours the active :class:`~repro.resilience.budget.SearchGuard`
+        (one step per expanded vertex).  ``stats.pruned`` counts child
+        edges cut per expansion: the children past the ``X`` bisect,
+        plus the first-seen children failing the ``Y`` or level bound.
         """
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.search(u, v, xv, yv)
-        return self._search_python(u, v, xv, yv)
-
-    def _search_python(self, u: int, v: int, xv: int, yv: int) -> bool:
-        """Iterative DFS from ``u`` restricted to ``{w : i(w) ≼ i(v)}``.
-
-        Honours the active :class:`~repro.resilience.budget.SearchGuard`
-        (one step per expanded vertex) when a query budget is set.
-        """
-        coords = self.coordinates
-        x, y = coords.x, coords.y
-        levels = coords.levels
-        intervals = coords.tree_intervals
-        level_v = levels[v] if levels is not None else 0
-        indptr = self.graph.out_indptr
-        indices = self.graph.out_indices
-        stats = self.stats
-        guard = self._guard
-
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
-        visited[u] = stamp
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if child == v:
-                    return True
-                if visited[child] == stamp:
-                    continue
-                visited[child] = stamp
-                # Negative cuts on the branch (Definition 3 / Algorithm 3).
-                if x[child] > xv or y[child] > yv:
-                    stats.pruned += 1
-                    continue
-                if levels is not None and levels[child] >= level_v:
-                    stats.pruned += 1
-                    continue
-                # Positive cut on the branch: a tree path from `child`
-                # to `v` finishes the query without further expansion.
-                if intervals is not None and intervals.contains(child, v):
-                    return True
-                stack.append(child)
-        return False
+        return self._dfs.search(u, v, xv, yv)
 
 
 register_index(FelineIndex)

@@ -11,8 +11,9 @@ hardware speed over the flat CSR arrays exported once per graph by
   ``numba`` dependency is installed (it is never required);
 * ``numpy`` — a vectorized frontier/neighbour-slice expansion that needs
   nothing beyond the library's existing numpy dependency;
-* ``python`` — the families' original loops, the always-correct last
-  resort (and an explicit choice for debugging).
+* ``python`` — the reference loops (:class:`FelineSearch` for the
+  FELINE family), the always-correct last resort (and an explicit
+  choice for debugging).
 
 Selection is automatic (``numba`` when importable, else ``numpy``),
 overridable per index via ``Reachability(kernel=...)`` /
@@ -33,9 +34,17 @@ deadline-carrying guards route to the pure-Python loop — slower, never
 wrong.  The property suite (``tests/property/test_kernel_equivalence``)
 asserts the contract for every registered family.
 
-The numpy tier keeps the Python traversal *order* (LIFO stack, CSR slice
+The FELINE pruned DFS walks the index's X-sorted adjacency
+(:class:`~repro.core.index.XSortedAdjacency`): one bisect per expanded
+vertex finds ``cut``, the first child whose ``X`` exceeds ``X[v]``, and
+only ``[lo, cut)`` is scanned.  ``pruned`` therefore counts child edges
+cut per expansion: the whole suffix ``hi - cut`` of every expanded
+vertex, plus each first-seen child of the prefix that fails a
+``Y``/reversed/level bound.
+
+The numpy tier keeps the Python traversal *order* (LIFO stack, slice
 order, first-occurrence dedup) and vectorizes only the per-vertex
-neighbour-slice processing — and only for slices of at least
+neighbour-slice processing — and only for bisected slices of at least
 :data:`VECTOR_MIN_DEGREE` children, so low-degree graphs never pay numpy
 call overhead and the tier is no slower than pure Python anywhere.
 """
@@ -43,6 +52,7 @@ call overhead and the tier is no slower than pure Python anywhere.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from time import perf_counter
 from weakref import WeakKeyDictionary
 
@@ -56,7 +66,8 @@ __all__ = [
     "numba_available",
     "numba_version",
     "resolve_backend",
-    "feline_kernel",
+    "FelineSearch",
+    "bind_feline_search",
     "bibfs_kernel_for",
     "bounded_search",
     "describe_backend",
@@ -163,15 +174,15 @@ def describe_backend(backend: str | None = None) -> dict:
 
 
 def _dfs_impl(
-    indptr, indices, x, y,
+    indptr, indices, keys, y,
     has_backward, bx, by,
     has_levels, levels, level_v,
     has_intervals, start, post, start_v, post_v,
     visited, stamp, stack,
     u, v, xv, yv, rxv, ryv, budget,
 ):
-    # The FELINE pruned DFS (paper Algorithm 3), bit-identical to
-    # FelineIndex._search / FelineBIndex._search.  Returns
+    # The FELINE pruned DFS (paper Algorithm 3) over the X-sorted
+    # adjacency, bit-identical to FelineSearch._walk.  Returns
     # (code, expanded, pruned): code 0 = not reachable, 1 = reachable,
     # 2 = step budget exhausted at the vertex just expanded.
     expanded = 0
@@ -185,20 +196,30 @@ def _dfs_impl(
         expanded += 1
         if budget >= 0 and expanded > budget:
             return 2, expanded, pruned
-        for k in range(indptr[w], indptr[w + 1]):
+        lo = indptr[w]
+        hi = indptr[w + 1]
+        # bisect_right(keys, xv, lo, hi): the first child with X > xv.
+        cut = lo
+        end = hi
+        while cut < end:
+            mid = (cut + end) >> 1
+            if keys[mid] > xv:
+                end = mid
+            else:
+                cut = mid + 1
+        pruned += hi - cut
+        for k in range(lo, cut):
             child = indices[k]
             if child == v:
                 return 1, expanded, pruned
             if visited[child] == stamp:
                 continue
             visited[child] = stamp
-            if x[child] > xv or y[child] > yv:
-                pruned += 1
-                continue
-            if has_backward and (bx[child] < rxv or by[child] < ryv):
-                pruned += 1
-                continue
-            if has_levels and levels[child] >= level_v:
+            if (
+                y[child] > yv
+                or (has_backward and (bx[child] < rxv or by[child] < ryv))
+                or (has_levels and levels[child] >= level_v)
+            ):
                 pruned += 1
                 continue
             if has_intervals and start[child] <= start_v and post_v <= post[child]:
@@ -279,7 +300,7 @@ def _compile_tier(decorate):
     bibfs = decorate(_bibfs_impl)
 
     def _batch_impl(
-        indptr, indices, x, y,
+        indptr, indices, keys, x, y,
         has_backward, bx, by,
         has_levels, levels,
         has_intervals, start, post,
@@ -309,7 +330,7 @@ def _compile_tier(decorate):
                 start_v = start[v]
                 post_v = post[v]
             code, expanded, pruned = dfs(
-                indptr, indices, x, y,
+                indptr, indices, keys, y,
                 has_backward, bx, by,
                 has_levels, levels, level_v,
                 has_intervals, start, post, start_v, post_v,
@@ -376,35 +397,49 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-class _FelineKernelBase:
-    """Per-index state shared by the FELINE DFS kernels.
+class FelineSearch:
+    """The pruned DFS of a FELINE-family index: the python tier.
+
+    One loop serves FELINE (and FELINE-I's inner index) and FELINE-B.
+    It walks the index's :class:`~repro.core.index.XSortedAdjacency`, so
+    the ``X`` bound costs one ``bisect_right`` per expanded vertex: the
+    children ``[lo, cut)`` have ``X ≤ X[v]`` and get the remaining
+    per-child checks, the suffix ``[cut, hi)`` is cut whole
+    (``pruned += hi - cut``).  Counters live in locals and are folded
+    into :class:`~repro.baselines.base.QueryStats` in a ``finally``, so
+    a guard that raises mid-search still leaves them counted.
 
     Holds both representations of every structure the search touches:
-    the ``array`` objects for scalar-path indexing (fast Python-int
-    access) and the ``int64`` numpy views for vectorized/compiled work —
-    both views of the *same* memory, so the tiers interoperate and the
-    timestamped visited buffer stays coherent across backends.
+    the ``array`` objects for scalar indexing (fast Python-int access)
+    and the ``int64`` numpy views for the vectorized and compiled tiers,
+    which subclass this one.  Both are views of the *same* memory, so
+    the timestamped visited buffer stays coherent across tiers.
     """
 
-    backend = "abstract"
+    backend = "python"
+    #: The wide-slice hook (numpy tier): ``None`` keeps every slice on
+    #: the scalar loop.
+    _wide = None
 
-    def __init__(self, index, forward, backward=None) -> None:
+    def __init__(self, index, adjacency, forward, backward=None) -> None:
         self._index = index
         self.dispatch_counter = None
         graph = index.graph
-        csr = graph.csr()
         self._indptr = graph.out_indptr
-        self._indices = graph.out_indices
-        self._indptr_np = csr.out_indptr
-        self._indices_np = csr.out_indices
-        self._x, self._y = forward.x, forward.y
+        self._indptr_np = graph.csr().out_indptr
+        self._indices, self._keys = adjacency.indices, adjacency.keys
+        self._indices_np = adjacency.indices_np
+        self._keys_np = adjacency.keys_np
         fv = forward.views
-        self._x_np, self._y_np = fv.x, fv.y
-        self._levels = forward.levels
-        self._levels_np = fv.levels
-        self._intervals = forward.tree_intervals
+        self._x_np = fv.x
+        self._y, self._y_np = forward.y, fv.y
+        self._levels, self._levels_np = forward.levels, fv.levels
+        intervals = forward.tree_intervals
+        if intervals is not None:
+            self._start, self._post = intervals.start, intervals.post
+        else:
+            self._start = self._post = None
         self._start_np, self._post_np = fv.start, fv.post
-        self._has_backward = backward is not None
         if backward is not None:
             self._bx, self._by = backward.x, backward.y
             bv = backward.views
@@ -414,41 +449,27 @@ class _FelineKernelBase:
             self._bx_np = self._by_np = _EMPTY_I64
         self._visited_np = _stamp_view(index._visited)
 
-    def _python_fallback(self, u, v, xv, yv, rxv, ryv):
-        index = self._index
-        if self._has_backward:
-            return index._search_python(u, v, xv, yv, rxv, ryv)
-        return index._search_python(u, v, xv, yv)
-
-
-class NumpyFelineKernel(_FelineKernelBase):
-    """The numpy tier: Python traversal order, vectorized wide slices.
-
-    The DFS keeps the exact LIFO pop loop of the python tier (so the
-    :class:`~repro.resilience.budget.SearchGuard` — steps *and*
-    deadlines — works natively), but a neighbour slice of at least
-    :data:`VECTOR_MIN_DEGREE` children is processed with numpy: target
-    hit, first-occurrence dedup, visited marking, coordinate/level
-    prunes and the interval positive-cut, all order-preserving.
-    """
-
-    backend = "numpy"
-
     def search(self, u, v, xv, yv, rxv=0, ryv=0):
+        """Whether ``v`` is reachable from ``u`` inside ``{w : i(w) ≼ i(v)}``
+        (and, for FELINE-B, ``i'(v) ≼ i'(w)``)."""
         counter = self.dispatch_counter
         if counter is not None:
             counter.inc()
+        return self._walk(u, v, xv, yv, rxv, ryv, self._wide)
+
+    def _walk(self, u, v, xv, yv, rxv, ryv, wide):
         index = self._index
-        stats = index.stats
         guard = index._guard
         indptr = self._indptr
         indices = self._indices
-        x, y = self._x, self._y
+        keys = self._keys
+        y = self._y
         bx, by = self._bx, self._by
-        has_backward = self._has_backward
         levels = self._levels
-        intervals = self._intervals
         level_v = levels[v] if levels is not None else 0
+        start, post = self._start, self._post
+        if start is not None:
+            start_v, post_v = start[v], post[v]
         vec_min = VECTOR_MIN_DEGREE
 
         index._stamp += 1
@@ -456,53 +477,88 @@ class NumpyFelineKernel(_FelineKernelBase):
         visited = index._visited
         visited[u] = stamp
         stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            lo = indptr[w]
-            hi = indptr[w + 1]
-            if hi - lo < vec_min:
-                # The scalar path — the python tier's loop verbatim.
-                for k in range(lo, hi):
+        pop = stack.pop
+        push = stack.append
+        expanded = 0
+        pruned = 0
+        try:
+            while stack:
+                w = pop()
+                expanded += 1
+                if guard is not None:
+                    guard.step()
+                lo = indptr[w]
+                hi = indptr[w + 1]
+                # Children past `cut` have X above X[v] (Definition 3):
+                # cut as a block.
+                cut = bisect_right(keys, xv, lo, hi)
+                pruned += hi - cut
+                if wide is not None and cut - lo >= vec_min:
+                    hit, wide_pruned = wide(
+                        lo, cut, v, stamp, yv, rxv, ryv, level_v, stack
+                    )
+                    pruned += wide_pruned
+                    if hit:
+                        return True
+                    continue
+                for k in range(lo, cut):
                     child = indices[k]
                     if child == v:
                         return True
                     if visited[child] == stamp:
                         continue
                     visited[child] = stamp
-                    if x[child] > xv or y[child] > yv:
-                        stats.pruned += 1
+                    if (
+                        y[child] > yv
+                        or (bx is not None
+                            and (bx[child] < rxv or by[child] < ryv))
+                        or (levels is not None and levels[child] >= level_v)
+                    ):
+                        pruned += 1
                         continue
-                    if has_backward and (bx[child] < rxv or by[child] < ryv):
-                        stats.pruned += 1
-                        continue
-                    if levels is not None and levels[child] >= level_v:
-                        stats.pruned += 1
-                        continue
-                    if intervals is not None and intervals.contains(child, v):
+                    # Positive cut on the branch: a tree path from
+                    # `child` reaches `v` without further expansion.
+                    if (
+                        start is not None
+                        and start[child] <= start_v
+                        and post_v <= post[child]
+                    ):
                         return True
-                    stack.append(child)
-            else:
-                if self._expand_wide(
-                    lo, hi, v, stamp, xv, yv, rxv, ryv, level_v, stats, stack
-                ):
-                    return True
-        return False
+                    push(child)
+            return False
+        finally:
+            stats = index.stats
+            stats.expanded += expanded
+            stats.pruned += pruned
 
-    def _expand_wide(
-        self, lo, hi, v, stamp, xv, yv, rxv, ryv, level_v, stats, stack
-    ) -> bool:
-        """Vectorized processing of one wide neighbour slice.
 
-        Returns ``True`` when the search concludes positively (target
-        hit or interval positive-cut); otherwise pushes the surviving
-        children in slice order and returns ``False``.  ``pruned``
-        counting honours the sequential contract: children past an
-        early positive exit are never counted.
+class NumpyFelineKernel(FelineSearch):
+    """The numpy tier: the python loop, with wide slices vectorized.
+
+    The DFS keeps the exact LIFO pop loop of the python tier (so the
+    :class:`~repro.resilience.budget.SearchGuard` — steps *and*
+    deadlines — works natively), but a bisected slice of at least
+    :data:`VECTOR_MIN_DEGREE` children is processed with numpy: target
+    hit, first-occurrence dedup, visited marking, coordinate/level
+    prunes and the interval positive-cut, all order-preserving.
+    """
+
+    backend = "numpy"
+
+    def __init__(self, index, adjacency, forward, backward=None) -> None:
+        super().__init__(index, adjacency, forward, backward)
+        self._wide = self._expand_wide
+
+    def _expand_wide(self, lo, cut, v, stamp, yv, rxv, ryv, level_v, stack):
+        """Vectorized processing of the bisected slice ``[lo, cut)``.
+
+        Returns ``(concluded, pruned)``: ``concluded`` is ``True`` when
+        the search ends positively (target hit or interval
+        positive-cut); otherwise the surviving children are pushed in
+        slice order.  ``pruned`` honours the sequential contract:
+        children past an early positive exit are never counted.
         """
-        children = self._indices_np[lo:hi]
+        children = self._indices_np[lo:cut]
         eq = children == v
         target_hit = bool(eq.any())
         if target_hit:
@@ -510,50 +566,60 @@ class NumpyFelineKernel(_FelineKernelBase):
             # processed by the sequential loop.
             children = children[: int(eq.argmax())]
             if children.size == 0:
-                return True
+                return True, 0
         visited_np = self._visited_np
         cand = children[visited_np[children] != stamp]
-        if cand.size:
-            cand = _ordered_unique(cand)
-            visited_np[cand] = stamp
-            prune = (self._x_np[cand] > xv) | (self._y_np[cand] > yv)
-            if self._has_backward:
-                prune |= (self._bx_np[cand] < rxv) | (self._by_np[cand] < ryv)
-            if self._levels_np is not None:
-                prune |= self._levels_np[cand] >= level_v
-            if self._start_np is not None:
-                intervals = self._intervals
-                positive = ~prune
-                positive &= self._start_np[cand] <= intervals.start[v]
-                positive &= intervals.post[v] <= self._post_np[cand]
-                if positive.any():
-                    first = int(positive.argmax())
-                    stats.pruned += int(prune[:first].sum())
-                    return True
-            stats.pruned += int(prune.sum())
-            survivors = cand[~prune]
-            if survivors.size:
-                stack.extend(survivors.tolist())
-        return target_hit
+        if cand.size == 0:
+            return target_hit, 0
+        cand = _ordered_unique(cand)
+        visited_np[cand] = stamp
+        prune = self._y_np[cand] > yv
+        if self._bx is not None:
+            prune |= (self._bx_np[cand] < rxv) | (self._by_np[cand] < ryv)
+        if self._levels is not None:
+            prune |= self._levels_np[cand] >= level_v
+        if self._start is not None:
+            positive = ~prune
+            positive &= self._start_np[cand] <= self._start[v]
+            positive &= self._post[v] <= self._post_np[cand]
+            if positive.any():
+                first = int(positive.argmax())
+                return True, int(prune[:first].sum())
+        survivors = cand[~prune]
+        if survivors.size:
+            stack.extend(survivors.tolist())
+        return target_hit, int(prune.sum())
 
 
-class NumbaFelineKernel(_FelineKernelBase):
+class NumbaFelineKernel(FelineSearch):
     """The numba tier: the whole DFS in one compiled call.
 
     Step budgets run inside the kernel (remaining-step countdown, exact
-    raise point); deadline-carrying guards route to the python tier.
+    raise point); deadline-carrying guards route to the python loop.
     Also provides :meth:`search_batch`, the engine's one-call survivor
     sweep.
     """
 
     backend = "numba"
 
-    def __init__(self, index, forward, backward=None) -> None:
-        super().__init__(index, forward, backward)
+    def __init__(self, index, adjacency, forward, backward=None) -> None:
+        super().__init__(index, adjacency, forward, backward)
         self._stack = np.empty(index.graph.num_vertices + 1, dtype=np.int64)
         native = _native_tier()
-        self._dfs = native["dfs"]
-        self._batch = native["batch"]
+        self._native_dfs = native["dfs"]
+        self._native_batch = native["batch"]
+
+    def _flag_arrays(self):
+        """The optional structures as ``(flag, array)`` kernel arguments."""
+        has_levels = self._levels is not None
+        has_intervals = self._start is not None
+        return (
+            self._bx is not None, self._bx_np, self._by_np,
+            has_levels, self._levels_np if has_levels else _EMPTY_I64,
+            has_intervals,
+            self._start_np if has_intervals else _EMPTY_I64,
+            self._post_np if has_intervals else _EMPTY_I64,
+        )
 
     def search(self, u, v, xv, yv, rxv=0, ryv=0):
         counter = self.dispatch_counter
@@ -564,24 +630,19 @@ class NumbaFelineKernel(_FelineKernelBase):
         if guard is not None and guard.deadline_at is not None:
             # Wall-clock deadlines can't be enforced bit-identically
             # from compiled code; the python loop checks the real clock.
-            return self._python_fallback(u, v, xv, yv, rxv, ryv)
+            return self._walk(u, v, xv, yv, rxv, ryv, None)
         budget = -1 if guard is None else guard.max_steps - guard.steps
-        levels = self._levels
-        intervals = self._intervals
-        level_v = levels[v] if levels is not None else 0
-        start_v = intervals.start[v] if intervals is not None else 0
-        post_v = intervals.post[v] if intervals is not None else 0
+        (has_backward, bx, by, has_levels, levels,
+         has_intervals, start, post) = self._flag_arrays()
+        level_v = self._levels[v] if has_levels else 0
+        start_v = self._start[v] if has_intervals else 0
+        post_v = self._post[v] if has_intervals else 0
         index._stamp += 1
-        code, expanded, pruned = self._dfs(
-            self._indptr_np, self._indices_np, self._x_np, self._y_np,
-            self._has_backward, self._bx_np, self._by_np,
-            levels is not None,
-            self._levels_np if levels is not None else _EMPTY_I64,
-            level_v,
-            intervals is not None,
-            self._start_np if intervals is not None else _EMPTY_I64,
-            self._post_np if intervals is not None else _EMPTY_I64,
-            start_v, post_v,
+        code, expanded, pruned = self._native_dfs(
+            self._indptr_np, self._indices_np, self._keys_np, self._y_np,
+            has_backward, bx, by,
+            has_levels, levels, level_v,
+            has_intervals, start, post, start_v, post_v,
             self._visited_np, index._stamp, self._stack,
             int(u), int(v), int(xv), int(yv), int(rxv), int(ryv), budget,
         )
@@ -615,17 +676,11 @@ class NumbaFelineKernel(_FelineKernelBase):
         answers = np.zeros(m, dtype=bool)
         expanded = np.zeros(m, dtype=np.int64)
         pruned = np.zeros(m, dtype=np.int64)
-        levels = self._levels
-        intervals = self._intervals
         stamp0 = index._stamp
-        self._batch(
-            self._indptr_np, self._indices_np, self._x_np, self._y_np,
-            self._has_backward, self._bx_np, self._by_np,
-            levels is not None,
-            self._levels_np if levels is not None else _EMPTY_I64,
-            intervals is not None,
-            self._start_np if intervals is not None else _EMPTY_I64,
-            self._post_np if intervals is not None else _EMPTY_I64,
+        self._native_batch(
+            self._indptr_np, self._indices_np, self._keys_np,
+            self._x_np, self._y_np,
+            *self._flag_arrays(),
             self._visited_np, stamp0, self._stack,
             np.ascontiguousarray(us, dtype=np.int64),
             np.ascontiguousarray(vs, dtype=np.int64),
@@ -635,19 +690,25 @@ class NumbaFelineKernel(_FelineKernelBase):
         return answers, expanded, pruned
 
 
-def feline_kernel(index, backend: str, forward, backward=None):
-    """The pruned-DFS kernel for a FELINE-family index, or ``None``.
+def bind_feline_search(index, adjacency, forward, backward=None):
+    """Bind a FELINE-family index's kernel; return its search object.
 
-    ``None`` (the python tier) keeps the family's original ``_search``
-    loop.  ``forward``/``backward`` are the
+    ``forward``/``backward`` are the
     :class:`~repro.core.index.FelineCoordinates` the search prunes with
-    (``backward`` only for FELINE-B).
+    (``backward`` only for FELINE-B), ``adjacency`` the
+    :class:`~repro.core.index.XSortedAdjacency` it walks.  The native
+    tiers are armed as the index's ``_kernel``; the python tier leaves
+    ``_kernel`` ``None`` and is returned bare.
     """
+    backend = resolve_backend(index._kernel_choice)
+    index._kernel_backend = backend
     if backend == "python":
-        return None
-    if backend == "numba":
-        return NumbaFelineKernel(index, forward, backward)
-    return NumpyFelineKernel(index, forward, backward)
+        index._arm_kernel(None)
+        return FelineSearch(index, adjacency, forward, backward)
+    tier = NumbaFelineKernel if backend == "numba" else NumpyFelineKernel
+    kernel = tier(index, adjacency, forward, backward)
+    index._arm_kernel(kernel)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,25 @@ class TestRoundTrip:
         assert loaded.query_many(all_pairs(graph)[:2000]) == expected
 
 
+class TestLoadedSearch:
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_load_matches_fresh_build(self, graph, tmp_path, mmap):
+        # The X-sorted adjacency is derived at load time, so a loaded
+        # index searches exactly like the one that was saved.
+        fresh = FelineIndex(graph).build()
+        path = tmp_path / "g.feline"
+        save_index(fresh, path)
+        loaded = load_index(graph, path, mmap=mmap)
+        assert list(loaded.adjacency.indices) == list(fresh.adjacency.indices)
+        pairs = all_pairs(graph)
+        assert loaded.query_many(pairs) == fresh.query_many(pairs)
+        assert [loaded.query(u, v) for u, v in pairs] == [
+            fresh.query(u, v) for u, v in pairs
+        ]
+        assert fresh.stats.searches > 0
+        assert loaded.stats.as_dict() == fresh.stats.as_dict()
+
+
 class TestValidation:
     def test_unbuilt_index_rejected(self, graph, tmp_path):
         with pytest.raises(ReproError, match="unbuilt"):

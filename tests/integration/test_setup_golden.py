@@ -35,7 +35,7 @@ CASES = {
 GOLDEN = {
     "arxiv-cyclic": {
         "answers":
-            "f8321703a55ef4029ffe2162502e3f15909a01879ae44a30535ec5414cfdf4e4",
+            "3ae6668128082b305a2371f890fd0269e4b02be60546cf33148e83a690e549ae",
         "csr":
             "98bd1a53f1024db0d853203113aa7b233546d9fc30cc76fd8616e3873a5cf001",
         "dag":
@@ -73,7 +73,7 @@ GOLDEN = {
     },
     "cit-patents": {
         "answers":
-            "7c01ae05d82ad4b556bdd7bd104d0d5837750cfbf82c5fd9a8ff05aa7f411743",
+            "90293b0a9790fd873b0ac8d6fb71283ff0dafe7667a7872c4583a19b7300668a",
         "csr":
             "a3d20944332702a6dbf4ce177575a603103455ba017148c4cf9db07a5a299de5",
         "dag":

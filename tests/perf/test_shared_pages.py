@@ -207,3 +207,57 @@ class TestIndexIntegration:
             assert pages is not None and not pages.closed
             assert oracle.reachable(0, g.num_vertices - 1) in (True, False)
         assert pages.closed  # close() ran on exit
+
+
+class TestSearchAdjacencyPages:
+    """The X-sorted adjacency moves into the arena with the coordinates,
+    and the native tiers read the adopted views."""
+
+    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
+    @pytest.mark.parametrize(
+        "method, prefix",
+        [("feline", "feline"), ("feline-i", "feline"), ("feline-b", "fwd")],
+    )
+    def test_kernel_reads_adopted_adjacency(
+        self, method, prefix, kernel, monkeypatch
+    ):
+        from repro.perf import kernels
+
+        if kernel == "numba" and not kernels.numba_available():
+            from tests.property.test_kernel_equivalence import (
+                _install_interpreted_native,
+            )
+
+            _install_interpreted_native(monkeypatch)
+        g = random_dag(60, avg_degree=3.0, seed=9)
+        index = create_index(method, g)
+        index.set_kernel(kernel)
+        index.build()
+        # FELINE-I searches inside its delegate on the reversed graph.
+        owner = index._inner if method == "feline-i" else index
+        pairs = [
+            (u, v) for u in range(g.num_vertices)
+            for v in range(g.num_vertices)
+        ]
+        before = index.query_many(pairs)
+        stats = index.stats.as_dict()
+        index.stats.reset()
+        original = owner.adjacency
+        pages = index.enable_shared_pages()
+        try:
+            names = set(pages.names())
+            assert {f"{prefix}.adj_indices", f"{prefix}.adj_keys"} <= names
+            kernel_obj = owner._kernel
+            assert np.shares_memory(
+                kernel_obj._indices_np, pages.view(f"{prefix}.adj_indices")
+            )
+            assert np.shares_memory(
+                kernel_obj._keys_np, pages.view(f"{prefix}.adj_keys")
+            )
+            assert index.query_many(pairs) == before
+            assert index.stats.as_dict() == stats
+        finally:
+            index.close_shared_pages()
+        assert owner.adjacency is original
+        assert owner._kernel._indices_np is original.indices_np
+
