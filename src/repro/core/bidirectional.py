@@ -27,6 +27,7 @@ from repro.core.index import (
     FelineCoordinates,
     XSortedAdjacency,
     build_feline_index,
+    build_feline_with_adjacency,
 )
 from repro.core.query import FelineIndex
 from repro.graph.digraph import DiGraph
@@ -199,7 +200,7 @@ class FelineBIndex(ReachabilityIndex):
     def _build(self) -> None:
         # Filters live on the normal index only (paper §4.3.5): the
         # reversed index contributes coordinates alone.
-        self.forward = build_feline_index(
+        self.forward, self.adjacency = build_feline_with_adjacency(
             self.graph,
             y_heuristic=self._y_heuristic,
             x_order=self._x_order,
@@ -214,9 +215,6 @@ class FelineBIndex(ReachabilityIndex):
             with_level_filter=False,
             with_positive_cut=False,
             seed=self._seed,
-        )
-        self.adjacency = XSortedAdjacency.build(
-            self.graph, self.forward.views.x
         )
 
     def index_size_bytes(self) -> int:

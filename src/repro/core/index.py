@@ -49,6 +49,7 @@ __all__ = [
     "FelineCoordinateViews",
     "XSortedAdjacency",
     "build_feline_index",
+    "build_feline_with_adjacency",
 ]
 
 
@@ -256,6 +257,30 @@ def build_feline_index(
     NotADAGError
         If ``graph`` has a directed cycle.
     """
+    return build_feline_with_adjacency(
+        graph,
+        y_heuristic=y_heuristic,
+        x_order=x_order,
+        with_level_filter=with_level_filter,
+        with_positive_cut=with_positive_cut,
+        seed=seed,
+    )[0]
+
+
+def build_feline_with_adjacency(
+    graph: DiGraph,
+    y_heuristic: str = "max-x",
+    x_order: str = "dfs",
+    with_level_filter: bool = True,
+    with_positive_cut: bool = True,
+    seed: int = 0,
+) -> tuple[FelineCoordinates, XSortedAdjacency]:
+    """:func:`build_feline_index` plus the graph's
+    :class:`XSortedAdjacency` over the new ``X``.
+
+    The rows are sorted once, before ``Y``: the ``max-x`` pass walks
+    them, and the pruned DFS of the index being built walks them after.
+    """
     registry = get_registry()
     with registry.phase("feline.build", "x-order"):
         if x_order == "dfs":
@@ -267,10 +292,14 @@ def build_feline_index(
                 f"unknown x_order {x_order!r}; use 'dfs' or 'kahn'"
             )
         x_ranks = ranks_from_order(order_x)
+        adjacency = XSortedAdjacency.build(
+            graph, np.asarray(x_ranks, dtype=np.int64)
+        )
 
     with registry.phase("feline.build", "y-heuristic", heuristic=y_heuristic):
         order_y = compute_y_order(
-            graph, x_ranks, heuristic=y_heuristic, seed=seed
+            graph, x_ranks, heuristic=y_heuristic, seed=seed,
+            adjacency=adjacency,
         )
         y_ranks = ranks_from_order(order_y)
 
@@ -289,9 +318,7 @@ def build_feline_index(
             forest = extract_spanning_forest(graph, root_order=order_x)
             tree_intervals = minpost_intervals_tree(forest)
 
-    return FelineCoordinates(
-        x=x_ranks,
-        y=y_ranks,
-        levels=levels,
-        tree_intervals=tree_intervals,
+    coordinates = FelineCoordinates(
+        x=x_ranks, y=y_ranks, levels=levels, tree_intervals=tree_intervals
     )
+    return coordinates, adjacency

@@ -31,7 +31,7 @@ from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
     XSortedAdjacency,
-    build_feline_index,
+    build_feline_with_adjacency,
 )
 from repro.graph.digraph import DiGraph
 from repro.perf.cut_table import CutTable
@@ -127,7 +127,7 @@ class FelineIndex(ReachabilityIndex):
     # ------------------------------------------------------------------
     def _build(self) -> None:
         self.attach_coordinates(
-            build_feline_index(
+            *build_feline_with_adjacency(
                 self.graph,
                 y_heuristic=self._y_heuristic,
                 x_order=self._x_order,
@@ -137,13 +137,20 @@ class FelineIndex(ReachabilityIndex):
             )
         )
 
-    def attach_coordinates(self, coordinates: FelineCoordinates) -> None:
-        """Install built or loaded coordinates and derive the X-sorted
-        adjacency the pruned DFS walks (see :class:`XSortedAdjacency`)."""
+    def attach_coordinates(
+        self,
+        coordinates: FelineCoordinates,
+        adjacency: XSortedAdjacency | None = None,
+    ) -> None:
+        """Install built or loaded coordinates with the X-sorted adjacency
+        the pruned DFS walks (see :class:`XSortedAdjacency`), derived here
+        unless the builder hands over its own."""
         self.coordinates = coordinates
-        self.adjacency = XSortedAdjacency.build(
-            self.graph, coordinates.views.x
-        )
+        if adjacency is None:
+            adjacency = XSortedAdjacency.build(
+                self.graph, coordinates.views.x
+            )
+        self.adjacency = adjacency
 
     def index_size_bytes(self) -> int:
         if self.coordinates is None:

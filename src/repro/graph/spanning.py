@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
-from repro.graph.digraph import DiGraph
+import numpy as np
+
+from repro.graph.digraph import DiGraph, long_array
 
 __all__ = [
     "SpanningForest",
@@ -37,14 +40,26 @@ class SpanningForest:
 
     ``parent[v]`` is the tree parent of ``v`` (-1 at a forest root);
     ``children[v]`` lists tree children.  The forest covers every vertex.
+    ``order`` lists the vertices parents first (the traversal's visit
+    order); ``child_indptr``/``child_indices`` are ``children`` as an
+    ``int64`` CSR, from which ``children`` is built on first read.
     """
 
     parent: array
-    children: list[list[int]]
+    order: list[int] = field(repr=False, compare=False)
+    child_indptr: np.ndarray = field(repr=False, compare=False)
+    child_indices: np.ndarray = field(repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.parent)
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """``children[v]``: the tree children of ``v``, in edge order."""
+        kids = self.child_indices.tolist()
+        bounds = self.child_indptr.tolist()
+        return [kids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def tree_roots(self) -> list[int]:
         """The forest's root vertices."""
@@ -86,59 +101,99 @@ def extract_spanning_forest(
     ordering in line 2" of Algorithm 1 — i.e. it falls out of the same DFS
     that produces the ``X`` coordinates, and that is exactly what FELINE's
     builder does by passing the DFS root order used for ``X``.
+
+    A popped vertex claims its unclaimed children, pushed last edge
+    first so they pop in edge order.  The traversal records only
+    ``parent`` and the visit order; the children follow from ``parent``
+    in numpy.
     """
     n = graph.num_vertices
     indptr, indices = graph.out_indptr, graph.out_indices
-    parent = array("l", [-1] * n)
+    m = len(indices)
+    # Row u reversed is reverse_indices[m - indptr[u + 1] : m - indptr[u]].
+    reverse_indices = indices[::-1]
+    parent = array("l", [-1]) * n
     visited = bytearray(n)
-    children: list[list[int]] = [[] for _ in range(n)]
-    starts = root_order if root_order is not None else range(n)
-    for root in starts:
+    order: list[int] = []
+    visit = order.append
+    for root in root_order if root_order is not None else range(n):
         if visited[root]:
             continue
         visited[root] = 1
         stack = [root]
+        push, pop = stack.append, stack.pop
         while stack:
-            u = stack.pop()
-            for k in range(indptr[u + 1] - 1, indptr[u] - 1, -1):
-                w = indices[k]
+            u = pop()
+            visit(u)
+            for w in reverse_indices[m - indptr[u + 1]:m - indptr[u]]:
                 if not visited[w]:
                     visited[w] = 1
                     parent[w] = u
-                    children[u].append(w)
-                    stack.append(w)
-    # Children were appended in reversed push order; restore edge order.
-    for child_list in children:
-        child_list.reverse()
-    return SpanningForest(parent=parent, children=children)
+                    push(w)
+    child_indptr, child_indices = _tree_children(graph, parent)
+    return SpanningForest(parent, order, child_indptr, child_indices)
+
+
+def _tree_children(graph: DiGraph, parent: array):
+    """``(indptr, indices)`` of the tree children, grouped by parent.
+
+    The tree edges are the out-edges ``(u, w)`` with ``parent[w] == u``,
+    kept in edge order.  A duplicated tree edge counts once, at its last
+    copy: that is the copy the traversal's reversed row met first.
+    """
+    n = graph.num_vertices
+    csr = graph.csr()
+    targets = csr.out_indices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.out_indptr))
+    parents = np.asarray(parent, dtype=np.int64)
+    tree = np.flatnonzero(parents[targets] == rows)
+    if len(tree) != np.count_nonzero(parents >= 0):
+        _, first_from_end = np.unique(targets[tree][::-1], return_index=True)
+        tree = tree[np.sort(len(tree) - 1 - first_from_end)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[tree], minlength=n), out=indptr[1:])
+    return indptr, targets[tree]
 
 
 def minpost_intervals_tree(forest: SpanningForest) -> IntervalLabels:
     """Min-post labels over a spanning forest (positive-cut filter).
 
-    Iterative post-order over the forest; O(|V|).
+    Post-order of the forest, roots in id order and children in
+    ``children`` order.  A subtree is a run of post-order ranks ending
+    at its root, so ``start[v] = base[v]`` and ``post[v] = base[v] +
+    size[v] - 1``, where ``base[v]`` is the first rank of ``v``'s
+    subtree: its parent's ``base`` plus the sizes of its earlier
+    siblings (earlier roots, for a root).  One pass up ``order`` sums
+    subtree sizes, one cumsum gives the sibling offsets and one pass
+    down ``order`` the bases.  O(|V|).
     """
     n = forest.num_vertices
-    post = array("l", [0] * n)
-    start = array("l", [0] * n)
-    counter = 0
-    for root in forest.tree_roots():
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, child_pos = stack[-1]
-            kids = forest.children[v]
-            if child_pos < len(kids):
-                stack[-1] = (v, child_pos + 1)
-                stack.append((kids[child_pos], 0))
-            else:
-                stack.pop()
-                post[v] = counter
-                if kids:
-                    start[v] = min(start[c] for c in kids)
-                else:
-                    start[v] = counter
-                counter += 1
-    return IntervalLabels(start=start, post=post)
+    order = forest.order
+    parent = forest.parent.tolist()
+    # Slot n (reached as index -1) absorbs what the roots pass up.
+    size = [1] * (n + 1)
+    for v in reversed(order):
+        size[parent[v]] += size[v]
+    size = np.array(size[:n], dtype=np.int64)
+
+    # Offsets within each sibling run: an exclusive cumsum of the sizes,
+    # restarted at each parent's first child; the roots form one run.
+    kids, bounds = forest.child_indices, forest.child_indptr
+    offset = np.zeros(n + 1, dtype=np.int64)
+    if len(kids):
+        before = np.cumsum(size[kids]) - size[kids]
+        first = np.repeat(bounds[:-1], np.diff(bounds))
+        offset[kids] = before - before[first]
+    roots = np.flatnonzero(np.asarray(forest.parent) < 0)
+    offset[roots] = np.cumsum(size[roots]) - size[roots]
+
+    base = offset.tolist()
+    for v in order:
+        base[v] += base[parent[v]]
+    start = np.array(base[:n], dtype=np.int64)
+    return IntervalLabels(
+        start=long_array(start), post=long_array(start + size - 1)
+    )
 
 
 def minpost_intervals_dag(

@@ -3,7 +3,9 @@
 FELINE's index is a *pair* of topological orderings, so this module is the
 heart of the substrate:
 
-* :func:`kahn_order` — classic Kahn peeling (FIFO), O(|V| + |E|).
+* :func:`kahn_order` — classic Kahn peeling with a LIFO worklist,
+  O(|V| + |E|); :func:`lifo_kahn_order` is the same pass over
+  caller-ordered rows and roots, :func:`fifo_kahn_order` the FIFO one.
 * :func:`dfs_post_order_ranks` — ranks from an iterative DFS post-order
   (reversed post-order is a topological order); this is the ``X`` ordering
   used by FELINE's Algorithm 1 in the paper's running example.
@@ -11,6 +13,15 @@ heart of the substrate:
   by a caller-supplied priority via a heap; Algorithm 1's ``Y`` ordering is
   ``priority_kahn_order(g, key=lambda v: -X[v])`` (largest ``X`` rank
   first), the Kornaropoulos locally-optimal heuristic.
+
+Why Algorithm 1 needs no heap: when ``X`` is a topological order, the
+max-``X`` priority pass *is* a LIFO pass whose rows are sorted by ``X``
+and whose roots are pushed in ascending ``X``.  Every root a pop frees
+is a child of the popped vertex ``u``, so it ranks above ``u`` — and
+``u`` ranked above every root still waiting.  Pushing the freed roots in
+ascending ``X`` therefore keeps the worklist sorted, and its top is
+always the max-``X`` root the heap would have popped.
+:func:`repro.core.heuristics.compute_y_order` runs it that way.
 
 All functions raise :class:`~repro.exceptions.NotADAGError` when the graph
 has a cycle, identifying one offending vertex.
@@ -30,6 +41,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections.abc import Callable, Sequence
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,6 +50,8 @@ from repro.graph.digraph import DiGraph, long_array
 
 __all__ = [
     "kahn_order",
+    "lifo_kahn_order",
+    "fifo_kahn_order",
     "priority_kahn_order",
     "dfs_post_order_ranks",
     "dag_post_order_ranks",
@@ -67,10 +81,12 @@ def is_topological_order(graph: DiGraph, order: Sequence[int]) -> bool:
     return all(ranks[u] < ranks[v] for u, v in graph.edges())
 
 
-def _initial_indegrees(graph: DiGraph) -> array:
-    n = graph.num_vertices
-    indptr = graph.in_indptr
-    return array("l", [indptr[v + 1] - indptr[v] for v in range(n)])
+def _raise_stuck(indegree: Sequence[int]) -> NoReturn:
+    stuck = next(v for v, d in enumerate(indegree) if d > 0)
+    raise NotADAGError(
+        f"graph has a cycle (vertex {stuck} never became a root)",
+        cycle_hint=stuck,
+    )
 
 
 def kahn_order(graph: DiGraph) -> list[int]:
@@ -78,27 +94,62 @@ def kahn_order(graph: DiGraph) -> list[int]:
 
     Any peeling discipline yields a valid topological order; LIFO keeps
     memory locality and matches the paper's generic
-    ``TopologicalOrdering(V, E)`` step.
+    ``TopologicalOrdering(V, E)`` step.  Roots start in id order and rows
+    in edge order: :func:`lifo_kahn_order` over the graph's own CSR.
+    """
+    return lifo_kahn_order(graph, graph.out_indices)
+
+
+def lifo_kahn_order(
+    graph: DiGraph, indices: array, root_order: np.ndarray | None = None
+) -> list[int]:
+    """Kahn peeling with a LIFO worklist over reordered out-rows.
+
+    ``indices`` holds ``graph``'s out-rows, each permuted in place (row
+    ``u`` spans ``out_indptr[u] : out_indptr[u + 1]``); a popped vertex
+    frees its children in that order.  The initial roots are pushed in
+    ``root_order`` (vertex ids, default ascending), so the last of them
+    pops first.  With rows and roots sorted by a topological rank ``X``
+    the result is the max-``X`` priority order (see the module notes).
+    Raises :class:`NotADAGError` naming the lowest stuck vertex.
     """
     n = graph.num_vertices
-    indegree = _initial_indegrees(graph)
-    worklist = [v for v in range(n) if indegree[v] == 0]
-    indptr, indices = graph.out_indptr, graph.out_indices
+    indptr = graph.out_indptr
+    indegree = np.diff(graph.csr().in_indptr)
+    if root_order is None:
+        worklist = np.flatnonzero(indegree == 0).tolist()
+    else:
+        worklist = root_order[indegree[root_order] == 0].tolist()
+    indegree = indegree.tolist()
     order: list[int] = []
+    pop, push, emit = worklist.pop, worklist.append, order.append
     while worklist:
-        u = worklist.pop()
-        order.append(u)
-        for k in range(indptr[u], indptr[u + 1]):
-            w = indices[k]
+        u = pop()
+        emit(u)
+        for w in indices[indptr[u]:indptr[u + 1]]:
             indegree[w] -= 1
-            if indegree[w] == 0:
-                worklist.append(w)
+            if not indegree[w]:
+                push(w)
     if len(order) != n:
-        stuck = next(v for v in range(n) if indegree[v] > 0)
-        raise NotADAGError(
-            f"graph has a cycle (vertex {stuck} never became a root)",
-            cycle_hint=stuck,
-        )
+        _raise_stuck(indegree)
+    return order
+
+
+def fifo_kahn_order(graph: DiGraph) -> list[int]:
+    """Kahn's algorithm with a FIFO queue: roots in id order first, then
+    each vertex in the order the peeling frees it.  O(|V| + |E|)."""
+    indptr, indices = graph.out_indptr, graph.out_indices
+    indegree = np.diff(graph.csr().in_indptr)
+    # ``order`` is the queue: iterated while freed roots are appended.
+    order = np.flatnonzero(indegree == 0).tolist()
+    indegree = indegree.tolist()
+    for u in order:
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) != graph.num_vertices:
+        _raise_stuck(indegree)
     return order
 
 
@@ -114,7 +165,7 @@ def priority_kahn_order(
     paths.  Complexity O(|V| log |V| + |E|) — the heap term the paper cites.
     """
     n = graph.num_vertices
-    indegree = _initial_indegrees(graph)
+    indegree = np.diff(graph.csr().in_indptr).tolist()
     heap = [(key(v), v) for v in range(n) if indegree[v] == 0]
     heapq.heapify(heap)
     indptr, indices = graph.out_indptr, graph.out_indices
@@ -128,11 +179,7 @@ def priority_kahn_order(
             if indegree[w] == 0:
                 heapq.heappush(heap, (key(w), w))
     if len(order) != n:
-        stuck = next(v for v in range(n) if indegree[v] > 0)
-        raise NotADAGError(
-            f"graph has a cycle (vertex {stuck} never became a root)",
-            cycle_hint=stuck,
-        )
+        _raise_stuck(indegree)
     return order
 
 
@@ -189,30 +236,40 @@ def _dfs_post_order(
 ) -> array | None:
     n = graph.num_vertices
     indptr, indices = graph.out_indptr, graph.out_indices
-    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
-    ranks = array("l", [0] * n)
+    cursor = array("l", indptr)  # cursor[v]: v's next edge to try
+    # 0 unseen, 2 finished; 1 on the DFS path, kept apart only when a
+    # cycle must stop the search (else entered vertices go straight to 2).
+    entered = 1 if stop_at_cycle else 2
+    state = bytearray(n)
+    ranks = array("l", bytes(n * cursor.itemsize))
     counter = 0
-    starts = root_order if root_order is not None else range(n)
-    for root in starts:
+    for root in root_order if root_order is not None else range(n):
         if state[root]:
             continue
-        state[root] = 1
-        stack: list[tuple[int, int]] = [(root, indptr[root])]
-        while stack:
-            v, edge_pos = stack[-1]
-            if edge_pos < indptr[v + 1]:
-                stack[-1] = (v, edge_pos + 1)
-                w = indices[edge_pos]
-                if not state[w]:
-                    state[w] = 1
-                    stack.append((w, indptr[w]))
-                elif stop_at_cycle and state[w] == 1:
-                    return None
+        state[root] = entered
+        path: list[int] = []  # the ancestors of v, root first
+        push, pop = path.append, path.pop
+        v = root
+        while True:
+            pos, end = cursor[v], indptr[v + 1]
+            while pos < end:
+                w = indices[pos]
+                pos += 1
+                if state[w] != 2:
+                    if state[w]:
+                        return None  # w is on the path: a cycle
+                    cursor[v] = pos
+                    state[w] = entered
+                    push(v)
+                    v = w
+                    break
             else:
-                stack.pop()
                 state[v] = 2
                 ranks[v] = counter
                 counter += 1
+                if not path:
+                    break
+                v = pop()
     return ranks
 
 

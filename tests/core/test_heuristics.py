@@ -14,6 +14,7 @@ from repro.graph.generators import random_dag
 from repro.graph.toposort import (
     dfs_topological_order,
     is_topological_order,
+    kahn_order,
     priority_kahn_order,
     ranks_from_order,
 )
@@ -66,6 +67,23 @@ class TestValidity:
             compute_y_order(g, x, heuristic="max-x")
         assert str(got.value) == str(ref.value)
         assert got.value.cycle_hint == ref.value.cycle_hint == 1
+
+
+class TestFifo:
+    def test_fifo_is_first_in_first_out(self):
+        # 0 frees 1 then 2; FIFO takes 1 next (and 3 last), LIFO takes 2.
+        g = DiGraph(4, [(0, 1), (0, 2), (1, 3)])
+        x = ranks_from_order(dfs_topological_order(g))
+        assert compute_y_order(g, x, heuristic="fifo") == [0, 1, 2, 3]
+        assert kahn_order(g) == [0, 2, 1, 3]
+
+    def test_fifo_on_cyclic_graph_raises_like_kahn(self):
+        g = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+        with pytest.raises(NotADAGError) as ref:
+            kahn_order(g)
+        with pytest.raises(NotADAGError) as got:
+            compute_y_order(g, [0] * 5, heuristic="fifo")
+        assert str(got.value) == str(ref.value)
 
 
 class TestQuality:

@@ -4,21 +4,24 @@ Each function here is the plain per-vertex / per-edge Python version of
 a set-up stage whose library implementation is vectorized or cached:
 the counting-sort CSR, the condensation (built from
 :func:`~repro.graph.scc.strongly_connected_components`), the level
-peel, the DFS topological order, the ``max-x`` Y order and the observer
-build.  ``tests/property/test_setup_identity.py`` checks the library
-against them on arbitrary graphs.
+peel, the DFS post-order (also stopping at the first cycle), the LIFO
+Kahn order, the heap-driven priority Kahn order behind ``max-x``, the
+spanning forest with its min-post labels and the observer build.
+``tests/property/test_setup_identity.py`` checks the library against
+them on arbitrary graphs.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import heapq
+
 import numpy as np
 
 from repro.exceptions import NotADAGError
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import strongly_connected_components
-from repro.graph.toposort import kahn_order, priority_kahn_order
 
 
 def csr_from_edges(num_vertices, sources, targets):
@@ -69,6 +72,138 @@ def dfs_post_order_ranks(graph: DiGraph, root_order=None) -> array:
                 ranks[v] = counter
                 counter += 1
     return ranks
+
+
+def dag_post_order_ranks(graph: DiGraph, root_order=None):
+    """The post-order ranks, or ``None`` at the first edge back into the
+    DFS path (a cycle or a self loop)."""
+    n = graph.num_vertices
+    indptr, indices = graph.out_indptr, graph.out_indices
+    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
+    ranks = array("l", [0] * n)
+    counter = 0
+    for root in root_order if root_order is not None else range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, indptr[root])]
+        while stack:
+            v, edge_pos = stack[-1]
+            if edge_pos < indptr[v + 1]:
+                stack[-1] = (v, edge_pos + 1)
+                w = indices[edge_pos]
+                if not state[w]:
+                    state[w] = 1
+                    stack.append((w, indptr[w]))
+                elif state[w] == 1:
+                    return None
+            else:
+                stack.pop()
+                state[v] = 2
+                ranks[v] = counter
+                counter += 1
+    return ranks
+
+
+def _stuck(indegree):
+    stuck = next(v for v in range(len(indegree)) if indegree[v] > 0)
+    raise NotADAGError(
+        f"graph has a cycle (vertex {stuck} never became a root)",
+        cycle_hint=stuck,
+    )
+
+
+def kahn_order(graph: DiGraph) -> list[int]:
+    """Kahn with a LIFO worklist, roots in id order, rows in edge order."""
+    n = graph.num_vertices
+    in_indptr = graph.in_indptr
+    indegree = array("l", [in_indptr[v + 1] - in_indptr[v] for v in range(n)])
+    worklist = [v for v in range(n) if indegree[v] == 0]
+    indptr, indices = graph.out_indptr, graph.out_indices
+    order = []
+    while worklist:
+        u = worklist.pop()
+        order.append(u)
+        for k in range(indptr[u], indptr[u + 1]):
+            w = indices[k]
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                worklist.append(w)
+    if len(order) != n:
+        _stuck(indegree)
+    return order
+
+
+def priority_kahn_order(graph: DiGraph, key) -> list[int]:
+    """Kahn that always pops the root minimising ``(key(v), v)``."""
+    n = graph.num_vertices
+    in_indptr = graph.in_indptr
+    indegree = array("l", [in_indptr[v + 1] - in_indptr[v] for v in range(n)])
+    heap = [(key(v), v) for v in range(n) if indegree[v] == 0]
+    heapq.heapify(heap)
+    indptr, indices = graph.out_indptr, graph.out_indices
+    order = []
+    while heap:
+        _, u = heapq.heappop(heap)
+        order.append(u)
+        for k in range(indptr[u], indptr[u + 1]):
+            w = indices[k]
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                heapq.heappush(heap, (key(w), w))
+    if len(order) != n:
+        _stuck(indegree)
+    return order
+
+
+def spanning_forest(graph: DiGraph, root_order=None):
+    """``(parent, children)``: each popped vertex claims its unclaimed
+    children, pushed last edge first."""
+    n = graph.num_vertices
+    indptr, indices = graph.out_indptr, graph.out_indices
+    parent = array("l", [-1] * n)
+    visited = bytearray(n)
+    children = [[] for _ in range(n)]
+    for root in root_order if root_order is not None else range(n):
+        if visited[root]:
+            continue
+        visited[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for k in range(indptr[u + 1] - 1, indptr[u] - 1, -1):
+                w = indices[k]
+                if not visited[w]:
+                    visited[w] = 1
+                    parent[w] = u
+                    children[u].append(w)
+                    stack.append(w)
+    for child_list in children:
+        child_list.reverse()
+    return parent, children
+
+
+def minpost_intervals_tree(parent, children):
+    """``(start, post)``: forest post-order, roots in id order; ``start``
+    is the least ``start`` among the children (own rank at a leaf)."""
+    n = len(parent)
+    post = array("l", [0] * n)
+    start = array("l", [0] * n)
+    counter = 0
+    for root in (v for v in range(n) if parent[v] == -1):
+        stack = [(root, 0)]
+        while stack:
+            v, child_pos = stack[-1]
+            kids = children[v]
+            if child_pos < len(kids):
+                stack[-1] = (v, child_pos + 1)
+                stack.append((kids[child_pos], 0))
+            else:
+                stack.pop()
+                post[v] = counter
+                start[v] = min(start[c] for c in kids) if kids else counter
+                counter += 1
+    return start, post
 
 
 def dfs_topological_order(graph: DiGraph, root_order=None) -> list[int]:

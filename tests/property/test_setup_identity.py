@@ -8,6 +8,14 @@ edges, plus the empty graph, a single vertex, a 5k-vertex path, a
 1000-level layered DAG, a chain into a hub and wide hubs — each of the
 fixed graphs also with the levels peel and the observer sweeps forced
 onto their per-level and their per-vertex paths.
+
+The sequential passes are pinned one by one on raw and condensed
+graphs: the cursor DFS (default roots, a shuffled root order, and
+stopping at the first cycle), the LIFO Kahn order, ``max-x`` on
+topological ranks (the LIFO pass over X-sorted rows) and on any other
+ranks (the heap), and the spanning forest's ``parent``/``children``
+with its min-post labels, on deep paths, wide hubs and many-rooted
+forests.
 """
 
 from __future__ import annotations
@@ -18,12 +26,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.heuristics import compute_y_order
+from repro.core.index import XSortedAdjacency, build_feline_index
 from repro.graph.digraph import DiGraph
 from repro.graph import levels as levels_module
-from repro.graph.generators import layered_dag, random_dag
+from repro.graph.generators import layered_dag, path_graph, random_dag
 from repro.graph.levels import compute_levels
 from repro.graph.scc import condense
-from repro.graph.toposort import dfs_topological_order, ranks_from_order
+from repro.graph.spanning import (
+    extract_spanning_forest,
+    minpost_intervals_tree,
+)
+from repro.graph.toposort import (
+    dag_post_order_ranks,
+    dfs_post_order_ranks,
+    dfs_topological_order,
+    kahn_order,
+    ranks_from_order,
+)
 from repro.perf.observers import _LevelSweep, build_observers
 
 from tests.property import legacy_setup as legacy
@@ -165,3 +184,94 @@ def test_both_sweep_modes_match_reference(monkeypatch, graph_edges, mode):
     monkeypatch.setattr(_LevelSweep, "SWEEP_MIN_WORK", threshold)
     n, edges = graph_edges
     _check_setup(n, edges, k=20)
+
+
+# -- the sequential passes ---------------------------------------------
+MANY_ROOTS = (
+    300,
+    [(v, v + 100) for v in range(200)] + [(v, v + 1) for v in range(250, 299)],
+)
+
+
+def _check_forest(graph, root_order):
+    forest = extract_spanning_forest(graph, root_order=root_order)
+    parent, children = legacy.spanning_forest(graph, root_order=root_order)
+    assert forest.parent == parent
+    assert forest.children == children
+    labels = minpost_intervals_tree(forest)
+    start, post = legacy.minpost_intervals_tree(parent, children)
+    assert labels.start == start
+    assert labels.post == post
+
+
+def _check_passes(n, edges, seed):
+    graph = DiGraph(n, edges)
+    shuffled = np.random.default_rng(seed).permutation(n).tolist()
+    for subject in (graph, condense(graph).dag):
+        m = subject.num_vertices
+        roots = shuffled if subject is graph else None
+        assert dfs_post_order_ranks(subject) == legacy.dfs_post_order_ranks(
+            subject
+        )
+        assert dfs_post_order_ranks(
+            subject, root_order=roots
+        ) == legacy.dfs_post_order_ranks(subject, root_order=roots)
+        assert dag_post_order_ranks(subject) == legacy.dag_post_order_ranks(
+            subject
+        )
+        assert _outcome(kahn_order, subject) == _outcome(
+            legacy.kahn_order, subject
+        )
+        _check_forest(subject, None)
+        _check_forest(subject, roots)
+
+        # max-x: any ranks at all, then the topological ones.
+        rng = np.random.default_rng(seed + 1)
+        for x in (
+            rng.permutation(m).tolist(),
+            rng.integers(0, 3, size=m).tolist(),
+        ):
+            assert _outcome(compute_y_order, subject, x, "max-x") == _outcome(
+                legacy.priority_kahn_order, subject, lambda v: -x[v]
+            )
+        if legacy.dag_post_order_ranks(subject) is None:
+            continue
+        for order in (dfs_topological_order(subject), kahn_order(subject)):
+            _check_forest(subject, order)
+            x = ranks_from_order(order)
+            expected = legacy.max_x_order(subject, x)
+            assert compute_y_order(subject, x, "max-x") == expected
+            adjacency = XSortedAdjacency.build(
+                subject, np.asarray(x, dtype=np.int64)
+            )
+            assert compute_y_order(
+                subject, x, "max-x", adjacency=adjacency
+            ) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.integers(0, 2**16))
+@example((0, []), 0)
+@example((1, [(0, 0)]), 0)
+@example((3, [(0, 1), (0, 1), (1, 2), (0, 2), (0, 2)]), 0)
+@example((4, [(0, 1), (1, 2), (2, 1), (2, 3)]), 1)
+@example(PATH_5K, 2)
+@example(HUBS, 3)
+@example(DEEP_LAYERED, 4)
+@example(CHAIN_INTO_HUB, 5)
+@example(MANY_ROOTS, 6)
+def test_sequential_passes_match_reference_loops(graph_edges, seed):
+    n, edges = graph_edges
+    _check_passes(n, edges, seed)
+
+
+def test_feline_filters_on_a_deep_path_match_reference():
+    # Deeper than any recursion limit: the forest is one 20k-vertex chain.
+    graph = path_graph(20_000)
+    coords = build_feline_index(graph)
+    parent, children = legacy.spanning_forest(
+        graph, dfs_topological_order(graph)
+    )
+    start, post = legacy.minpost_intervals_tree(parent, children)
+    assert coords.tree_intervals.start == start
+    assert coords.tree_intervals.post == post
