@@ -33,6 +33,7 @@ from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import get_tracer
 from repro.obs.timing import elapsed_ns, elapsed_s, now_ns
+from repro.perf.cut_table import SearchOnlyCutTable
 from repro.perf.engine import as_pair_array, vectorized_query_many
 from repro.perf.pool import SearchPool
 from repro.resilience import chaos
@@ -139,11 +140,14 @@ class ReachabilityIndex(ABC):
     """Abstract reachability index over a DAG.
 
     Subclasses set the class attribute ``method_name`` (the factory key and
-    report label) and implement :meth:`_build` and :meth:`_query`.
+    report label) and implement :meth:`_build`, :meth:`index_size_bytes`,
+    :meth:`_make_cut_table` (their O(1) cuts; the default has none) and
+    :meth:`_search_pair` (the online search for pairs no cut decides).
 
-    The public :meth:`query` guards against use-before-build and maintains
-    the ``stats.queries`` counter; subclasses update the finer-grained
-    counters themselves.
+    Every query runs one chain (:meth:`_answer`): reflexive, observers,
+    the cut table, then the search.  The chain keeps :attr:`stats`;
+    subclasses count only what happens inside their search
+    (``expanded``, ``pruned``).
     """
 
     method_name: str = "abstract"
@@ -170,15 +174,15 @@ class ReachabilityIndex(ABC):
         self._slow_log = None
         self._query_tracer = None
         self._hot_obs = None
-        # The batch query engine's handles: a CutTable materialized once
-        # at build() time (None for indexes that declare no cuts — they
-        # keep the scalar batch loop) and an optional SearchPool for
-        # parallel survivor searches (see enable_search_pool()).
+        # The cut table materialized once at build() time (both the
+        # scalar chain and the batch engine classify through it) and an
+        # optional SearchPool for parallel survivor searches (see
+        # enable_search_pool()).
         self._cut_table = None
         self._search_pool = None
         # The optional ObserverLayer (attach_observers): O'Reach-style
-        # supporting-vertex cuts consulted before this family's own
-        # _query / cut table, on both the scalar and the batch path.
+        # supporting-vertex cuts consulted before this family's own cut
+        # table, on both the scalar and the batch path.
         self._observers = None
         # Native search-kernel state (repro.perf.kernels): _kernel is
         # the bound kernel object (None = the family's pure-Python
@@ -222,20 +226,16 @@ class ReachabilityIndex(ABC):
         return self
 
     def _materialize_cut_table(self) -> None:
-        """Build the batch engine's cut table (once, at build time).
+        """Build the cut table (once, at build time).
 
         Timed into ``repro_cut_table_build_seconds{method}`` and traced
-        as a ``cut_table.build`` child span of ``index.build``.  A
-        ``None`` table (the default :meth:`_make_cut_table`) keeps the
-        scalar batch loop and records nothing.
+        as a ``cut_table.build`` child span of ``index.build``.
         """
         tracer = get_tracer()
         with tracer.span("cut_table.build", method=self.method_name):
             start = perf_counter()
             self._cut_table = self._make_cut_table()
             elapsed = perf_counter() - start
-        if self._cut_table is None:
-            return
         registry = get_registry()
         if registry.enabled:
             registry.histogram(
@@ -311,8 +311,8 @@ class ReachabilityIndex(ABC):
     def attach_slow_log(self, log: SlowQueryLog | None) -> SlowQueryLog | None:
         """Attach (or with ``None`` detach) a slow-query log; returns it.
 
-        Once attached, every scalar query is timed and offered to the
-        log.  :meth:`query_many` keeps its vectorized cut pass: each
+        Once attached, every validated scalar query is timed and offered
+        to the log.  :meth:`query_many` keeps its vectorized cut pass: each
         survivor search is timed and offered individually, and each
         cut-decided pair is offered with its share of the cut pass.
         """
@@ -398,31 +398,22 @@ class ReachabilityIndex(ABC):
         three-valued :data:`~repro.resilience.budget.UNKNOWN`, or falling
         back to a bounded bidirectional BFS.  Boolean answers are always
         exact — only ``UNKNOWN`` may replace one.
+
+        With a latency histogram, slow log or tracer armed, every
+        validated pair is timed, offered and spanned — whichever step of
+        the chain decides it.
         """
         if not self._built:
             raise IndexNotBuiltError(
                 f"{self.method_name}: call build() before query()"
             )
-        self._check_vertex(u)
-        self._check_vertex(v)
-        self.stats.queries += 1
-        if u == v:
-            self.stats.equal_cuts += 1
-            return True
-        observers = self._observers
-        if observers is not None:
-            verdict = observers.decide(u, v)
-            if verdict is not None:
-                if verdict:
-                    self.stats.observer_positive += 1
-                else:
-                    self.stats.observer_negative += 1
-                return verdict
+        n = self.graph.num_vertices
+        if not (0 <= u < n and 0 <= v < n):  # _check_vertex names the id
+            self._check_vertex(u)
+            self._check_vertex(v)
         obs = self._hot_obs
         if obs is None:
-            if budget is None:
-                return self._query(u, v)
-            return self._budgeted_query(u, v, budget)
+            return self._answer(u, v, budget)
 
         hist, slow, tracer = obs
         span = None
@@ -431,10 +422,7 @@ class ReachabilityIndex(ABC):
             span.__enter__()
         start = now_ns()
         try:
-            if budget is None:
-                answer = self._query(u, v)
-            else:
-                answer = self._budgeted_query(u, v, budget)
+            answer = self._answer(u, v, budget)
         except BaseException as exc:
             if span is not None:
                 span.__exit__(type(exc), exc, None)
@@ -455,22 +443,96 @@ class ReachabilityIndex(ABC):
             )
         return answer
 
-    def _budgeted_query(self, u: int, v: int, budget: QueryBudget):
-        """One guarded query: install the guard, degrade on exhaustion."""
-        self._set_guard(budget.new_guard())
+    def _answer(
+        self,
+        u: int,
+        v: int,
+        budget: QueryBudget | None = None,
+        explanation: QueryExplanation | None = None,
+    ):
+        """The query chain for one validated pair; returns the verdict.
+
+        Reflexive, then the observer layer, then the cut table's
+        :meth:`~repro.perf.cut_table.CutTable.classify_one`, then
+        :meth:`_search_pair` — the batch engine's steps in the batch
+        engine's order, with the same :attr:`stats` accounting.  A
+        ``budget`` guards the search only (:meth:`_search_one`).
+        :meth:`explain` passes its ``explanation``, which receives the
+        cut that fired and the budget report.
+        """
+        stats = self.stats
+        stats.queries += 1
+        if u == v:
+            stats.equal_cuts += 1
+            cut, verdict = "equal", True
+        else:
+            observers = self._observers
+            verdict = None if observers is None else observers.decide(u, v)
+            if verdict is None:
+                table = self._cut_table
+                cut = table.classify_one(u, v)
+                if cut is None:
+                    stats.searches += 1
+                    return self._search_one(u, v, budget, explanation)
+                verdict = cut == "positive-cut"
+                if table.counts_cuts:
+                    if verdict:
+                        stats.positive_cuts += 1
+                    else:
+                        stats.negative_cuts += 1
+                if explanation is not None and budget is not None:
+                    # The budget covered the family's cuts: no steps.
+                    explanation.budget = BudgetReport.of(budget, 0, "completed")
+            elif verdict:
+                stats.observer_positive += 1
+                cut = "observer-positive"
+            else:
+                stats.observer_negative += 1
+                cut = "observer-negative"
+        if explanation is not None:
+            explanation.cut = cut
+        return verdict
+
+    def _search_one(
+        self,
+        u: int,
+        v: int,
+        budget: QueryBudget | None,
+        explanation: QueryExplanation | None,
+    ):
+        """The chain's last step: :meth:`_search_pair` under a fresh
+        guard from ``budget``, degraded by :meth:`_degrade` on
+        exhaustion.  A ``"raise"`` policy raises, except for an
+        explanation, which reports the degradation instead."""
+        if budget is None:
+            return self._search_pair(u, v)
+        guard = budget.new_guard()
+        self._set_guard(guard)
+        outcome = "completed"
         try:
-            return self._query(u, v)
+            verdict = self._search_pair(u, v)
         except QueryBudgetExceeded as exc:
-            return self._degrade(u, v, budget, exc)
+            verdict, outcome = self._degrade(u, v, budget, exc)
+            if outcome == "raised" and explanation is None:
+                raise
         finally:
             self._set_guard(None)
+        if explanation is not None:
+            explanation.budget = BudgetReport.of(budget, guard.steps, outcome)
+        return verdict
 
     def _set_guard(self, guard) -> None:
         """Install the active search guard (hook for delegating indexes)."""
         self._guard = guard
 
     def _degrade(self, u: int, v: int, budget: QueryBudget, exc):
-        """Apply the budget's exhaustion policy; maintains all counters."""
+        """Apply the budget's exhaustion policy; maintains all counters.
+
+        Returns ``(answer, outcome)``, the outcome one of
+        :class:`~repro.obs.explain.BudgetReport`'s names.  Under
+        ``"raise"`` that is ``(UNKNOWN, "raised")`` and the caller
+        raises ``exc``.
+        """
         stats = self.stats
         stats.budget_exhausted += 1
         policy = budget.policy
@@ -482,6 +544,7 @@ class ReachabilityIndex(ABC):
             resource=exc.resource,
             policy=policy,
         ).inc()
+        answer = UNKNOWN
         if policy == "raise":
             outcome = "raised"
         elif policy == "unknown":
@@ -504,11 +567,7 @@ class ReachabilityIndex(ABC):
             outcome=outcome,
             policy=policy,
         ).inc()
-        if policy == "raise":
-            raise exc
-        if policy == "unknown":
-            return UNKNOWN
-        return answer
+        return answer, outcome
 
     def query_many(
         self,
@@ -517,12 +576,10 @@ class ReachabilityIndex(ABC):
     ) -> list[bool]:
         """Answer a batch of queries.
 
-        Dispatches to the overridable :meth:`_query_many` — the
-        vectorized cut pass of :mod:`repro.perf.engine` for every index
-        with a cut table — so batches are answered without per-pair
-        Python dispatch while every subclass keeps this exact entry
-        point.  Statistics counters update identically to the scalar
-        path.
+        Runs the vectorized cut pass of :mod:`repro.perf.engine` over
+        the index's cut table, so batches are answered without per-pair
+        Python dispatch.  Answers and statistics counters equal those of
+        the scalar :meth:`query` loop.
 
         ``pairs`` is a sequence or iterable of integer pairs, or an
         ``(n, 2)`` signed or unsigned integer ndarray.  The whole batch
@@ -550,7 +607,7 @@ class ReachabilityIndex(ABC):
         tracer = self._query_tracer
         hist = self._batch_hist
         if tracer is None and hist is None:
-            return self._query_many(pairs, budget)
+            return vectorized_query_many(self, pairs, budget)
 
         span = None
         if tracer is not None:
@@ -560,7 +617,7 @@ class ReachabilityIndex(ABC):
             span.__enter__()
         start = now_ns()
         try:
-            answers = self._query_many(pairs, budget)
+            answers = vectorized_query_many(self, pairs, budget)
         except BaseException as exc:
             if span is not None:
                 span.__exit__(type(exc), exc, None)
@@ -575,61 +632,32 @@ class ReachabilityIndex(ABC):
             self._batch_size_hist.observe(len(pairs))
         return answers
 
-    def _query_many(
-        self,
-        pairs: np.ndarray,
-        budget: QueryBudget | None = None,
-    ) -> list[bool]:
-        """Batch implementation over the validated ``(n, 2)`` int64
-        ``pairs``: the vectorized cut pass when the index declares a cut
-        table, the scalar loop otherwise.
-
-        Every registered family declares one (see
-        :meth:`_make_cut_table`), so the scalar loop only serves
-        out-of-tree subclasses; with a ``budget`` or a slow log it runs
-        through :meth:`query`, which guards and logs each pair.  Both
-        paths own the ``stats.queries``
-        accounting (the scalar loop counts per pair; the engine counts
-        the batch), so the public wrapper adds no double counting, and
-        both produce identical answers and statistics.
-        """
-        if self._cut_table is not None:
-            return vectorized_query_many(self, pairs, budget)
-        pairs = pairs.tolist()
-        if budget is not None or self._slow_log is not None:
-            return [self.query(u, v, budget=budget) for u, v in pairs]
-        query = self._query
-        stats = self.stats
-        answers = []
-        for u, v in pairs:
-            stats.queries += 1
-            answers.append(query(u, v))
-        return answers
-
-    # -- batch engine hooks ------------------------------------------------
+    # -- query hooks -------------------------------------------------------
     def _make_cut_table(self):
         """Hook: the family's :class:`~repro.perf.cut_table.CutTable`.
 
-        Called once per :meth:`build` (and by persistence loading).
-        Return ``None`` (the default) to keep the scalar batch loop;
-        every registered index family overrides this so ``query_many``
-        runs the vectorized cut pass of :mod:`repro.perf.engine`.
+        Called once per :meth:`build` (and by persistence loading); the
+        scalar chain and the batch engine both classify through it.  The
+        default, a :class:`~repro.perf.cut_table.SearchOnlyCutTable`,
+        decides nothing, so every non-reflexive pair goes to
+        :meth:`_search_pair`.
         """
-        return None
+        return SearchOnlyCutTable()
 
     def _search_pair(self, u: int, v: int) -> bool:
-        """Hook: answer one engine survivor (a pair no O(1) cut decided).
+        """Hook: answer one pair no O(1) cut decided (``u != v``).
 
-        Implementations must reproduce exactly what the scalar
-        ``_query`` does *after* it has counted the search — typically a
-        call to the family's ``_search`` looked up via ``self`` so
-        instance-attribute wrappers (metrics observers, test spies)
-        stay in the loop.  Never called unless :meth:`_make_cut_table`
-        returned a table whose classification leaves survivors.
+        Called by the scalar chain and by the batch engine with Python
+        ints, after ``stats.searches`` was counted; the search counts
+        its own ``expanded``/``pruned`` and calls ``self._guard.step()``
+        once per expanded vertex when a guard is installed.  Look the
+        family's ``_search`` up via ``self`` so instance-attribute
+        wrappers (metrics observers, test spies) stay in the loop.
+        Never called for a pair the cut table decides.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares a cut table but no "
-            "_search_pair for its survivors"
+            f"{type(self).__name__} leaves pairs to search but defines "
+            "no _search_pair"
         )
 
     def _search_pairs_batch(self, us, vs):
@@ -928,11 +956,12 @@ class ReachabilityIndex(ABC):
         pruned, the wall time, and — under a budget — the consumption and
         degradation outcome.
 
-        The classification is generic (derived from the per-method
-        :class:`QueryStats` accounting every ``_query`` maintains);
-        index families refine it through :meth:`_explain_details` —
-        FELINE distinguishes the coordinate cut from the level filter
-        and attaches the coordinates it consulted.
+        The answer comes from the same chain as :meth:`query`
+        (:meth:`_answer`), which names the step that decided: ``equal``,
+        an ``observer-*`` cut, the cut table's
+        :meth:`~repro.perf.cut_table.CutTable.classify_one` name, or
+        ``search``.  Index families attach the structures they consulted
+        through :meth:`_explain_details`.
 
         Unlike :meth:`query`, ``explain`` never raises on budget
         exhaustion: under ``policy="raise"`` the explanation carries
@@ -946,96 +975,16 @@ class ReachabilityIndex(ABC):
         self._check_vertex(u)
         self._check_vertex(v)
         stats = self.stats
-        base = (
-            stats.equal_cuts, stats.negative_cuts, stats.positive_cuts,
-            stats.searches, stats.expanded, stats.pruned,
-            stats.observer_positive, stats.observer_negative,
-        )
-        budget_report = None
-        stats.queries += 1
-        observer_verdict = None
-        if u != v and self._observers is not None:
-            observer_verdict = self._observers.decide(u, v)
-        start = now_ns()
-        if u == v:
-            stats.equal_cuts += 1
-            verdict = True
-        elif observer_verdict is not None:
-            # The observer layer decided — the family's _query never
-            # runs, exactly as in query(), and the verdict is attributed
-            # to the observers (never to the family's own cuts).
-            if observer_verdict:
-                stats.observer_positive += 1
-            else:
-                stats.observer_negative += 1
-            verdict = observer_verdict
-        elif budget is None:
-            verdict = self._query(u, v)
-        else:
-            guard = budget.new_guard()
-            self._set_guard(guard)
-            exhausted = False
-            outcome = "completed"
-            try:
-                verdict = self._query(u, v)
-            except QueryBudgetExceeded as exc:
-                exhausted = True
-                try:
-                    verdict = self._degrade(u, v, budget, exc)
-                except QueryBudgetExceeded:
-                    verdict = UNKNOWN
-                    outcome = "raised"
-                else:
-                    if budget.policy == "unknown":
-                        outcome = "unknown"
-                    elif verdict is UNKNOWN:
-                        outcome = "fallback_unknown"
-                    else:
-                        outcome = (
-                            "fallback_true" if verdict else "fallback_false"
-                        )
-            finally:
-                self._set_guard(None)
-            budget_report = BudgetReport(
-                policy=budget.policy,
-                max_steps=budget.max_steps,
-                deadline_s=budget.deadline_s,
-                steps_used=guard.steps,
-                exhausted=exhausted,
-                outcome=outcome,
-            )
-        elapsed = elapsed_ns(start)
-
-        # Exactly one cut counter moved (each _query's contract); label-
-        # lookup methods that count nothing (e.g. the materialized
-        # transitive closure) classify by the verdict's sign.
-        if stats.equal_cuts > base[0]:
-            cut = "equal"
-        elif stats.observer_positive > base[6]:
-            cut = "observer-positive"
-        elif stats.observer_negative > base[7]:
-            cut = "observer-negative"
-        elif stats.searches > base[3]:
-            cut = "search"
-        elif stats.positive_cuts > base[2]:
-            cut = "positive-cut"
-        elif stats.negative_cuts > base[1]:
-            cut = "negative-cut"
-        else:
-            cut = "positive-cut" if verdict is True else "negative-cut"
-
+        expanded, pruned = stats.expanded, stats.pruned
         explanation = QueryExplanation(
-            method=self.method_name,
-            u=u,
-            v=v,
-            verdict=verdict,
-            cut=cut,
-            expanded=stats.expanded - base[4],
-            pruned=stats.pruned - base[5],
-            elapsed_ns=elapsed,
-            budget=budget_report,
+            method=self.method_name, u=u, v=v, verdict=None, cut="search"
         )
-        if observer_verdict is not None:
+        start = now_ns()
+        explanation.verdict = self._answer(u, v, budget, explanation)
+        explanation.elapsed_ns = elapsed_ns(start)
+        explanation.expanded = stats.expanded - expanded
+        explanation.pruned = stats.pruned - pruned
+        if explanation.cut.startswith("observer-"):
             explanation.details["observers(k)"] = self._observers.k
         self._explain_details(u, v, explanation)
         return explanation
@@ -1043,13 +992,11 @@ class ReachabilityIndex(ABC):
     def _explain_details(
         self, u: int, v: int, explanation: QueryExplanation
     ) -> None:
-        """Hook: enrich (and refine) an explanation with index internals.
+        """Hook: enrich an explanation with index internals.
 
-        Called once per :meth:`explain` with the generically-classified
-        explanation; subclasses add the structures they consulted to
-        ``explanation.details`` and may sharpen ``explanation.cut``
-        (FELINE splits ``negative-cut`` into the coordinate cut vs the
-        level filter).  The default adds nothing.
+        Called once per :meth:`explain` after the chain has set
+        ``explanation.cut``; subclasses add the structures they
+        consulted to ``explanation.details``.  The default adds nothing.
         """
 
     # -- observability ----------------------------------------------------
@@ -1086,10 +1033,6 @@ class ReachabilityIndex(ABC):
     @abstractmethod
     def _build(self) -> None:
         """Construct the index structures."""
-
-    @abstractmethod
-    def _query(self, u: int, v: int) -> bool:
-        """Answer one query; ``build`` is guaranteed to have run."""
 
     def __repr__(self) -> str:
         state = "built" if self._built else "unbuilt"

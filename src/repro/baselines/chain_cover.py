@@ -50,6 +50,7 @@ class ChainCoverCutTable(CutTable):
         self.chain_of = view_i64(index.chain_of)
         self.position_of = view_i64(index.position_of)
         self.num_chains = index.num_chains
+        self.arrays = (index._reach, index.chain_of, index.position_of)
 
     def classify(self, sources, targets):
         positive = (
@@ -57,6 +58,12 @@ class ChainCoverCutTable(CutTable):
             <= self.position_of[targets]
         )
         return positive, ~positive
+
+    def classify_one(self, u, v):
+        reach, chain_of, position_of = self.arrays
+        if reach[u * self.num_chains + chain_of[v]] <= position_of[v]:
+            return "positive-cut"
+        return "negative-cut"
 
 _UNREACHABLE = 2**31 - 1  # sentinel: no position on this chain reachable
 
@@ -169,22 +176,6 @@ class ChainCoverIndex(ReachabilityIndex):
             + self.chain_of.itemsize * len(self.chain_of)
             + self.position_of.itemsize * len(self.position_of)
         )
-
-    # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        reachable = (
-            self._reach[u * self.num_chains + self.chain_of[v]]
-            <= self.position_of[v]
-        )
-        if reachable:
-            stats.positive_cuts += 1
-        else:
-            stats.negative_cuts += 1
-        return reachable
 
     def _make_cut_table(self) -> ChainCoverCutTable:
         return ChainCoverCutTable(self)

@@ -63,6 +63,8 @@ class DualLabelingCutTable(CutTable):
         self.post = view_i64(tree.post)
         self.rl = pack_bigints(index._rl, index.num_links)
         self.il = pack_bigints(index._il, index.num_links)
+        self.tree = tree
+        self.rl_ints, self.il_ints = index._rl, index._il
 
     def classify(self, sources, targets):
         positive = (self.start[sources] <= self.start[targets]) & (
@@ -73,6 +75,11 @@ class DualLabelingCutTable(CutTable):
                 self.rl[sources] & self.il[targets], axis=1
             )
         return positive, ~positive
+
+    def classify_one(self, u, v):
+        if self.tree.contains(u, v) or self.rl_ints[u] & self.il_ints[v]:
+            return "positive-cut"
+        return "negative-cut"
 
 
 class DualLabelingIndex(ReachabilityIndex):
@@ -184,21 +191,6 @@ class DualLabelingIndex(ReachabilityIndex):
         label_bits = sum(bits.bit_length() for bits in self._rl)
         label_bits += sum(bits.bit_length() for bits in self._il)
         return self._tree.memory_bytes() + (label_bits + 7) // 8
-
-    # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        if self._tree.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-        if self._rl[u] & self._il[v]:
-            stats.positive_cuts += 1
-            return True
-        stats.negative_cuts += 1
-        return False
 
     def _make_cut_table(self) -> DualLabelingCutTable:
         return DualLabelingCutTable(self)

@@ -61,10 +61,10 @@ class FerrariCutTable(CutTable):
     All per-vertex interval sets concatenate into one flat array whose
     keys ``vertex * n + lo`` are globally sorted, so a whole batch of
     ``probe(id(v)) ∈ S(u)`` lookups is a single ``searchsorted``.
-    Classification reproduces the scalar order: not covered ⇒ negative;
-    exactly covered ⇒ positive (before the level filter, as in
-    ``_query``); approximately covered ⇒ level filter then tree
-    interval then search.
+    Classification order: not covered ⇒ negative; exactly covered ⇒
+    positive (before the level filter); approximately covered ⇒ level
+    filter then tree interval then search.  FERRARI reports its level
+    filter as ``negative-cut``, like its interval-set miss.
     """
 
     def __init__(self, index: "FerrariIndex") -> None:
@@ -88,6 +88,10 @@ class FerrariCutTable(CutTable):
             self.post = view_i64(intervals.post)
         else:
             self.start = self.post = None
+        self.id_array = index.ids
+        self.interval_sets = sets
+        self.level_array = index.levels
+        self.tree_intervals = intervals
 
     def classify(self, sources, targets):
         target_ids = self.ids[targets]
@@ -113,6 +117,20 @@ class FerrariCutTable(CutTable):
                 & (self.post[targets] <= self.post[sources])
             )
         return positive, negative
+
+    def classify_one(self, u, v):
+        coverage = self.interval_sets[u].probe(self.id_array[v])
+        if coverage == 0:
+            return "negative-cut"
+        if coverage == 2:
+            return "positive-cut"
+        levels = self.level_array
+        if levels is not None and levels[u] >= levels[v]:
+            return "negative-cut"
+        intervals = self.tree_intervals
+        if intervals is not None and intervals.contains(u, v):
+            return "positive-cut"
+        return None
 
 
 class IntervalSet:
@@ -281,30 +299,6 @@ class FerrariIndex(ReachabilityIndex):
         return total
 
     # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        target_id = self.ids[v]
-        coverage = self.interval_sets[u].probe(target_id)
-        if coverage == 0:
-            stats.negative_cuts += 1
-            return False
-        if coverage == 2:
-            stats.positive_cuts += 1
-            return True
-        levels = self.levels
-        if levels is not None and levels[u] >= levels[v]:
-            stats.negative_cuts += 1
-            return False
-        intervals = self.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-        stats.searches += 1
-        return self._search(u, v, target_id)
-
     def _make_cut_table(self) -> FerrariCutTable:
         return FerrariCutTable(self)
 

@@ -52,6 +52,9 @@ class GrailCutTable(CutTable):
         self.posts = np.stack(
             [view_i64(labels.post) for labels in index.labelings]
         )
+        self.labelings = index.labelings
+        self.level_array = index.levels
+        self.tree_intervals = index.tree_intervals
         self.levels = (
             view_i64(index.levels) if index.levels is not None else None
         )
@@ -80,6 +83,18 @@ class GrailCutTable(CutTable):
         else:
             positive = np.zeros(len(sources), dtype=bool)
         return positive, negative
+
+    def classify_one(self, u, v):
+        for labels in self.labelings:
+            if labels.start[u] > labels.start[v] or labels.post[v] > labels.post[u]:
+                return "negative-cut"
+        levels = self.level_array
+        if levels is not None and levels[u] >= levels[v]:
+            return "level-filter"
+        intervals = self.tree_intervals
+        if intervals is not None and intervals.contains(u, v):
+            return "positive-cut"
+        return None
 
 
 class GrailIndex(ReachabilityIndex):
@@ -151,25 +166,6 @@ class GrailIndex(ReachabilityIndex):
                 return False
         return True
 
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        if not self._contains_all(u, v):
-            stats.negative_cuts += 1
-            return False
-        levels = self.levels
-        if levels is not None and levels[u] >= levels[v]:
-            stats.negative_cuts += 1
-            return False
-        intervals = self.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-        stats.searches += 1
-        return self._search(u, v)
-
     def _make_cut_table(self) -> GrailCutTable:
         return GrailCutTable(self)
 
@@ -177,7 +173,8 @@ class GrailIndex(ReachabilityIndex):
         return self._search(u, v)
 
     def _explain_details(self, u: int, v: int, explanation) -> None:
-        """The d interval labels consulted; splits interval cut vs level."""
+        """The d interval labels consulted, and whether containment
+        failed."""
         details = explanation.details
         details["labels(u)"] = tuple(
             (labels.start[u], labels.post[u]) for labels in self.labelings
@@ -189,10 +186,7 @@ class GrailIndex(ReachabilityIndex):
             details["level(u)"] = self.levels[u]
             details["level(v)"] = self.levels[v]
         if explanation.cut == "negative-cut":
-            if not self._contains_all(u, v):
-                details["containment"] = False
-            else:
-                explanation.cut = "level-filter"
+            details["containment"] = False
 
     def _search(self, u: int, v: int) -> bool:
         """DFS pruned by interval containment (no target-position bound)."""

@@ -45,9 +45,10 @@ __all__ = ["NuutilaIntervalIndex", "IntervalCutTable", "union_intervals"]
 class IntervalCutTable(CutTable):
     """INTERVAL probes, batched: one segmented bisect decides every pair.
 
-    Built from the interval arrays regardless of ``query_mode`` — the
-    PWAH stream encodes the very same sets, so answers (and the
-    positive/negative counter split) are identical in both modes.  The
+    The batch pass is built from the interval arrays regardless of
+    ``query_mode`` — the PWAH stream encodes the very same sets, so
+    answers (and the positive/negative counter split) are identical in
+    both modes; a scalar pair probes the stream in ``"pwah"`` mode.  The
     closure is materialized, so no pair ever needs a search.
     """
 
@@ -60,6 +61,13 @@ class IntervalCutTable(CutTable):
         self.keys = segment_keys(los_flat, indptr, n)
         self.indptr = indptr
         self.his = his_flat
+        self.id_array = index.ids
+        self.lists_lo = index.lists_lo
+        self.lists_hi = index.lists_hi
+        # A scalar pair in "pwah" mode probes the compressed stream.
+        self.pwah_words = (
+            index.pwah_words if index._query_mode == "pwah" else None
+        )
 
     def classify(self, sources, targets):
         target_ids = self.ids[targets]
@@ -71,6 +79,16 @@ class IntervalCutTable(CutTable):
             self.his[np.maximum(probe, 0)] >= target_ids
         )
         return positive, ~positive
+
+    def classify_one(self, u, v):
+        target = self.id_array[v]
+        if self.pwah_words is not None:
+            reachable = pwah.contains(self.pwah_words[u], target)
+        else:
+            los = self.lists_lo[u]
+            pos = bisect_right(los, target) - 1
+            reachable = pos >= 0 and self.lists_hi[u][pos] >= target
+        return "positive-cut" if reachable else "negative-cut"
 
 
 def union_intervals(
@@ -182,25 +200,6 @@ class NuutilaIntervalIndex(ReachabilityIndex):
     def num_intervals(self) -> int:
         """Total interval count ``I`` across all vertices."""
         return sum(len(los) for los in self.lists_lo)
-
-    # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        target = self.ids[v]
-        if self._query_mode == "pwah":
-            reachable = pwah.contains(self.pwah_words[u], target)
-        else:
-            los = self.lists_lo[u]
-            pos = bisect_right(los, target) - 1
-            reachable = pos >= 0 and self.lists_hi[u][pos] >= target
-        if reachable:
-            stats.positive_cuts += 1
-            return True
-        stats.negative_cuts += 1
-        return False
 
     def _make_cut_table(self) -> IntervalCutTable:
         return IntervalCutTable(self)

@@ -1,8 +1,10 @@
 """Un-indexed online searches — the right end of the Figure 1 spectrum.
 
 These "indexes" build nothing: every query is a fresh O(|V| + |E|) graph
-search.  They anchor the benchmark sweeps (any real index must beat them on
-query time) and give the test suites an obviously-correct oracle.
+search.  They define only ``_search_pair`` and keep the base class's cut
+table, which decides nothing.  They anchor the benchmark sweeps (any
+real index must beat them on query time) and give the test suites an
+obviously-correct oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from repro.graph.traversal import (
     bidirectional_reachable,
     dfs_reachable,
 )
-from repro.perf.cut_table import SearchOnlyCutTable
 
 __all__ = ["DFSIndex", "BFSIndex", "BidirectionalBFSIndex"]
 
@@ -29,16 +30,6 @@ class DFSIndex(ReachabilityIndex):
     def index_size_bytes(self) -> int:
         return 0
 
-    def _query(self, u: int, v: int) -> bool:
-        if u == v:
-            self.stats.equal_cuts += 1
-            return True
-        self.stats.searches += 1
-        return dfs_reachable(self.graph, u, v, guard=self._guard)
-
-    def _make_cut_table(self) -> SearchOnlyCutTable:
-        return SearchOnlyCutTable()
-
     def _search_pair(self, u: int, v: int) -> bool:
         return dfs_reachable(self.graph, u, v, guard=self._guard)
 
@@ -53,16 +44,6 @@ class BFSIndex(ReachabilityIndex):
 
     def index_size_bytes(self) -> int:
         return 0
-
-    def _query(self, u: int, v: int) -> bool:
-        if u == v:
-            self.stats.equal_cuts += 1
-            return True
-        self.stats.searches += 1
-        return bfs_reachable(self.graph, u, v, guard=self._guard)
-
-    def _make_cut_table(self) -> SearchOnlyCutTable:
-        return SearchOnlyCutTable()
 
     def _search_pair(self, u: int, v: int) -> bool:
         return bfs_reachable(self.graph, u, v, guard=self._guard)
@@ -96,24 +77,11 @@ class BidirectionalBFSIndex(ReachabilityIndex):
             return
         self._arm_kernel(kernels.bibfs_kernel_for(self.graph, backend))
 
-    def _run_search(self, u: int, v: int) -> bool:
+    def _search_pair(self, u: int, v: int) -> bool:
         kernel = self._kernel
         if kernel is not None:
             return kernel.run(u, v, self._guard)
         return bidirectional_reachable(self.graph, u, v, guard=self._guard)
-
-    def _query(self, u: int, v: int) -> bool:
-        if u == v:
-            self.stats.equal_cuts += 1
-            return True
-        self.stats.searches += 1
-        return self._run_search(u, v)
-
-    def _make_cut_table(self) -> SearchOnlyCutTable:
-        return SearchOnlyCutTable()
-
-    def _search_pair(self, u: int, v: int) -> bool:
-        return self._run_search(u, v)
 
 
 register_index(DFSIndex)

@@ -64,6 +64,8 @@ class TFLabelCutTable(CutTable):
         self.out_flat, self.out_indptr = segmented_arrays(index.label_out)
         in_flat, in_indptr = segmented_arrays(index.label_in)
         self.in_keys = segment_keys(in_flat, in_indptr, self.universe)
+        self.label_out = index.label_out
+        self.label_in = index.label_in
 
     def classify(self, sources, targets):
         num = len(sources)
@@ -84,6 +86,11 @@ class TFLabelCutTable(CutTable):
         member &= self.in_keys[np.minimum(slots, self.in_keys.size - 1)] == keys
         positive = np.bincount(owners[member], minlength=num) > 0
         return positive, ~positive
+
+    def classify_one(self, u, v):
+        if TFLabelIndex._labels_intersect(self.label_out[u], self.label_in[v]):
+            return "positive-cut"
+        return "negative-cut"
 
 
 def fold_rounds(levels: array) -> list[int]:
@@ -243,18 +250,6 @@ class TFLabelIndex(ReachabilityIndex):
         total = sum(len(lbl) for lbl in self.label_out)
         total += sum(len(lbl) for lbl in self.label_in)
         return total / n
-
-    # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        if self._labels_intersect(self.label_out[u], self.label_in[v]):
-            stats.positive_cuts += 1
-            return True
-        stats.negative_cuts += 1
-        return False
 
     def _make_cut_table(self) -> TFLabelCutTable:
         return TFLabelCutTable(self)

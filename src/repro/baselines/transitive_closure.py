@@ -8,7 +8,6 @@ ground-truth oracle.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.exceptions import IndexBuildError
@@ -22,21 +21,27 @@ class ClosureCutTable(CutTable):
     """Batched closure bit tests over a packed byte matrix.
 
     The per-vertex Python-int bitsets pack into an ``(n, ceil(n/8))``
-    ``uint8`` matrix, making a batch of queries one fancy-indexed shift.
-    The scalar ``_query`` moves no cut counters for distinct pairs
-    (the lookup *is* the answer), hence ``counts_cuts = False``.
+    ``uint8`` matrix, making a batch of queries one fancy-indexed shift;
+    a scalar pair tests the bitset itself.  Decided pairs move no cut
+    counters (the lookup *is* the answer), hence ``counts_cuts = False``.
     """
 
     counts_cuts = False
 
     def __init__(self, closure: list[int], num_vertices: int) -> None:
         self.matrix = pack_bigints(closure, num_vertices)
+        self.closure = closure
 
     def classify(self, sources, targets):
         positive = (
             (self.matrix[sources, targets >> 3] >> (targets & 7)) & 1
         ).astype(bool)
         return positive, ~positive
+
+    def classify_one(self, u, v):
+        if (self.closure[u] >> v) & 1:
+            return "positive-cut"
+        return "negative-cut"
 
 
 class TransitiveClosureIndex(ReachabilityIndex):
@@ -72,12 +77,6 @@ class TransitiveClosureIndex(ReachabilityIndex):
         # sys.getsizeof of each int would count object headers; the paper
         # compares label payloads, so count the raw bit payload.
         return sum(max(1, bits.bit_length() + 7 >> 3) for bits in self._closure)
-
-    def _query(self, u: int, v: int) -> bool:
-        if u == v:
-            self.stats.equal_cuts += 1
-            return True
-        return bool((self._closure[u] >> v) & 1)
 
     def _make_cut_table(self) -> ClosureCutTable:
         return ClosureCutTable(self._closure, self.graph.num_vertices)

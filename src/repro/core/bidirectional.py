@@ -52,6 +52,7 @@ class FelineBCutTable(CutTable):
         self.bx, self.by = bwd.x, bwd.y
         self.levels = fwd.levels
         self.start, self.post = fwd.start, fwd.post
+        self.forward, self.backward = forward, backward
 
     def classify(self, sources, targets):
         negative = (
@@ -72,6 +73,20 @@ class FelineBCutTable(CutTable):
         else:
             positive = np.zeros(len(sources), dtype=bool)
         return positive, negative
+
+    def classify_one(self, u, v):
+        fwd, bwd = self.forward, self.backward
+        if fwd.x[u] > fwd.x[v] or fwd.y[u] > fwd.y[v]:
+            return "negative-cut"
+        if bwd.x[u] < bwd.x[v] or bwd.y[u] < bwd.y[v]:
+            return "negative-cut-reversed"
+        levels = fwd.levels
+        if levels is not None and levels[u] >= levels[v]:
+            return "level-filter"
+        intervals = fwd.tree_intervals
+        if intervals is not None and intervals.contains(u, v):
+            return "positive-cut"
+        return None
 
 
 class FelineIIndex(ReachabilityIndex):
@@ -106,13 +121,10 @@ class FelineIIndex(ReachabilityIndex):
         """The coordinates over the *reversed* graph (Figure 12 plots)."""
         return self._inner.coordinates
 
-    def _query(self, u: int, v: int) -> bool:
-        # r(u, v) on G  ⇔  r(v, u) on reversed(G).
-        return self._inner._query(v, u)
-
     def _make_cut_table(self) -> SwappedCutTable:
         # The inner index built its own table during self._build(); the
-        # outer pass is that table with the argument order flipped.
+        # outer one is that table with the argument order flipped, since
+        # r(u, v) on G  ⇔  r(v, u) on reversed(G).
         return SwappedCutTable(self._inner._cut_table)
 
     def _search_pair(self, u: int, v: int) -> bool:
@@ -225,39 +237,6 @@ class FelineBIndex(ReachabilityIndex):
             total += self.backward.memory_bytes()
         return total
 
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-
-        fwd, bwd = self.forward, self.backward
-        fx, fy = fwd.x, fwd.y
-        bx, by = bwd.x, bwd.y
-        xv, yv = fx[v], fy[v]
-        # Normal-index dominance: i(u) ≼ i(v).
-        if fx[u] > xv or fy[u] > yv:
-            stats.negative_cuts += 1
-            return False
-        # Reversed-index dominance: i'(v) ≼ i'(u).
-        rxv, ryv = bx[v], by[v]
-        if bx[u] < rxv or by[u] < ryv:
-            stats.negative_cuts += 1
-            return False
-
-        levels = fwd.levels
-        if levels is not None and levels[u] >= levels[v]:
-            stats.negative_cuts += 1
-            return False
-
-        intervals = fwd.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-
-        stats.searches += 1
-        return self._search(u, v, xv, yv, rxv, ryv)
-
     def _make_cut_table(self) -> FelineBCutTable:
         return FelineBCutTable(self.forward, self.backward)
 
@@ -298,7 +277,8 @@ class FelineBIndex(ReachabilityIndex):
             self.adjacency = originals["adjacency"]
 
     def _explain_details(self, u: int, v: int, explanation) -> None:
-        """Both coordinate sets; splits the three negative cuts apart."""
+        """Both coordinate sets, and which of the three negative cuts
+        failed."""
         fwd, bwd = self.forward, self.backward
         details = explanation.details
         details["i(u)"] = (fwd.x[u], fwd.y[u])
@@ -310,13 +290,9 @@ class FelineBIndex(ReachabilityIndex):
             details["level(u)"] = levels[u]
             details["level(v)"] = levels[v]
         if explanation.cut == "negative-cut":
-            if not fwd.dominates(u, v):
-                details["dominates"] = False
-            elif not bwd.dominates(v, u):
-                explanation.cut = "negative-cut-reversed"
-                details["reversed_dominates"] = False
-            else:
-                explanation.cut = "level-filter"
+            details["dominates"] = False
+        elif explanation.cut == "negative-cut-reversed":
+            details["reversed_dominates"] = False
         elif explanation.cut == "positive-cut":
             intervals = fwd.tree_intervals
             details["interval(u)"] = (intervals.start[u], intervals.post[u])

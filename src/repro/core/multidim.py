@@ -50,6 +50,9 @@ class MultiDimCutTable(CutTable):
 
     def __init__(self, index: "MultiDimFelineIndex") -> None:
         self.ranks = np.stack([view_i64(r) for r in index.ranks])
+        self.rank_arrays = index.ranks
+        self.level_array = index.levels
+        self.tree_intervals = index.tree_intervals
         self.levels = (
             view_i64(index.levels) if index.levels is not None else None
         )
@@ -76,6 +79,18 @@ class MultiDimCutTable(CutTable):
         else:
             positive = np.zeros(len(sources), dtype=bool)
         return positive, negative
+
+    def classify_one(self, u, v):
+        for r in self.rank_arrays:
+            if r[u] > r[v]:
+                return "negative-cut"
+        levels = self.level_array
+        if levels is not None and levels[u] >= levels[v]:
+            return "level-filter"
+        intervals = self.tree_intervals
+        if intervals is not None and intervals.contains(u, v):
+            return "positive-cut"
+        return None
 
 
 class MultiDimFelineIndex(ReachabilityIndex):
@@ -145,26 +160,6 @@ class MultiDimFelineIndex(ReachabilityIndex):
         """Whether ``u``'s rank ≤ ``v``'s in *every* dimension."""
         return all(r[u] <= r[v] for r in self.ranks)
 
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        for r in self.ranks:
-            if r[u] > r[v]:
-                stats.negative_cuts += 1
-                return False
-        levels = self.levels
-        if levels is not None and levels[u] >= levels[v]:
-            stats.negative_cuts += 1
-            return False
-        intervals = self.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-        stats.searches += 1
-        return self._search(u, v)
-
     def _make_cut_table(self) -> MultiDimCutTable:
         return MultiDimCutTable(self)
 
@@ -172,7 +167,7 @@ class MultiDimFelineIndex(ReachabilityIndex):
         return self._search(u, v)
 
     def _explain_details(self, u: int, v: int, explanation) -> None:
-        """Per-dimension coordinates; splits coordinate cut from level."""
+        """Per-dimension coordinates, and whether dominance failed."""
         details = explanation.details
         details["i(u)"] = tuple(r[u] for r in self.ranks)
         details["i(v)"] = tuple(r[v] for r in self.ranks)
@@ -180,10 +175,7 @@ class MultiDimFelineIndex(ReachabilityIndex):
             details["level(u)"] = self.levels[u]
             details["level(v)"] = self.levels[v]
         if explanation.cut == "negative-cut":
-            if not self.dominates(u, v):
-                details["dominates"] = False
-            else:
-                explanation.cut = "level-filter"
+            details["dominates"] = False
 
     def _search(self, u: int, v: int) -> bool:
         """DFS pruned by the target's bound in every dimension."""

@@ -6,7 +6,9 @@ A query ``r(u, v)`` runs the two-step process of §3:
    ``i(u) ⋠ i(v)`` answers negatively (Theorem 1 contrapositive — the
    *negative cut*); with the optional filters, ``l_u ≥ l_v`` answers
    negatively (*level filter*) and tree-interval containment answers
-   positively (*positive-cut filter*) — Algorithm 3's lines 1–2 and 6.
+   positively (*positive-cut filter*) — Algorithm 3's lines 1–2 and 6,
+   encoded in :class:`FelineCutTable` and run by the base class's query
+   chain.
 2. **Refined online search.**  Otherwise an iterative DFS from ``u``
    expands only vertices ``w`` with ``i(w) ≼ i(v)`` — the per-dimension
    bounds checks that let FELINE discard branches GRAIL (no bound) and
@@ -40,7 +42,8 @@ __all__ = ["FelineIndex", "FelineCutTable"]
 
 
 class FelineCutTable(CutTable):
-    """FELINE's O(1) cuts over the cached coordinate views.
+    """FELINE's O(1) cuts over the cached coordinate views (one pair:
+    over the coordinates' ``array`` storage).
 
     Negative: dominance fails in either dimension, or the level filter
     fires.  Positive: dominance holds, levels pass, and the min-post
@@ -54,6 +57,7 @@ class FelineCutTable(CutTable):
         self.levels = views.levels
         self.start = views.start
         self.post = views.post
+        self.coordinates = coordinates
 
     def classify(self, sources, targets):
         dominated = (self.x[sources] <= self.x[targets]) & (
@@ -72,6 +76,19 @@ class FelineCutTable(CutTable):
         else:
             positive = np.zeros(len(sources), dtype=bool)
         return positive, negative
+
+    def classify_one(self, u, v):
+        coords = self.coordinates
+        x, y = coords.x, coords.y
+        if x[u] > x[v] or y[u] > y[v]:
+            return "negative-cut"
+        levels = coords.levels
+        if levels is not None and levels[u] >= levels[v]:
+            return "level-filter"
+        intervals = coords.tree_intervals
+        if intervals is not None and intervals.contains(u, v):
+            return "positive-cut"
+        return None
 
 
 class FelineIndex(ReachabilityIndex):
@@ -192,39 +209,13 @@ class FelineIndex(ReachabilityIndex):
             self.adjacency = originals["adjacency"]
 
     # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-
-        coords = self.coordinates
-        x, y = coords.x, coords.y
-        xv, yv = x[v], y[v]
-        if x[u] > xv or y[u] > yv:
-            stats.negative_cuts += 1
-            return False
-
-        levels = coords.levels
-        if levels is not None and levels[u] >= levels[v]:
-            stats.negative_cuts += 1
-            return False
-
-        intervals = coords.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            stats.positive_cuts += 1
-            return True
-
-        stats.searches += 1
-        return self._search(u, v, xv, yv)
-
     def _explain_details(self, u: int, v: int, explanation) -> None:
         """FELINE provenance: coordinates, levels, intervals consulted.
 
-        Refines the generic ``negative-cut`` classification into the
-        coordinate cut (``i(u) ⋠ i(v)``, Theorem 1) versus the level
-        filter (``l_u ≥ l_v``, §3.4.2) — the :class:`QueryStats`
-        counters lump both as ``negative_cuts``.
+        The cut table names the coordinate cut (``i(u) ⋠ i(v)``,
+        Theorem 1, ``negative-cut``) apart from the level filter
+        (``l_u ≥ l_v``, §3.4.2, ``level-filter``) — the
+        :class:`QueryStats` counters lump both as ``negative_cuts``.
         """
         coords = self.coordinates
         details = explanation.details
@@ -235,10 +226,7 @@ class FelineIndex(ReachabilityIndex):
             details["level(u)"] = levels[u]
             details["level(v)"] = levels[v]
         if explanation.cut == "negative-cut":
-            if not coords.dominates(u, v):
-                details["dominates"] = False
-            else:
-                explanation.cut = "level-filter"
+            details["dominates"] = False
         elif explanation.cut == "positive-cut":
             intervals = coords.tree_intervals
             details["interval(u)"] = (intervals.start[u], intervals.post[u])

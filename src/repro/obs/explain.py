@@ -9,11 +9,11 @@ query slow / answered true?") that GRAIL's and FERRARI's evaluations were
 built around.
 
 Produced by :meth:`repro.baselines.base.ReachabilityIndex.explain` (and
-:meth:`repro.Reachability.explain` on the facade); the generic machinery
-classifies the verdict from the index's own statistics counters, and each
-index family enriches :attr:`QueryExplanation.details` through the
-``_explain_details`` hook — FELINE adds the coordinates, levels and tree
-intervals it consulted.
+:meth:`repro.Reachability.explain` on the facade); the query chain itself
+names the step that decided — the family's cut table reports which of
+its cuts fired — and each index family enriches
+:attr:`QueryExplanation.details` through the ``_explain_details`` hook —
+FELINE adds the coordinates, levels and tree intervals it consulted.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ class BudgetReport:
     steps_used: int
     exhausted: bool
     outcome: str
+
+    @classmethod
+    def of(cls, budget, steps_used: int, outcome: str) -> "BudgetReport":
+        """The report for ``budget`` after ``steps_used`` search steps
+        ended in ``outcome``."""
+        return cls(
+            policy=budget.policy,
+            max_steps=budget.max_steps,
+            deadline_s=budget.deadline_s,
+            steps_used=steps_used,
+            exhausted=outcome != "completed",
+            outcome=outcome,
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -18,9 +18,9 @@ family:
   scalar loop;
 * :mod:`repro.perf.observers` — :class:`ObserverLayer`, O'Reach-style
   supporting-vertex and topological-interval cuts that run as a
-  vectorized pre-pass in front of *every* family's cut table (and
-  before the scalar ``_query``), shrinking the survivor set the online
-  search must process;
+  vectorized pre-pass in front of *every* family's cut table (one
+  pair at a time in the scalar query chain), shrinking the survivor set
+  the online search must process;
 * :mod:`repro.perf.pool` — :class:`SearchPool`, a ``fork``-based worker
   pool that partitions the surviving needs-search pairs across
   processes (CSR arrays and cut tables shared copy-on-write), with

@@ -11,9 +11,10 @@ storage into numpy arrays.
 A :class:`CutTable` is the fix: built **once** per index at ``build()``
 time (see :meth:`repro.baselines.base.ReachabilityIndex._make_cut_table`),
 it holds numpy views of the cut structures and implements
-:meth:`CutTable.classify` — the whole-batch cut pass.  The generic
-engine (:mod:`repro.perf.engine`) drives it identically for every
-family.
+:meth:`CutTable.classify` — the whole-batch cut pass — and
+:meth:`CutTable.classify_one`, the same cuts for one pair.  The
+generic engine (:mod:`repro.perf.engine`) drives the first and the
+scalar query chain the second, identically for every family.
 
 Contract
 --------
@@ -24,13 +25,25 @@ returns ``(positive, negative)`` boolean masks:
 * ``negative[i]`` — pair ``i`` is *disproved* by an O(1) cut;
 * neither — the pair needs an online search.
 
-The masks must be disjoint and must reproduce the family's scalar
-``_query`` decisions exactly for ``u != v`` pairs (reflexive pairs are
-handled — and masked out — by the engine, so tables may classify them
-arbitrarily).  ``counts_cuts`` declares whether the family's scalar path
-accounts decided queries in ``QueryStats.positive_cuts`` /
-``negative_cuts`` (the materialized transitive closure counts nothing —
-its table sets this ``False`` so batch stats stay bit-identical).
+The masks must be disjoint.  Reflexive pairs are handled — and masked
+out — before the table runs, so tables may classify them arbitrarily.
+
+``classify_one(u, v)`` is the same cuts for one ``u != v`` pair, the
+step the scalar :meth:`~repro.baselines.base.ReachabilityIndex.query`
+and ``explain`` take: ``None`` for a survivor, otherwise the name of
+the cut that fired, in :data:`repro.obs.explain.CUTS` terms
+(``"positive-cut"``, ``"negative-cut"``, ``"level-filter"``,
+``"negative-cut-reversed"``).  The verdict is a function of the name:
+``"positive-cut"`` proves the pair, every other name disproves it.  A
+scalar call costs a couple of microseconds of Python, so
+``classify_one`` reads the index's own ``array``/list storage with
+plain ints — a length-1 numpy pass would cost more than the cuts.  The
+two methods must agree on every pair; the tests check it for every
+registered family.
+
+``counts_cuts`` declares whether decided pairs move
+``QueryStats.positive_cuts`` / ``negative_cuts`` (the materialized
+transitive closure counts nothing: its lookup *is* the answer).
 """
 
 from __future__ import annotations
@@ -108,10 +121,9 @@ def segment_keys(flat: np.ndarray, indptr: np.ndarray, universe: int) -> np.ndar
 
 
 class CutTable:
-    """Base class for per-family vectorized cut passes (see module doc)."""
+    """Base class for per-family cut passes (see module doc)."""
 
-    #: Whether decided pairs move the positive/negative_cuts counters
-    #: (the scalar contract of the family's ``_query``).
+    #: Whether decided pairs move the positive/negative_cuts counters.
     counts_cuts: bool = True
 
     def classify(
@@ -120,18 +132,29 @@ class CutTable:
         """Vectorized O(1) cuts: ``(positive, negative)`` masks."""
         raise NotImplementedError
 
+    def classify_one(self, u: int, v: int) -> str | None:
+        """The O(1) cuts for one ``u != v`` pair: the name of the cut
+        that fired, or ``None`` when the pair needs a search."""
+        raise NotImplementedError
+
 
 class SearchOnlyCutTable(CutTable):
     """Families with no O(1) cuts (pure online search: DFS/BFS/biBFS).
 
     Every non-equal pair is undecided — the engine still classifies the
     batch in one vectorized pass (the reflexive cut) and routes the rest
-    straight to the search loop / pool.
+    straight to the search loop / pool.  The base
+    :meth:`~repro.baselines.base.ReachabilityIndex._make_cut_table`
+    returns this table, so an index that defines only ``_search_pair``
+    answers every pair by search.
     """
 
     def classify(self, sources, targets):
         undecided = np.zeros(len(sources), dtype=bool)
         return undecided, undecided.copy()
+
+    def classify_one(self, u, v):
+        return None
 
 
 class SwappedCutTable(CutTable):
@@ -148,3 +171,6 @@ class SwappedCutTable(CutTable):
 
     def classify(self, sources, targets):
         return self.inner.classify(targets, sources)
+
+    def classify_one(self, u, v):
+        return self.inner.classify_one(v, u)

@@ -9,11 +9,14 @@ loop would, and runs the per-pair online search only for the survivors
 (in process, or partitioned across a :class:`repro.perf.pool.SearchPool`
 when one is attached to the index).
 
-This is the implementation behind the base
-:meth:`~repro.baselines.base.ReachabilityIndex._query_many` for every
-index that declares a cut table — which, as of this engine, is every
-registered family — and it is the only batch route: budgets and the slow
-log ride on it too.  Answers are bit-identical to the scalar path; the
+This is the implementation behind
+:meth:`~repro.baselines.base.ReachabilityIndex.query_many` for every
+index — an index without cuts of its own has a
+:class:`~repro.perf.cut_table.SearchOnlyCutTable` — and it is the only
+batch route: budgets and the slow log ride on it too.  The scalar
+``query`` runs the same steps for one pair
+(:meth:`~repro.baselines.base.ReachabilityIndex._answer`, through the
+table's ``classify_one``).  Answers are bit-identical to the scalar path; the
 win is constant-factor (no Python interpreter work for the cut
 majority), typically 3-10x on cut-dominated workloads.
 
@@ -252,7 +255,9 @@ def _search_guarded(
             if budget is not None:
                 index._set_guard(None)
         if exhausted is not None:
-            answer = index._degrade(u, v, budget, exhausted)
+            answer, outcome = index._degrade(u, v, budget, exhausted)
+            if outcome == "raised":
+                raise exhausted
         duration = elapsed_ns(start) if slow is not None else 0
         if weight > 1:
             stats.expanded += (stats.expanded - expanded) * (weight - 1)
@@ -346,7 +351,7 @@ def vectorized_query_many(
     stats.equal_cuts += int(equal.sum())
 
     # Observer pre-pass: decided pairs never reach the family's cuts,
-    # exactly like the scalar path where decide() short-circuits _query.
+    # the order of the scalar chain (ReachabilityIndex._answer).
     observers = index._observers
     obs_positive = None
     if observers is not None:

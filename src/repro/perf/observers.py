@@ -3,12 +3,13 @@
 O'Reach (PAPERS.md) shows that a handful of well-chosen *supporting
 vertices* plus topological min/max intervals answer a large fraction of
 reachability queries in O(1) — *before* any index-specific structure is
-consulted.  This module packages that idea as an :class:`ObserverLayer`
-the batch engine (:mod:`repro.perf.engine`) runs as a vectorized
-pre-pass in front of **every** family's
-:class:`~repro.perf.cut_table.CutTable`, and the scalar
-:meth:`~repro.baselines.base.ReachabilityIndex.query` consults before
-the family's own ``_query``.
+consulted.  This module packages that idea as an :class:`ObserverLayer` that
+runs in front of **every** family's
+:class:`~repro.perf.cut_table.CutTable`: the batch engine
+(:mod:`repro.perf.engine`) runs :meth:`ObserverLayer.classify` as a
+vectorized pre-pass, and the scalar query chain
+(:meth:`~repro.baselines.base.ReachabilityIndex._answer`) runs
+:meth:`ObserverLayer.decide` before the table's ``classify_one``.
 
 The layer holds a few numpy arrays over the DAG's ``n`` vertices:
 

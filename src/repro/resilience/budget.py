@@ -21,9 +21,10 @@ on the ``repro_budget_exhausted_total`` / ``repro_degraded_total``
 observability counters.
 
 The per-search accounting lives in :class:`SearchGuard`, a tiny object the
-index's ``query`` installs before delegating to ``_query``; every
-``_search`` loop calls ``guard.step()`` once per expanded vertex (a single
-``is not None`` check when no budget is active).
+index installs around each online search (``_search_pair``), on the
+scalar and the batch path alike; every ``_search`` loop calls
+``guard.step()`` once per expanded vertex (a single ``is not None`` check
+when no budget is active).
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ class ScarabCutTable(CutTable):
     A sorted ``u * n + v`` key set answers "does the edge exist" (the
     local positive hit) for a whole batch with one ``searchsorted``;
     precomputed per-vertex "has any out/in gateway" flags decide the
-    negative cut.  Survivors run the gateway product on the backbone's
-    base index (:meth:`ScarabIndex._search_pair`).
+    negative cut; one pair scans ``u``'s out-row and reads the flags
+    as bytes.  Survivors run the gateway product on the backbone's base
+    index (:meth:`ScarabIndex._search_pair`).
     """
 
     def __init__(self, index: "ScarabIndex") -> None:
@@ -76,6 +77,9 @@ class ScarabCutTable(CutTable):
         )
         self.has_out_gateway = is_backbone | succ_gw
         self.has_in_gateway = is_backbone | pred_gw
+        self.out_indptr, self.out_indices = graph.out_indptr, graph.out_indices
+        self.out_gateway_flags = self.has_out_gateway.tobytes()
+        self.in_gateway_flags = self.has_in_gateway.tobytes()
 
     def classify(self, sources, targets):
         keys = sources * np.int64(self.n) + targets
@@ -92,6 +96,15 @@ class ScarabCutTable(CutTable):
             ~self.has_out_gateway[sources] | ~self.has_in_gateway[targets]
         )
         return positive, negative
+
+    def classify_one(self, u, v):
+        indices = self.out_indices
+        for k in range(self.out_indptr[u], self.out_indptr[u + 1]):
+            if indices[k] == v:
+                return "positive-cut"
+        if self.out_gateway_flags[u] and self.in_gateway_flags[v]:
+            return None
+        return "negative-cut"
 
 
 class ScarabIndex(ReachabilityIndex):
@@ -175,63 +188,13 @@ class ScarabIndex(ReachabilityIndex):
         explanation.details["base_method"] = self.base_method
 
     # ------------------------------------------------------------------
-    def _query(self, u: int, v: int) -> bool:
-        stats = self.stats
-        if u == v:
-            stats.equal_cuts += 1
-            return True
-        graph = self.graph
-        out_indptr, out_indices = graph.out_indptr, graph.out_indices
-        backbone_id = self.backbone.backbone_id
-
-        # Local hit (< ε hops) and out-gateway collection in one sweep.
-        out_gateways: list[int] = []
-        bu = backbone_id[u]
-        if bu != -1:
-            out_gateways.append(bu)
-        for k in range(out_indptr[u], out_indptr[u + 1]):
-            w = out_indices[k]
-            if w == v:
-                stats.positive_cuts += 1
-                return True
-            bw = backbone_id[w]
-            if bw != -1:
-                out_gateways.append(bw)
-        if not out_gateways:
-            stats.negative_cuts += 1
-            return False
-
-        in_indptr, in_indices = graph.in_indptr, graph.in_indices
-        in_gateways: list[int] = []
-        bv = backbone_id[v]
-        if bv != -1:
-            in_gateways.append(bv)
-        for k in range(in_indptr[v], in_indptr[v + 1]):
-            w = in_indices[k]
-            bw = backbone_id[w]
-            if bw != -1:
-                in_gateways.append(bw)
-        if not in_gateways:
-            stats.negative_cuts += 1
-            return False
-
-        stats.searches += 1
-        base_query = self.base_index._query
-        base_stats = self.base_index.stats
-        for b1 in out_gateways:
-            for b2 in in_gateways:
-                base_stats.queries += 1
-                if base_query(b1, b2):
-                    return True
-        return False
-
     def _make_cut_table(self) -> ScarabCutTable:
         return ScarabCutTable(self)
 
     def _search_pair(self, u: int, v: int) -> bool:
-        # Engine survivors have no direct edge and both gateway sets
-        # non-empty (the cut table proved it); re-collect the sets and
-        # run the backbone product exactly like the scalar tail.
+        # Survivors have no direct edge and both gateway sets non-empty
+        # (the cut table proved it): collect the sets and run the
+        # backbone product, each probe one query on the base index.
         graph = self.graph
         backbone_id = self.backbone.backbone_id
         out_gateways: list[int] = []
@@ -250,11 +213,9 @@ class ScarabIndex(ReachabilityIndex):
             bw = backbone_id[graph.in_indices[k]]
             if bw != -1:
                 in_gateways.append(bw)
-        base_query = self.base_index._query
-        base_stats = self.base_index.stats
+        base_query = self.base_index._answer
         for b1 in out_gateways:
             for b2 in in_gateways:
-                base_stats.queries += 1
                 if base_query(b1, b2):
                     return True
         return False

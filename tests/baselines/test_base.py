@@ -39,7 +39,7 @@ class TestRegistry:
             def _build(self):
                 pass
 
-            def _query(self, u, v):
+            def _search_pair(self, u, v):
                 return False
 
             def index_size_bytes(self):
@@ -55,8 +55,8 @@ class TestRegistry:
             def _build(self):
                 pass
 
-            def _query(self, u, v):
-                return u == v
+            def _search_pair(self, u, v):
+                return False  # only r(u, u), which never gets here
 
             def index_size_bytes(self):
                 return 0
@@ -104,16 +104,17 @@ class TestLifecycleGuards:
     def test_query_many_without_cut_table_keeps_budget_and_slow_log(
         self, paper_dag
     ):
-        # An out-of-tree index with no cut table answers batches through
-        # its guarded scalar loop.
+        # An out-of-tree index that defines only _search_pair gets the
+        # base cut table, which decides nothing: every pair is searched
+        # under its own guard and offered to the slow log, in a batch as
+        # in the scalar loop.
         class SearchOnly(ReachabilityIndex):
             method_name = "search-only-test"
 
             def _build(self):
                 pass
 
-            def _query(self, u, v):
-                self.stats.searches += 1
+            def _search_pair(self, u, v):
                 return dfs_reachable(self.graph, u, v, guard=self._guard)
 
             def index_size_bytes(self):
@@ -173,7 +174,8 @@ class TestQueryManyBoundary:
         assert index.stats.queries == 0
 
     def test_scalar_fallback_receives_validated_pairs(self, paper_dag):
-        # An index without a cut table loops over plain int pairs.
+        # _search_pair gets plain int pairs from the batch engine and
+        # from the scalar chain.
         seen = []
 
         class Recording(ReachabilityIndex):
@@ -182,9 +184,8 @@ class TestQueryManyBoundary:
             def _build(self):
                 pass
 
-            def _query(self, u, v):
+            def _search_pair(self, u, v):
                 seen.append((type(u), type(v)))
-                self.stats.searches += 1
                 return dfs_reachable(self.graph, u, v)
 
             def index_size_bytes(self):
@@ -193,6 +194,11 @@ class TestQueryManyBoundary:
         index = Recording(paper_dag).build()
         pairs = np.array([(0, 7), (7, 0), (3, 4)], dtype=np.int32)
         assert index.query_many(pairs) == [
+            dfs_reachable(paper_dag, u, v) for u, v in pairs.tolist()
+        ]
+        assert seen == [(int, int)] * 3
+        seen.clear()
+        assert [index.query(u, v) for u, v in pairs.tolist()] == [
             dfs_reachable(paper_dag, u, v) for u, v in pairs.tolist()
         ]
         assert seen == [(int, int)] * 3

@@ -34,7 +34,7 @@ class TestCrossValidate:
             def _build(self):
                 pass
 
-            def _query(self, u, v):
+            def _search_pair(self, u, v):
                 return True  # everything reachable: wrong
 
             def index_size_bytes(self):

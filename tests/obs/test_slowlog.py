@@ -11,6 +11,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import new_trace_id, tracing_enabled
+from repro.perf.observers import build_observers
 from repro.resilience import UNKNOWN, QueryBudget
 
 
@@ -106,6 +107,20 @@ class TestIndexIntegration:
         log = index.attach_slow_log(SlowQueryLog(threshold_ns=0))
         index.query_many([(0, 1), (0, 2), (1, 3)])
         assert log.observed == 3
+
+    def test_scalar_loop_offers_reflexive_and_observer_decided_pairs(self):
+        g = random_dag(200, avg_degree=2.5, seed=11)
+        index = create_index("feline", g).build()
+        index.attach_observers(build_observers(g, k=4))
+        log = index.attach_slow_log(SlowQueryLog(threshold_ns=0))
+        rng = random.Random(12)
+        pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(300)]
+        pairs.append((3, 3))
+        for u, v in pairs:
+            index.query(u, v)
+        stats = index.stats
+        assert stats.equal_cuts and stats.observer_negative
+        assert log.observed == len(pairs)
 
     def test_detach_restores_fast_path(self):
         index = create_index("feline", self._graph()).build()

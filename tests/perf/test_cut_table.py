@@ -1,6 +1,7 @@
 """Cut-table plumbing: cached views, helper codecs, table lifecycle."""
 
 import numpy as np
+import pytest
 
 from repro.baselines.base import available_methods, create_index
 from repro.core.query import FelineCutTable, FelineIndex
@@ -119,9 +120,15 @@ class TestWrapperTables:
         assert swapped.counts_cuts is True
 
 
+# The names classify_one may return.
+CUT_NAMES = {"positive-cut", "negative-cut", "level-filter", "negative-cut-reversed"}
+
 # Snapshotted at collection time: some test modules register throwaway
 # methods in the global registry, which rightly declare no cut table.
 BUILTIN_METHODS = available_methods()
+
+
+FILTERS_OFF = {"use_level_filter": False, "use_positive_cut": False}
 
 
 class TestEveryFamilyMaterializes:
@@ -130,3 +137,27 @@ class TestEveryFamilyMaterializes:
         for method in BUILTIN_METHODS:
             index = create_index(method, g).build()
             assert index._cut_table is not None, method
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [(method, {}) for method in BUILTIN_METHODS]
+        + [("feline", FILTERS_OFF), ("grail", FILTERS_OFF)],
+    )
+    def test_classify_one_agrees_with_classify(self, method, params):
+        g = random_dag(30, avg_degree=2.0, seed=5)
+        table = create_index(method, g, **params).build()._cut_table
+        pairs = np.array(
+            [(u, v) for u in range(30) for v in range(30) if u != v],
+            dtype=np.int64,
+        )
+        positive, negative = table.classify(pairs[:, 0], pairs[:, 1])
+        for (u, v), pos, neg in zip(
+            pairs.tolist(), positive.tolist(), negative.tolist()
+        ):
+            cut = table.classify_one(u, v)
+            if cut is None:
+                assert not pos and not neg, (method, u, v)
+            else:
+                assert cut in CUT_NAMES, (method, cut)
+                assert pos == (cut == "positive-cut"), (method, u, v, cut)
+                assert neg == (not pos), (method, u, v, cut)
