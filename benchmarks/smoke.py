@@ -21,13 +21,13 @@ drop and on calibration-normalized throughput.
 
 Both workloads additionally feed a *kernel* sweep written to
 ``BENCH_pr10.json``: each method's batch runs once per available
-search-kernel backend (``python``, ``numpy``, and ``numba`` when
-installed — see :mod:`repro.perf.kernels`), with answers asserted
+search-kernel backend (``python``, ``numpy``, and ``c`` when its library
+builds — see :mod:`repro.perf.kernels`), with answers asserted
 identical across backends.  ``check_kernels.py`` gates CI on the numpy
-tier being no slower than pure Python and (when numba cells exist) on
-the compiled tier's search-heavy speedup.  Every report records
-``kernel_backend`` / ``numba_version`` / ``shared_pages`` so baseline
-comparisons are like-for-like.
+tier being no slower than pure Python and (when C cells exist) on the
+compiled tier's search-heavy speedup.  Every report records
+``kernel_backend`` / ``c_fallback_reason`` / ``shared_pages`` so
+baseline comparisons are like-for-like.
 
 Every measurement records the machine context needed to compare runs
 across hosts: the CPU count (a pool cannot beat ``workers=0`` on a
@@ -59,7 +59,7 @@ from repro.graph.generators import random_dag
 from repro.obs.spans import disable_tracing, enable_tracing, write_chrome_trace
 from repro.perf.kernels import (
     available_backends,
-    numba_version,
+    c_fallback_reason,
     resolve_backend,
 )
 
@@ -196,7 +196,7 @@ def _environment() -> dict:
     """
     return {
         "kernel_backend": resolve_backend(),
-        "numba_version": numba_version(),
+        "c_fallback_reason": c_fallback_reason(),
         "shared_pages": True,
     }
 
@@ -222,8 +222,35 @@ def _kernel_cell(graph, method: str, pairs, backend: str, runs: int):
         "searches": stats.searches,
         "expanded": stats.expanded,
         "pruned": stats.pruned,
+        "search_us_per_survivor": _search_us(index, pairs, runs),
     }
     return cell, answers
+
+
+def _search_us(index, pairs, runs: int) -> float:
+    """Microseconds per survivor in the engine's search stage alone.
+
+    The batch time also carries per-batch costs no kernel touches
+    (validation, classification, dedup), which on a small graph with
+    short searches can set the tier ratio; this times only
+    ``_search_survivors`` over the pairs the cut table leaves.  Run
+    after the batch timings: it adds to ``index.stats``.
+    """
+    from repro.perf.engine import _search_survivors
+
+    arr = np.asarray(pairs, dtype=np.int64)
+    sources, targets = arr[:, 0], arr[:, 1]
+    positive, negative = index._cut_table.classify(sources, targets)
+    survivors = np.flatnonzero(~(positive | negative) & (sources != targets))
+    if not len(survivors):
+        return 0.0
+    answers = np.zeros(len(arr), dtype=bool)
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        _search_survivors(index, sources, targets, survivors, answers)
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / len(survivors)
 
 
 def kernel_report(out_dir: Path, workloads, graph, runs: int = 3) -> dict:
@@ -231,8 +258,8 @@ def kernel_report(out_dir: Path, workloads, graph, runs: int = 3) -> dict:
 
     Runs every method over every available backend on both workloads,
     asserting bit-identical answers between backends — the published
-    numbers are meaningless if a backend changes a verdict.  The numba
-    column appears only where numba is installed; ``check_kernels.py``
+    numbers are meaningless if a backend changes a verdict.  The ``c``
+    column appears only where the C library builds; ``check_kernels.py``
     gates conditionally on its presence.
     """
     measured = []

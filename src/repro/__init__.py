@@ -97,8 +97,9 @@ class Reachability:
         that need an online search; see ``docs/PERFORMANCE.md``.
     kernel:
         Search-kernel backend for the survivor path: ``"auto"``/``None``
-        (strongest available tier — numba when installed, else numpy),
-        or an explicit ``"numba"`` / ``"numpy"`` / ``"python"``; every
+        (strongest available tier — ``"c"`` when the compiled search
+        library builds and loads, else ``"numpy"``), or an explicit
+        ``"c"`` / ``"numpy"`` / ``"python"``; every
         backend is bit-identical in answers and stats (see
         :mod:`repro.perf.kernels`).
     shared_pages:

@@ -106,7 +106,7 @@ def build_index(
     attaches a survivor-search pool for batch traffic; ``observers >= 1``
     builds an O'Reach-style observer layer consulted before the index's
     own cuts on every query; ``kernel`` selects the survivor-path search
-    backend (``"auto"``/``"numba"``/``"numpy"``/``"python"``, all
+    backend (``"auto"``/``"c"``/``"numpy"``/``"python"``, all
     bit-identical) and ``shared_pages=True`` moves the read-only index
     pages into shared memory (see ``docs/PERFORMANCE.md``).
     """

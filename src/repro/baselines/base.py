@@ -689,7 +689,7 @@ class ReachabilityIndex(ABC):
 
         ``kernel`` is ``None``/``"auto"`` (strongest available tier,
         honouring the ``REPRO_KERNEL`` environment variable),
-        ``"numba"``, ``"numpy"`` or ``"python"``; unknown or unavailable
+        ``"c"``, ``"numpy"`` or ``"python"``; unknown or unavailable
         backends raise immediately.  When the index is already built the
         kernel is rebound at once, otherwise :meth:`build` binds it.
         Returns the resolved backend name (families without a native

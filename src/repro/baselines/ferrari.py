@@ -126,7 +126,7 @@ class FerrariCutTable(CutTable):
             return "positive-cut"
         levels = self.level_array
         if levels is not None and levels[u] >= levels[v]:
-            return "negative-cut"
+            return "level-filter"
         intervals = self.tree_intervals
         if intervals is not None and intervals.contains(u, v):
             return "positive-cut"

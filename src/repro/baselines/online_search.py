@@ -54,7 +54,7 @@ class BidirectionalBFSIndex(ReachabilityIndex):
 
     The only un-indexed family with a native kernel path: the
     level-synchronous frontier expansion vectorizes well, so
-    :mod:`repro.perf.kernels` provides numpy and numba tiers (DFS/BFS
+    :mod:`repro.perf.kernels` provides numpy and C tiers (DFS/BFS
     stay pure Python — their single-vertex expansion order has no
     profitable native formulation that keeps answers bit-identical).
     """
@@ -70,12 +70,16 @@ class BidirectionalBFSIndex(ReachabilityIndex):
     def _bind_kernel(self) -> None:
         from repro.perf import kernels
 
-        backend = kernels.resolve_backend(self._kernel_choice)
-        self._kernel_backend = backend
+        backend = kernels.resolve_backend(
+            self._kernel_choice, count_fallback=True
+        )
         if backend == "python":
+            self._kernel_backend = backend
             self._arm_kernel(None)
             return
-        self._arm_kernel(kernels.bibfs_kernel_for(self.graph, backend))
+        kernel = kernels.bibfs_kernel_for(self.graph, backend)
+        self._kernel_backend = kernel.backend
+        self._arm_kernel(kernel)
 
     def _search_pair(self, u: int, v: int) -> bool:
         kernel = self._kernel

@@ -157,11 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_kernel_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--kernel",
-            choices=["auto", "numba", "numpy", "python"],
+            choices=["auto", "c", "numpy", "python"],
             default=None,
             help="survivor-path search-kernel backend (default auto: "
-            "numba when installed, else numpy; all backends are "
-            "bit-identical — see docs/PERFORMANCE.md)",
+            "c when the search library compiles and loads, else numpy; "
+            "all backends are bit-identical — see docs/PERFORMANCE.md)",
         )
 
     query = sub.add_parser("query", help="answer one reachability query")

@@ -181,7 +181,7 @@ class XSortedAdjacency:
     (one argsort, 16 bytes per edge), never persisted, and not counted
     by ``index_size_bytes``.  ``indices``/``keys`` are the ``array``
     storage the python loop indexes; ``indices_np``/``keys_np`` the
-    ``int64`` views the numpy and numba tiers read (swapped for
+    ``int64`` views the numpy and C tiers read (swapped for
     shared-memory copies by :meth:`adopt`).
     """
 

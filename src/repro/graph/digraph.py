@@ -46,7 +46,7 @@ class CsrViews(NamedTuple):
     """Int64 numpy views of a graph's four CSR arrays.
 
     Produced once per graph by :meth:`DiGraph.csr` and consumed by every
-    numpy/numba consumer (search kernels, shared-memory pages) so hot
+    numpy/C consumer (search kernels, shared-memory pages) so hot
     paths never pay a per-call ``array`` → ``ndarray`` conversion.
     """
 

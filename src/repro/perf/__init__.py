@@ -28,9 +28,10 @@ family:
   platforms without ``fork``;
 * :mod:`repro.perf.kernels` — CSR-native search kernels for the
   survivor path (pruned DFS, bidirectional BFS, the batch survivor
-  sweep) with a three-tier backend: numba ``@njit`` when installed, a
-  vectorized numpy fallback, pure Python last — every tier bit-identical
-  in answers *and* ``QueryStats``;
+  sweep) with a three-tier backend: a C library compiled on first use
+  and loaded through ``ctypes``, a vectorized numpy fallback, pure
+  Python last — every tier bit-identical in answers *and*
+  ``QueryStats``;
 * :mod:`repro.perf.shm` — :class:`SharedIndexPages`, a
   ``multiprocessing.shared_memory`` arena for the read-only index pages
   so forked workers map one physical copy instead of COW-duplicating.
@@ -47,7 +48,7 @@ from repro.perf.engine import as_pair_array, vectorized_query_many
 from repro.perf.kernels import (
     KERNEL_BACKENDS,
     available_backends,
-    numba_available,
+    c_fallback_reason,
     numba_version,
     resolve_backend,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "fork_available",
     "KERNEL_BACKENDS",
     "available_backends",
-    "numba_available",
+    "c_fallback_reason",
     "numba_version",
     "resolve_backend",
     "SharedIndexPages",

@@ -7,19 +7,21 @@ inner loop used to be pure Python.  This module makes that loop run at
 hardware speed over the flat CSR arrays exported once per graph by
 :meth:`repro.graph.digraph.DiGraph.csr`, with a three-tier backend:
 
-* ``numba`` — ``@njit``-compiled kernels, used when the *optional*
-  ``numba`` dependency is installed (it is never required);
+* ``c`` — the FELINE-family pruned DFS, its batch survivor sweep and the
+  bidirectional BFS in one C source shipped with the package
+  (``_search.c``), compiled on first use and loaded through ``ctypes``;
 * ``numpy`` — a vectorized frontier/neighbour-slice expansion that needs
   nothing beyond the library's existing numpy dependency;
 * ``python`` — the reference loops (:class:`FelineSearch` for the
   FELINE family), the always-correct last resort (and an explicit
   choice for debugging).
 
-Selection is automatic (``numba`` when importable, else ``numpy``),
-overridable per index via ``Reachability(kernel=...)`` /
-``index.set_kernel(...)`` / the CLI ``--kernel`` flag, and globally via
-the ``REPRO_KERNEL`` environment variable.  ``REPRO_NO_NUMBA=1`` hides
-an installed numba (the CI no-numba leg).
+Selection is automatic (``c`` when its library builds and loads, see
+:func:`build_search_library`; else ``numpy``, and
+:func:`c_fallback_reason` says why), overridable per index via
+``Reachability(kernel=...)`` / ``index.set_kernel(...)`` / the CLI
+``--kernel`` flag, and globally via the ``REPRO_KERNEL`` environment
+variable.
 
 **The bit-identity contract.**  Every backend returns the same answers
 *and* the same :class:`~repro.baselines.base.QueryStats`
@@ -51,19 +53,30 @@ call overhead and the tier is no slower than pure Python anywhere.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shlex
+import shutil
+import subprocess
+import tempfile
+from array import array
 from bisect import bisect_right
+from pathlib import Path
 from time import perf_counter
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.exceptions import QueryBudgetExceeded, ReproError
+from repro.obs.metrics import get_registry
 
 __all__ = [
     "KERNEL_BACKENDS",
     "available_backends",
-    "numba_available",
+    "CUnavailable",
+    "build_search_library",
+    "c_fallback_reason",
     "numba_version",
     "resolve_backend",
     "FelineSearch",
@@ -76,7 +89,7 @@ __all__ = [
 
 #: The selectable backends, strongest first (``auto`` picks the first
 #: available one).
-KERNEL_BACKENDS = ("numba", "numpy", "python")
+KERNEL_BACKENDS = ("c", "numpy", "python")
 
 #: Neighbour-slice / frontier length below which the numpy tier stays on
 #: the scalar loop: numpy's per-call overhead beats vectorization gains
@@ -86,277 +99,244 @@ VECTOR_MIN_DEGREE = 32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+SOURCE = Path(__file__).with_name("_search.c")
+
 # ---------------------------------------------------------------------------
-# backend discovery and selection
+# the C tier's library: build, cache, load
 # ---------------------------------------------------------------------------
 
-_NUMBA_VERSION: str | None = None
-_numba_checked = False
+
+class CUnavailable(ReproError):
+    """The C tier cannot run here; ``reason`` labels the fallback."""
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"C search library unavailable ({reason}): {detail}")
+        self.reason = reason
 
 
-def numba_available() -> bool:
-    """Whether the optional numba dependency can be imported.
+def build_search_library(cache_dir=None, source: Path = SOURCE) -> Path:
+    """The shared object compiled from ``source``, built unless cached.
 
-    Checked once per process; ``REPRO_NO_NUMBA`` (any non-empty value)
-    hides an installed numba so the fallback tiers can be exercised.
+    ``$CC`` (else ``cc``) compiles at ``-O2 -shared -fPIC`` into
+    ``cache_dir`` (default ``$XDG_CACHE_HOME/repro``, else
+    ``~/.cache/repro``, else under the temp dir), naming the object by
+    the SHA-256 of the source: an edited source builds anew, an
+    unchanged one is reused.  The compiler reads exactly the hashed
+    bytes from stdin and writes a temporary file that ``os.replace``
+    moves into place, so concurrent builders never load a partial
+    object.  Raises :class:`CUnavailable` (``no-compiler``,
+    ``cache-unwritable``, ``compile-failed``).
     """
-    global _numba_checked, _NUMBA_VERSION
-    if not _numba_checked:
-        _numba_checked = True
-        if os.environ.get("REPRO_NO_NUMBA"):
-            _NUMBA_VERSION = None
-        else:
+    code = source.read_bytes()
+    if cache_dir is None:
+        xdg = os.environ.get("XDG_CACHE_HOME")
+        try:
+            base = Path(xdg) if xdg else Path.home() / ".cache"
+        except RuntimeError:  # no resolvable home directory
+            base = Path(tempfile.gettempdir())
+        cache_dir = base / "repro"
+    target = Path(cache_dir) / f"_search-{hashlib.sha256(code).hexdigest()}.so"
+    if target.exists():
+        return target
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    if not compiler or shutil.which(compiler[0]) is None:
+        raise CUnavailable("no-compiler", " ".join(compiler))
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        os.close(fd)
+    except OSError as exc:
+        raise CUnavailable("cache-unwritable", str(exc)) from None
+    try:
+        proc = subprocess.run(
+            [*compiler, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+            input=code, capture_output=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode(errors="replace")
+            raise CUnavailable("compile-failed", stderr[-400:])
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise CUnavailable("compile-failed", str(exc)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+# The process-wide outcome: (library, None) or (None, fallback reason).
+_c_state: tuple | None = None
+
+
+def _c_library():
+    """The loaded library (``None`` when unavailable), loaded once.
+
+    ``PyDLL`` keeps the GIL across a call, so threads sharing an index
+    never interleave inside its visited buffer and stack.
+    """
+    global _c_state
+    if _c_state is None:
+        try:
+            if array("l").itemsize != 8:
+                raise CUnavailable("abi", "the platform long is not 64-bit")
+            path = build_search_library()
             try:
-                import numba
-            except Exception:
-                _NUMBA_VERSION = None
-            else:
-                _NUMBA_VERSION = getattr(numba, "__version__", "unknown")
-    return _NUMBA_VERSION is not None
+                lib = ctypes.PyDLL(str(path))
+            except OSError as exc:
+                raise CUnavailable("load-failed", str(exc)) from None
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            lib.feline_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
+            lib.feline_dfs.restype = i64
+            lib.feline_batch.argtypes = [ptr, i64, i64] + [ptr] * 5
+            lib.feline_batch.restype = i64
+            lib.bibfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
+            lib.bibfs.restype = i64
+            _c_state = (lib, None)
+        except CUnavailable as exc:
+            _c_state = (None, exc.reason)
+    return _c_state[0]
 
 
-def numba_version() -> str | None:
-    """The installed numba version, or ``None`` when absent/hidden."""
-    numba_available()
-    return _NUMBA_VERSION
+def c_fallback_reason() -> str | None:
+    """Why the C tier is unavailable in this process (``None``: it loads)."""
+    _c_library()
+    return _c_state[1]
+
+
+def numba_version() -> None:
+    """``None``: the C tier replaced numba.  Kept for the layered
+    benchmark's environment record until ROADMAP item 1 renames it."""
+    return None
+
+
+# ---------------------------------------------------------------------------
+# backend selection
+# ---------------------------------------------------------------------------
 
 
 def available_backends() -> tuple[str, ...]:
     """The kernel backends usable in this process, strongest first."""
-    if numba_available():
-        return KERNEL_BACKENDS
-    return tuple(b for b in KERNEL_BACKENDS if b != "numba")
+    return KERNEL_BACKENDS[0 if _c_library() is not None else 1:]
 
 
-def resolve_backend(choice: str | None = None) -> str:
+def resolve_backend(
+    choice: str | None = None, count_fallback: bool = False
+) -> str:
     """Resolve a backend request to a concrete available backend.
 
     ``None``/``"auto"`` defers to the ``REPRO_KERNEL`` environment
     variable, then picks the strongest available tier.  An explicit
-    ``"numba"`` on a machine without numba raises — a silent downgrade
-    would invalidate a benchmark that believes it measured numba.
+    ``"c"`` without a usable C library raises — a silent downgrade would
+    invalidate a benchmark that believes it measured the compiled tier.
+    Kernel binds pass ``count_fallback`` so an ``auto`` that fell back
+    counts in ``repro_kernel_fallback_total{reason}``.
     """
     if choice is None or choice == "" or choice == "auto":
         env = os.environ.get("REPRO_KERNEL", "").strip().lower()
         choice = env if env and env != "auto" else None
         if choice is None:
-            return "numba" if numba_available() else "numpy"
+            reason = c_fallback_reason()
+            if reason is None:
+                return "c"
+            if count_fallback:
+                _count_fallback(reason)
+            return "numpy"
     choice = choice.lower()
     if choice not in KERNEL_BACKENDS:
         raise ReproError(
             f"unknown kernel backend {choice!r}; "
             f"use one of auto, {', '.join(KERNEL_BACKENDS)}"
         )
-    if choice == "numba" and not numba_available():
+    if choice == "c" and c_fallback_reason() is not None:
         raise ReproError(
-            "kernel backend 'numba' requested but numba is not importable; "
-            "install numba or use kernel='numpy' / 'python'"
+            "kernel backend 'c' requested but the C search library is "
+            f"unavailable ({c_fallback_reason()}); use kernel='numpy' / "
+            "'python'"
         )
     return choice
 
 
+def _count_fallback(reason: str) -> None:
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            "repro_kernel_fallback_total",
+            help="Kernel binds that fell back from the C tier.",
+            reason=reason,
+        ).inc()
+
+
 def describe_backend(backend: str | None = None) -> dict:
-    """A report stanza: the active backend and the numba version."""
+    """A report stanza: the active backend and why ``c`` is not, if so."""
     return {
         "kernel_backend": backend or resolve_backend(),
-        "numba_version": numba_version(),
+        "c_fallback_reason": c_fallback_reason(),
         "available_backends": list(available_backends()),
     }
 
 
-# ---------------------------------------------------------------------------
-# the kernel bodies — plain Python, written to be @njit-compilable
-# ---------------------------------------------------------------------------
-#
-# These run in two modes: compiled by numba (the numba tier) or as-is
-# (the test suite's "interpreted native" tier, which exercises the exact
-# code paths the compiled kernels take without requiring numba).
+def _struct(fields: str):
+    """A ``ctypes.Structure``: the vertex count ``n``, then ``void *``
+    fields in C declaration order."""
+    return type("ctx", (ctypes.Structure,), {
+        "_fields_": [("n", ctypes.c_int64)]
+        + [(f, ctypes.c_void_p) for f in fields.split()],
+    })
 
 
-def _dfs_impl(
-    indptr, indices, keys, y,
-    has_backward, bx, by,
-    has_levels, levels, level_v,
-    has_intervals, start, post, start_v, post_v,
-    visited, stamp, stack,
-    u, v, xv, yv, rxv, ryv, budget,
-):
-    # The FELINE pruned DFS (paper Algorithm 3) over the X-sorted
-    # adjacency, bit-identical to FelineSearch._walk.  Returns
-    # (code, expanded, pruned): code 0 = not reachable, 1 = reachable,
-    # 2 = step budget exhausted at the vertex just expanded.
-    expanded = 0
-    pruned = 0
-    visited[u] = stamp
-    stack[0] = u
-    top = 1
-    while top > 0:
-        top -= 1
-        w = stack[top]
-        expanded += 1
-        if budget >= 0 and expanded > budget:
-            return 2, expanded, pruned
-        lo = indptr[w]
-        hi = indptr[w + 1]
-        # bisect_right(keys, xv, lo, hi): the first child with X > xv.
-        cut = lo
-        end = hi
-        while cut < end:
-            mid = (cut + end) >> 1
-            if keys[mid] > xv:
-                end = mid
-            else:
-                cut = mid + 1
-        pruned += hi - cut
-        for k in range(lo, cut):
-            child = indices[k]
-            if child == v:
-                return 1, expanded, pruned
-            if visited[child] == stamp:
-                continue
-            visited[child] = stamp
-            if (
-                y[child] > yv
-                or (has_backward and (bx[child] < rxv or by[child] < ryv))
-                or (has_levels and levels[child] >= level_v)
-            ):
-                pruned += 1
-                continue
-            if has_intervals and start[child] <= start_v and post_v <= post[child]:
-                return 1, expanded, pruned
-            stack[top] = child
-            top += 1
-    return 0, expanded, pruned
+_FELINE_CTX = _struct(
+    "indptr indices keys x y bx by levels start post visited stack"
+)
+_BIBFS_CTX = _struct(
+    "out_indptr out_indices in_indptr in_indices fwd_seen bwd_seen "
+    "buf_a buf_b buf_c buf_d"
+)
 
 
-def _bibfs_impl(
-    out_indptr, out_indices, in_indptr, in_indices,
-    fwd_seen, bwd_seen, stamp,
-    buf_a, buf_b, buf_c, buf_d,
-    source, target, budget,
-):
-    # Bidirectional BFS, bit-identical to
-    # repro.graph.traversal.bidirectional_reachable /
-    # bounded_bidirectional_reachable.  Returns (code, expanded):
-    # code 0 = not reachable, 1 = reachable, 2 = budget hit at the
-    # vertex just charged.
-    fwd_seen[source] = stamp
-    bwd_seen[target] = stamp
-    fwd_cur = buf_a
-    bwd_cur = buf_b
-    fwd_spare = buf_c
-    bwd_spare = buf_d
-    fwd_cur[0] = source
-    bwd_cur[0] = target
-    fwd_len = 1
-    bwd_len = 1
-    expanded = 0
-    while fwd_len > 0 and bwd_len > 0:
-        forward = fwd_len <= bwd_len
-        if forward:
-            frontier, flen = fwd_cur, fwd_len
-            seen, other = fwd_seen, bwd_seen
-            indptr, indices = out_indptr, out_indices
-            nxt = fwd_spare
-        else:
-            frontier, flen = bwd_cur, bwd_len
-            seen, other = bwd_seen, fwd_seen
-            indptr, indices = in_indptr, in_indices
-            nxt = bwd_spare
-        nlen = 0
-        for fi in range(flen):
-            w = frontier[fi]
-            expanded += 1
-            if budget >= 0 and expanded > budget:
-                return 2, expanded
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if other[child] == stamp:
-                    return 1, expanded
-                if seen[child] != stamp:
-                    seen[child] = stamp
-                    nxt[nlen] = child
-                    nlen += 1
-        if forward:
-            fwd_spare = fwd_cur
-            fwd_cur = nxt
-            fwd_len = nlen
-        else:
-            bwd_spare = bwd_cur
-            bwd_cur = nxt
-            bwd_len = nlen
-    return 0, expanded
+def _c_context(kernel, struct, n: int, **arrays) -> None:
+    """Bind ``kernel`` to one ``struct`` of raw pointers into ``arrays``.
 
-
-def _compile_tier(decorate):
-    """Build the (dfs, batch, bibfs) callables through ``decorate``.
-
-    ``decorate`` is ``numba.njit`` for the compiled tier and the
-    identity function for the test suite's interpreted tier; the batch
-    sweep closes over the (possibly compiled) dfs so numba inlines the
-    per-pair call.
+    Built once per bind — a call passes one address instead of
+    re-deriving a dozen — and the kernel keeps ``arrays`` alive as long
+    as the struct.  ``None`` is NULL.  Arrays must be ``int64`` and
+    C-contiguous (C reads 8-byte words), else :class:`CUnavailable`
+    (``layout``); C refuses vertices outside ``0..n-1`` (code 3).
     """
-    dfs = decorate(_dfs_impl)
-    bibfs = decorate(_bibfs_impl)
+    ctx = struct(n=n)
+    for name, arr in arrays.items():
+        if arr is None:
+            continue
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise CUnavailable("layout", f"{name} is {arr.dtype}")
+        setattr(ctx, name, arr.ctypes.data)
+    kernel._arrays, kernel._ctx = arrays, ctx
+    kernel._ctx_addr = ctypes.addressof(ctx)
+    kernel._out = (ctypes.c_int64 * 2)()
+    kernel._out_addr = ctypes.addressof(kernel._out)
 
-    def _batch_impl(
-        indptr, indices, keys, x, y,
-        has_backward, bx, by,
-        has_levels, levels,
-        has_intervals, start, post,
-        visited, stamp0, stack,
-        us, vs, answers, expanded_out, pruned_out,
-    ):
-        # The batch survivor sweep: one native call answers every
-        # deduplicated survivor pair, with per-pair stats deltas so the
-        # caller can apply multiplicity weights.  Per-pair stamps mirror
-        # the scalar path's one-bump-per-search.
-        for i in range(len(us)):
-            u = us[i]
-            v = vs[i]
-            xv = x[v]
-            yv = y[v]
-            rxv = 0
-            ryv = 0
-            if has_backward:
-                rxv = bx[v]
-                ryv = by[v]
-            level_v = 0
-            if has_levels:
-                level_v = levels[v]
-            start_v = 0
-            post_v = 0
-            if has_intervals:
-                start_v = start[v]
-                post_v = post[v]
-            code, expanded, pruned = dfs(
-                indptr, indices, keys, y,
-                has_backward, bx, by,
-                has_levels, levels, level_v,
-                has_intervals, start, post, start_v, post_v,
-                visited, stamp0 + i + 1, stack,
-                u, v, xv, yv, rxv, ryv, -1,
+
+def _step_budget(guard) -> int | None:
+    """Steps a C loop may expand: ``-1`` unbounded, ``None`` when the
+    guard has a deadline (the python loop must run)."""
+    if guard is None:
+        return -1
+    if guard.deadline_at is not None:
+        return None
+    return guard.max_steps - guard.steps
+
+
+def _charge(guard, expanded: int, code: int) -> None:
+    """Fold a C loop's expansions into ``guard``; on code 2 raise what
+    ``SearchGuard.step`` raises at the same step."""
+    if guard is not None:
+        guard.steps += expanded
+        if code == 2:
+            raise QueryBudgetExceeded(
+                f"query exceeded its step budget of {guard.max_steps}",
+                resource="steps",
+                steps=guard.steps,
+                elapsed_s=perf_counter() - guard.start,
             )
-            answers[i] = code == 1
-            expanded_out[i] = expanded
-            pruned_out[i] = pruned
-
-    batch = decorate(_batch_impl)
-    return {"dfs": dfs, "bibfs": bibfs, "batch": batch}
-
-
-# The lazily-compiled numba tier (or, in tests, an interpreted stand-in
-# installed by monkeypatching this module attribute).
-_native: dict | None = None
-
-
-def _native_tier() -> dict:
-    global _native
-    if _native is None:
-        from numba import njit
-
-        _native = _compile_tier(njit(cache=False, nogil=True))
-    return _native
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +411,6 @@ class FelineSearch:
         self._indices_np = adjacency.indices_np
         self._keys_np = adjacency.keys_np
         fv = forward.views
-        self._x_np = fv.x
         self._y, self._y_np = forward.y, fv.y
         self._levels, self._levels_np = forward.levels, fv.levels
         intervals = forward.tree_intervals
@@ -591,34 +570,34 @@ class NumpyFelineKernel(FelineSearch):
         return target_hit, int(prune.sum())
 
 
-class NumbaFelineKernel(FelineSearch):
-    """The numba tier: the whole DFS in one compiled call.
+class CFelineKernel(FelineSearch):
+    """The C tier: the whole DFS in one compiled call.
 
-    Step budgets run inside the kernel (remaining-step countdown, exact
-    raise point); deadline-carrying guards route to the python loop.
-    Also provides :meth:`search_batch`, the engine's one-call survivor
-    sweep.
+    The bind builds one context struct over every array the search
+    reads, so a call passes ``(ctx, stamp, u, v, budget, out)``; the
+    bounds come from ``v``'s own coordinates, as every caller's do.
+    Step budgets run inside the kernel (exact raise point);
+    deadline-carrying guards route to the python loop.  Also provides
+    :meth:`search_batch`, the engine's one-call survivor sweep.
     """
 
-    backend = "numba"
+    backend = "c"
 
     def __init__(self, index, adjacency, forward, backward=None) -> None:
         super().__init__(index, adjacency, forward, backward)
-        self._stack = np.empty(index.graph.num_vertices + 1, dtype=np.int64)
-        native = _native_tier()
-        self._native_dfs = native["dfs"]
-        self._native_batch = native["batch"]
-
-    def _flag_arrays(self):
-        """The optional structures as ``(flag, array)`` kernel arguments."""
-        has_levels = self._levels is not None
-        has_intervals = self._start is not None
-        return (
-            self._bx is not None, self._bx_np, self._by_np,
-            has_levels, self._levels_np if has_levels else _EMPTY_I64,
-            has_intervals,
-            self._start_np if has_intervals else _EMPTY_I64,
-            self._post_np if has_intervals else _EMPTY_I64,
+        lib = _c_library()
+        self._dfs, self._batch = lib.feline_dfs, lib.feline_batch
+        fv = forward.views
+        bv = backward.views if backward is not None else None
+        n = index.graph.num_vertices
+        _c_context(
+            self, _FELINE_CTX, n,
+            indptr=self._indptr_np, indices=self._indices_np,
+            keys=self._keys_np, x=fv.x, y=fv.y,
+            bx=bv.x if bv else None, by=bv.y if bv else None,
+            levels=fv.levels, start=fv.start, post=fv.post,
+            visited=self._visited_np,
+            stack=np.empty(n + 1, dtype=np.int64),
         )
 
     def search(self, u, v, xv, yv, rxv=0, ryv=0):
@@ -627,37 +606,20 @@ class NumbaFelineKernel(FelineSearch):
             counter.inc()
         index = self._index
         guard = index._guard
-        if guard is not None and guard.deadline_at is not None:
-            # Wall-clock deadlines can't be enforced bit-identically
-            # from compiled code; the python loop checks the real clock.
+        budget = _step_budget(guard)
+        if budget is None:
             return self._walk(u, v, xv, yv, rxv, ryv, None)
-        budget = -1 if guard is None else guard.max_steps - guard.steps
-        (has_backward, bx, by, has_levels, levels,
-         has_intervals, start, post) = self._flag_arrays()
-        level_v = self._levels[v] if has_levels else 0
-        start_v = self._start[v] if has_intervals else 0
-        post_v = self._post[v] if has_intervals else 0
         index._stamp += 1
-        code, expanded, pruned = self._native_dfs(
-            self._indptr_np, self._indices_np, self._keys_np, self._y_np,
-            has_backward, bx, by,
-            has_levels, levels, level_v,
-            has_intervals, start, post, start_v, post_v,
-            self._visited_np, index._stamp, self._stack,
-            int(u), int(v), int(xv), int(yv), int(rxv), int(ryv), budget,
+        code = self._dfs(
+            self._ctx_addr, index._stamp, u, v, budget, self._out_addr
         )
+        if code == 3:
+            raise IndexError(f"vertex out of range in search {u} -> {v}")
+        expanded, pruned = self._out
         stats = index.stats
         stats.expanded += expanded
         stats.pruned += pruned
-        if guard is not None:
-            guard.steps += expanded
-            if code == 2:
-                raise QueryBudgetExceeded(
-                    f"query exceeded its step budget of {guard.max_steps}",
-                    resource="steps",
-                    steps=guard.steps,
-                    elapsed_s=perf_counter() - guard.start,
-                )
+        _charge(guard, expanded, code)
         return code == 1
 
     def search_batch(self, us: np.ndarray, vs: np.ndarray):
@@ -673,20 +635,21 @@ class NumbaFelineKernel(FelineSearch):
             counter.inc()
         index = self._index
         m = len(us)
+        us = np.ascontiguousarray(us, dtype=np.int64)
+        vs = np.ascontiguousarray(vs, dtype=np.int64)
         answers = np.zeros(m, dtype=bool)
         expanded = np.zeros(m, dtype=np.int64)
         pruned = np.zeros(m, dtype=np.int64)
         stamp0 = index._stamp
-        self._native_batch(
-            self._indptr_np, self._indices_np, self._keys_np,
-            self._x_np, self._y_np,
-            *self._flag_arrays(),
-            self._visited_np, stamp0, self._stack,
-            np.ascontiguousarray(us, dtype=np.int64),
-            np.ascontiguousarray(vs, dtype=np.int64),
-            answers, expanded, pruned,
+        bad = self._batch(
+            self._ctx_addr, stamp0, m, us.ctypes.data, vs.ctypes.data,
+            answers.ctypes.data, expanded.ctypes.data, pruned.ctypes.data,
         )
         index._stamp = stamp0 + m
+        if bad >= 0:
+            raise IndexError(
+                f"vertex out of range in search {us[bad]} -> {vs[bad]}"
+            )
         return answers, expanded, pruned
 
 
@@ -698,15 +661,22 @@ def bind_feline_search(index, adjacency, forward, backward=None):
     (``backward`` only for FELINE-B), ``adjacency`` the
     :class:`~repro.core.index.XSortedAdjacency` it walks.  The native
     tiers are armed as the index's ``_kernel``; the python tier leaves
-    ``_kernel`` ``None`` and is returned bare.
+    ``_kernel`` ``None`` and is returned bare.  Called on every
+    (re)bind, so a C context never outlives the arrays it points into.
     """
-    backend = resolve_backend(index._kernel_choice)
+    backend = resolve_backend(index._kernel_choice, count_fallback=True)
+    if backend == "c":
+        try:
+            kernel = CFelineKernel(index, adjacency, forward, backward)
+        except CUnavailable as exc:
+            _count_fallback(exc.reason)
+            backend = "numpy"
+    if backend == "numpy":
+        kernel = NumpyFelineKernel(index, adjacency, forward, backward)
     index._kernel_backend = backend
     if backend == "python":
         index._arm_kernel(None)
         return FelineSearch(index, adjacency, forward, backward)
-    tier = NumbaFelineKernel if backend == "numba" else NumpyFelineKernel
-    kernel = tier(index, adjacency, forward, backward)
     index._arm_kernel(kernel)
     return kernel
 
@@ -727,10 +697,10 @@ class _BiBFSKernelBase:
     backend = "abstract"
 
     def __init__(self, graph) -> None:
-        from array import array
-
         self._graph = graph
-        csr = graph.csr()
+        # The CSR views this kernel reads; bibfs_kernel_for replaces the
+        # kernel once the graph swaps them (shared-page adoption).
+        self._csr = csr = graph.csr()
         self._out_indptr_np = csr.out_indptr
         self._out_indices_np = csr.out_indices
         self._in_indptr_np = csr.in_indptr
@@ -860,51 +830,46 @@ class NumpyBiBFSKernel(_BiBFSKernelBase):
         return 0
 
 
-class NumbaBiBFSKernel(_BiBFSKernelBase):
+class CBiBFSKernel(_BiBFSKernelBase):
     """The compiled bidirectional BFS (steps-budget aware)."""
 
-    backend = "numba"
+    backend = "c"
 
     def __init__(self, graph) -> None:
         super().__init__(graph)
-        n = graph.num_vertices
-        self._bufs = tuple(
-            np.empty(n + 1, dtype=np.int64) for _ in range(4)
+        self._bibfs = _c_library().bibfs
+        csr, n = self._csr, graph.num_vertices
+        _c_context(
+            self, _BIBFS_CTX, n,
+            out_indptr=csr.out_indptr, out_indices=csr.out_indices,
+            in_indptr=csr.in_indptr, in_indices=csr.in_indices,
+            fwd_seen=self._fwd_seen_np, bwd_seen=self._bwd_seen_np,
+            **{f"buf_{b}": np.empty(n + 1, dtype=np.int64) for b in "abcd"},
         )
-        self._bibfs = _native_tier()["bibfs"]
 
     def _run_native(self, source, target, budget: int):
         self._stamp += 1
-        buf_a, buf_b, buf_c, buf_d = self._bufs
-        return self._bibfs(
-            self._out_indptr_np, self._out_indices_np,
-            self._in_indptr_np, self._in_indices_np,
-            self._fwd_seen_np, self._bwd_seen_np, self._stamp,
-            buf_a, buf_b, buf_c, buf_d,
-            int(source), int(target), budget,
+        code = self._bibfs(
+            self._ctx_addr, self._stamp, source, target, budget,
+            self._out_addr,
         )
+        if code == 3:
+            raise IndexError(f"vertex out of range in {source} -> {target}")
+        return code, self._out[0]
 
     def run(self, source, target, guard=None) -> bool:
         counter = self.dispatch_counter
         if counter is not None:
             counter.inc()
-        if guard is not None and guard.deadline_at is not None:
+        budget = _step_budget(guard)
+        if budget is None:
             from repro.graph.traversal import bidirectional_reachable
 
             return bidirectional_reachable(self._graph, source, target, guard)
         if source == target:
             return True
-        budget = -1 if guard is None else guard.max_steps - guard.steps
         code, expanded = self._run_native(source, target, budget)
-        if guard is not None:
-            guard.steps += expanded
-            if code == 2:
-                raise QueryBudgetExceeded(
-                    f"query exceeded its step budget of {guard.max_steps}",
-                    resource="steps",
-                    steps=guard.steps,
-                    elapsed_s=perf_counter() - guard.start,
-                )
+        _charge(guard, expanded, code)
         return code == 1
 
     def run_bounded(self, source, target, max_nodes) -> bool | None:
@@ -914,9 +879,7 @@ class NumbaBiBFSKernel(_BiBFSKernelBase):
         if source == target:
             return True
         code, _ = self._run_native(source, target, max_nodes)
-        if code == 2:
-            return None
-        return code == 1
+        return None if code == 2 else code == 1
 
 
 class PythonBiBFSKernel(_BiBFSKernelBase):
@@ -928,6 +891,7 @@ class PythonBiBFSKernel(_BiBFSKernelBase):
     """
 
     backend = "python"
+    _csr = None  # reads the graph's own storage, never stale
 
     def __init__(self, graph) -> None:
         # No buffers of our own — traversal.py holds the scratch.
@@ -954,21 +918,24 @@ def bibfs_kernel_for(graph, backend: str | None = None):
     """The per-graph bidirectional-BFS kernel for ``backend`` (cached).
 
     One kernel per ``(graph, backend)`` pair, shared between the
-    ``bibfs`` index family and every budget fallback on that graph.
+    ``bibfs`` index family and every budget fallback on that graph.  A
+    kernel whose CSR views the graph has since swapped (shared-page
+    adoption or restore) is replaced, so it reads the current arrays.
     """
     backend = resolve_backend(backend)
-    per_graph = _BIBFS_KERNELS.get(graph)
-    if per_graph is None:
-        per_graph = {}
-        _BIBFS_KERNELS[graph] = per_graph
+    per_graph = _BIBFS_KERNELS.setdefault(graph, {})
     kernel = per_graph.get(backend)
-    if kernel is None:
-        if backend == "numba":
-            kernel = NumbaBiBFSKernel(graph)
-        elif backend == "numpy":
-            kernel = NumpyBiBFSKernel(graph)
-        else:
-            kernel = PythonBiBFSKernel(graph)
+    if kernel is None or (
+        kernel._csr is not None and kernel._csr is not graph.csr()
+    ):
+        tier = {"c": CBiBFSKernel, "numpy": NumpyBiBFSKernel}.get(
+            backend, PythonBiBFSKernel
+        )
+        try:
+            kernel = tier(graph)
+        except CUnavailable as exc:
+            _count_fallback(exc.reason)
+            return bibfs_kernel_for(graph, "numpy")
         per_graph[backend] = kernel
     return kernel
 

@@ -57,6 +57,8 @@ from repro.graph.toposort import (
 
 __all__ = ["ObserverLayer", "build_observers"]
 
+_FIELDS = ("t1", "t2", "fmax", "bmin", "supports", "fwd_bits", "bwd_bits")
+
 
 class ObserverLayer:
     """The built observer arrays plus their scalar and batch checks.
@@ -77,10 +79,16 @@ class ObserverLayer:
         fwd_bits: np.ndarray,
         bwd_bits: np.ndarray,
     ) -> None:
-        self.t1 = np.asarray(t1, dtype=np.int64)
-        self.t2 = np.asarray(t2, dtype=np.int64)
-        self.fmax = np.asarray(fmax, dtype=np.int64)
-        self.bmin = np.asarray(bmin, dtype=np.int64)
+        self.t1, self.t2, self.fmax, self.bmin = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (t1, t2, fmax, bmin)
+        )
+        # decide() reads plain ints through memoryviews of the same
+        # buffers: no numpy scalars, no copy, and an mmap-loaded layer
+        # stays lazy.
+        self._t1, self._t2, self._fmax, self._bmin = map(
+            memoryview, (self.t1, self.t2, self.fmax, self.bmin)
+        )
         self.supports = np.asarray(supports, dtype=np.int64)
         self.fwd_bits = np.asarray(fwd_bits, dtype=np.uint8)
         self.bwd_bits = np.asarray(bwd_bits, dtype=np.uint8)
@@ -89,6 +97,10 @@ class ObserverLayer:
         # scalar path is actually used.
         self._fwd_ints: list[int] | None = None
         self._bwd_ints: list[int] | None = None
+
+    def __reduce__(self):
+        # The memoryviews do not pickle; rebuild them from the arrays.
+        return ObserverLayer, tuple(getattr(self, a) for a in _FIELDS)
 
     @property
     def num_vertices(self) -> int:
@@ -153,10 +165,10 @@ class ObserverLayer:
         Intended for ``u != v`` (the engine and scalar query handle the
         reflexive cut before observers run).
         """
-        t1 = self.t1
-        if t1[u] >= t1[v] or self.t2[u] >= self.t2[v]:
+        t1 = self._t1
+        if t1[u] >= t1[v] or self._t2[u] >= self._t2[v]:
             return False
-        if t1[v] > self.fmax[u] or t1[u] < self.bmin[v]:
+        if t1[v] > self._fmax[u] or t1[u] < self._bmin[v]:
             return False
         if self.k:
             self._ensure_ints()

@@ -152,6 +152,20 @@ class ScarabIndex(ReachabilityIndex):
         )
         self.base_index.build()
 
+    def _set_guard(self, guard) -> None:
+        # The backbone probes search inside the base index: one guard
+        # bounds them all.
+        self._guard = guard
+        if self.base_index is not None:
+            self.base_index._set_guard(guard)
+
+    def _bind_kernel(self) -> None:
+        # Every search runs in the base index, so the kernel binds there.
+        base = self.base_index
+        base._kernel_choice = self._kernel_choice
+        base._bind_kernel()
+        self._kernel_backend = base._kernel_backend
+
     def index_size_bytes(self) -> int:
         if self.backbone is None or self.base_index is None:
             return 0

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from repro.graph.digraph import DiGraph
@@ -29,6 +33,23 @@ from repro.graph.transitive import transitive_closure_bitsets
 PAPER_FIG2_EDGES = [
     (0, 2), (0, 3), (2, 4), (3, 4), (4, 7), (1, 5), (1, 6), (5, 7),
 ]
+
+
+_SESSION_CACHE: str | None = None
+
+
+def pytest_configure(config):
+    """Build the C search library into a per-session cache directory
+    (inherited by every subprocess a test starts), so a run neither
+    reuses nor leaves behind an object in the user's cache."""
+    global _SESSION_CACHE
+    _SESSION_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
+    os.environ["XDG_CACHE_HOME"] = _SESSION_CACHE
+
+
+def pytest_unconfigure(config):
+    if _SESSION_CACHE is not None:
+        shutil.rmtree(_SESSION_CACHE, ignore_errors=True)
 
 
 @pytest.fixture

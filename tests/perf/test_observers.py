@@ -52,6 +52,22 @@ class TestSoundness:
             expected = True if pos else False if neg else None
             assert layer.decide(u, v) is expected
 
+    def test_decide_reads_plain_ints_of_the_same_buffers(self):
+        # The scalar checks index memoryviews over the numpy fields:
+        # Python ints, no copy, and a pickled layer rebuilds them.
+        import pickle
+
+        layer = build_observers(random_dag(60, avg_degree=2.5, seed=3), k=4)
+        assert type(layer._t1[0]) is int
+        for name in ("t1", "t2", "fmax", "bmin"):
+            view = getattr(layer, "_" + name)
+            assert np.shares_memory(np.asarray(view), getattr(layer, name))
+        clone = pickle.loads(pickle.dumps(layer))
+        pairs = [(u, v) for u in range(60) for v in range(60) if u != v]
+        assert [clone.decide(u, v) for u, v in pairs] == [
+            layer.decide(u, v) for u, v in pairs
+        ]
+
 
 class TestSelection:
     def test_negative_k_rejected(self):

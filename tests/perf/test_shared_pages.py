@@ -213,28 +213,23 @@ class TestSearchAdjacencyPages:
     """The X-sorted adjacency moves into the arena with the coordinates,
     and the native tiers read the adopted views."""
 
-    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
     @pytest.mark.parametrize(
         "method, prefix",
         [("feline", "feline"), ("feline-i", "feline"), ("feline-b", "fwd")],
     )
-    def test_kernel_reads_adopted_adjacency(
-        self, method, prefix, kernel, monkeypatch
-    ):
-        from repro.perf import kernels
+    def test_kernel_reads_adopted_adjacency(self, method, prefix, kernel):
+        if kernel == "c":
+            from tests.property.test_kernel_equivalence import require_c
 
-        if kernel == "numba" and not kernels.numba_available():
-            from tests.property.test_kernel_equivalence import (
-                _install_interpreted_native,
-            )
-
-            _install_interpreted_native(monkeypatch)
+            require_c()
         g = random_dag(60, avg_degree=3.0, seed=9)
         index = create_index(method, g)
         index.set_kernel(kernel)
         index.build()
         # FELINE-I searches inside its delegate on the reversed graph.
         owner = index._inner if method == "feline-i" else index
+        coords = owner.forward if method == "feline-b" else owner.coordinates
         pairs = [
             (u, v) for u in range(g.num_vertices)
             for v in range(g.num_vertices)
@@ -254,10 +249,45 @@ class TestSearchAdjacencyPages:
             assert np.shares_memory(
                 kernel_obj._keys_np, pages.view(f"{prefix}.adj_keys")
             )
+            if kernel == "c":
+                # The C context was rebuilt over the adopted views.
+                ctx = kernel_obj._ctx
+                assert ctx.indices == kernel_obj._indices_np.ctypes.data
+                assert ctx.keys == kernel_obj._keys_np.ctypes.data
+                assert ctx.x == coords.views.x.ctypes.data
             assert index.query_many(pairs) == before
             assert index.stats.as_dict() == stats
         finally:
             index.close_shared_pages()
         assert owner.adjacency is original
         assert owner._kernel._indices_np is original.indices_np
+        if kernel == "c":
+            # ...and rebuilt again over the restored arrays.
+            ctx = owner._kernel._ctx
+            assert ctx.indices == original.indices_np.ctypes.data
+            assert ctx.x == coords.views.x.ctypes.data
+            index.stats.reset()
+            assert index.query_many(pairs) == before
+            assert index.stats.as_dict() == stats
 
+    def test_c_bibfs_reads_adopted_csr(self):
+        from tests.property.test_kernel_equivalence import require_c
+
+        require_c()
+        g = random_dag(60, avg_degree=3.0, seed=9)
+        index = create_index("bibfs", g)
+        index.set_kernel("c")
+        index.build()
+        pairs = [(u, v) for u in range(60) for v in range(60)]
+        before = index.query_many(pairs)
+        pages = index.enable_shared_pages()
+        try:
+            ctx = index._kernel._ctx
+            assert ctx.out_indices == pages.view("csr.out_indices").ctypes.data
+            assert ctx.in_indptr == pages.view("csr.in_indptr").ctypes.data
+            assert index.query_many(pairs) == before
+        finally:
+            index.close_shared_pages()
+        ctx = index._kernel._ctx
+        assert ctx.out_indices == g.csr().out_indices.ctypes.data
+        assert index.query_many(pairs) == before

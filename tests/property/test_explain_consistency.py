@@ -96,3 +96,27 @@ class TestFelineCutHonesty:
                 elif exp.cut == "level-filter":
                     assert index._contains_all(u, v)
                     assert index.levels[u] >= index.levels[v]
+
+
+class TestFerrariCutHonesty:
+    def test_level_rejection_is_named_level_filter(self):
+        # A pair the interval sets leave open but the level filter
+        # rejects reads "level-filter", as in FELINE and GRAIL; a
+        # "negative-cut" is always an interval-set miss.
+        from repro.graph.generators import random_dag
+
+        g = random_dag(80, avg_degree=3.0, seed=2)
+        index = create_index("ferrari", g).build()
+        seen = set()
+        for u in range(g.num_vertices):
+            for v in range(g.num_vertices):
+                exp = index.explain(u, v)
+                coverage = index.interval_sets[u].probe(index.ids[v])
+                if exp.cut == "negative-cut":
+                    assert coverage == 0
+                elif exp.cut == "level-filter":
+                    assert exp.verdict is False
+                    assert coverage == 1
+                    assert index.levels[u] >= index.levels[v]
+                seen.add(exp.cut)
+        assert "level-filter" in seen

@@ -5,8 +5,8 @@ configuration.  This file covers the ablations, where the structures
 the pruned DFS consults change shape: no level filter (no ``levels``
 array), no positive cut (no tree intervals), neither, and the Kahn
 ``X`` order (a different X-sorted adjacency).  For FELINE, FELINE-I and
-FELINE-B, the ``numpy`` and ``numba`` tiers (interpreted where numba is
-absent) must match the ``python`` tier in answers and
+FELINE-B, the ``numpy`` and ``c`` tiers (``c`` skipped where its library
+cannot be built) must match the ``python`` tier in answers and
 :class:`~repro.baselines.base.QueryStats`, scalar and batch, pooled,
 and under step budgets; the ``python`` tier must match the oracle.
 """

@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.perf.kernels` is that backend selection is
 *unobservable* except in speed: for every registered index family, the
-``numpy`` and ``numba`` tiers return exactly the answers **and** the
+``numpy`` and ``c`` tiers return exactly the answers **and** the
 :class:`~repro.baselines.base.QueryStats` counters of the families'
 original pure-Python loops — scalar and batch paths, with and without
 observers, with and without a survivor-search pool, and under every
@@ -10,10 +10,9 @@ budget policy (step budgets are enforced inside the kernels; a
 deadline-carrying guard routes to the python loop, so it is trivially
 identical).
 
-The ``numba`` cells run the real compiled tier when numba is installed
-(the CI ``with-numba`` job) and otherwise an *interpreted* stand-in —
-the exact ``@njit``-targeted kernel bodies executed by CPython — so the
-compiled code paths are exercised on every machine.
+The ``c`` cells run the compiled library; where it cannot be built (no
+compiler, the CI ``no-compiler`` job) they are skipped and the
+``numpy`` cells carry the suite.
 """
 
 from __future__ import annotations
@@ -32,25 +31,18 @@ from tests.property.test_invariants import dags
 from tests.property.test_query_many_engine import SEARCHING_METHODS
 
 
-def _install_interpreted_native(monkeypatch) -> None:
-    """Make ``resolve_backend("numba")`` succeed without numba installed.
-
-    Runs the ``@njit``-targeted kernel bodies interpreted — same code,
-    same arrays, same arithmetic — so every numba-tier code path is
-    covered even where the compiler is absent.
-    """
-    monkeypatch.setattr(
-        kernels, "_native", kernels._compile_tier(lambda f: f)
-    )
-    monkeypatch.setattr(kernels, "_numba_checked", True)
-    monkeypatch.setattr(kernels, "_NUMBA_VERSION", "interpreted")
+def require_c() -> None:
+    """Skip the calling test where the C tier cannot load."""
+    reason = kernels.c_fallback_reason()
+    if reason is not None:
+        pytest.skip(f"C search tier unavailable ({reason})")
 
 
-@pytest.fixture(params=["numpy", "numba"])
-def backend(request, monkeypatch):
-    """Each native tier; ``numba`` falls back to the interpreted stand-in."""
-    if request.param == "numba" and not kernels.numba_available():
-        _install_interpreted_native(monkeypatch)
+@pytest.fixture(params=["numpy", "c"])
+def backend(request):
+    """Each native tier."""
+    if request.param == "c":
+        require_c()
     return request.param
 
 
@@ -122,6 +114,31 @@ class TestWithObserversAndPool:
         _assert_bit_identical(
             method, g, _all_pairs(g.num_vertices), backend, workers=2
         )
+
+
+class TestWrappedIndexes:
+    """FELINE-I searches in its reversed delegate and SCARAB in its
+    backbone's base index: the kernel binds there, and a step budget
+    reaches it."""
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [("feline-i", {}), ("scarab", {"base_method": "feline"})],
+    )
+    def test_delegate_runs_the_bound_tier(self, method, params, backend):
+        g = random_dag(80, avg_degree=2.5, seed=4)
+        index = _build(method, g, backend, **params)
+        inner = index._inner if method == "feline-i" else index.base_index
+        assert index.kernel_backend == inner.kernel_backend == backend
+        assert inner._kernel.backend == backend
+        pairs = _all_pairs(g.num_vertices)
+        _assert_bit_identical(method, g, pairs, backend, **params)
+        python = _build(method, g, "python", **params)
+        budget = QueryBudget(max_steps=2, policy="unknown")
+        assert index.query_many(pairs, budget=budget) == python.query_many(
+            pairs, budget=budget
+        )
+        assert index.stats.as_dict() == python.stats.as_dict()
 
 
 class TestBudgets:

@@ -1,9 +1,11 @@
 """Unit tests for the SCARAB query algorithm."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.generators import random_dag
+from repro.resilience import UNKNOWN, QueryBudget
 from repro.scarab.scar import ScarabIndex
 
 from tests.conftest import assert_index_matches_oracle
@@ -60,3 +62,37 @@ class TestStructure:
         index = ScarabIndex(g).build()
         assert not index.query(1, 2)
         assert index.stats.negative_cuts >= 1
+
+
+class TestBudget:
+    """A step budget bounds the backbone probes, which run on the base
+    index: the guard is shared, so all probes of one query together
+    expand at most ``max_steps + 1`` vertices before it degrades."""
+
+    @pytest.mark.parametrize("kernel", ["python", "c"])
+    @pytest.mark.parametrize("entry", ["scalar", "batch"])
+    def test_step_budget_bounds_backbone_probes(self, kernel, entry):
+        from repro.perf.kernels import c_fallback_reason
+
+        if kernel == "c" and c_fallback_reason() is not None:
+            pytest.skip(f"C tier unavailable: {c_fallback_reason()}")
+        g = random_dag(2000, avg_degree=2.5, seed=1)
+        index = ScarabIndex(g, base_method="feline")
+        index.set_kernel(kernel)
+        index.build()
+        assert index.base_index.kernel_backend == kernel
+        rng = np.random.default_rng(1)
+        pairs = rng.integers(0, g.num_vertices, size=(3000, 2)).tolist()
+        budget = QueryBudget(max_steps=1, policy="unknown")
+        if entry == "scalar":
+            answers = [index.query(u, v, budget=budget) for u, v in pairs]
+        else:
+            answers = index.query_many(pairs, budget=budget)
+        stats = index.stats
+        assert stats.searches > 0
+        assert stats.budget_exhausted > 0
+        # Each search may expand at most max_steps + 1 base vertices.
+        assert index.base_index.stats.expanded <= 2 * stats.searches
+        oracle = ScarabIndex(g, base_method="feline").build()
+        for (u, v), got in zip(pairs, answers):
+            assert got is UNKNOWN or got == oracle.query(u, v)

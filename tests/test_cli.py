@@ -44,6 +44,25 @@ class TestQuery:
         u, v = next(iter(g.edges()))
         assert main(["query", str(path), str(u), str(v), "--method", "grail"]) == 0
 
+    @pytest.mark.parametrize("kernel", ["auto", "numpy", "python"])
+    def test_kernel_flag(self, graph_file, kernel):
+        path, g = graph_file
+        u, v = next(iter(g.edges()))
+        assert main(["query", str(path), str(u), str(v), "--kernel", kernel]) == 0
+
+    def test_kernel_flag_c(self, graph_file):
+        from tests.property.test_kernel_equivalence import require_c
+
+        require_c()
+        path, g = graph_file
+        u, v = next(iter(g.edges()))
+        assert main(["query", str(path), str(v), str(u), "--kernel", "c"]) == 1
+
+    def test_numba_is_no_longer_a_kernel_choice(self, graph_file):
+        path, _ = graph_file
+        with pytest.raises(SystemExit):
+            main(["query", str(path), "0", "1", "--kernel", "numba"])
+
 
 class TestBench:
     def test_t2_runs(self, capsys):
