@@ -591,7 +591,7 @@ class ReachabilityIndex(ABC):
         array, ``ValueError`` for a row that is not a pair or an array
         of the wrong shape — before any statistic moves.  A ``budget``
         applies *per query*: each survivor search runs under its own
-        guard, and answers may contain
+        step/deadline budget, and answers may contain
         :data:`~repro.resilience.budget.UNKNOWN` depending on policy.
         An attached slow log is offered every pair (survivor searches
         timed individually); a tracer gets one ``query_many`` span.
@@ -660,16 +660,19 @@ class ReachabilityIndex(ABC):
             "no _search_pair"
         )
 
-    def _search_pairs_batch(self, us, vs):
+    def _search_pairs_batch(self, us, vs, max_steps: int = -1):
         """Hook: answer many engine survivors in one native call.
 
-        Returns per-pair ``(answers, expanded, pruned)`` arrays — stats
-        and stamp bookkeeping aside, nothing else is touched, so the
-        caller folds the deltas (with multiplicity weights) itself — or
-        ``None`` to keep the scalar per-pair loop.  ``None`` whenever no
-        batch-capable kernel is bound, a budget guard is active, or an
-        instance-level ``_search`` wrapper (metrics observers, test
-        spies) must stay in the loop.
+        Each search runs under its own budget of ``max_steps`` expanded
+        vertices (``-1``: none).  Returns per-pair ``(codes, expanded,
+        pruned)`` arrays — codes 0 not reachable, 1 reachable, 2 budget
+        exhausted (a guard would have raised at step ``max_steps + 1``);
+        stats and stamp bookkeeping aside, nothing else is touched, so
+        the caller folds the deltas (with multiplicity weights) and
+        degrades the exhausted pairs itself — or ``None`` to keep the
+        per-pair loop.  ``None`` whenever no batch-capable kernel is
+        bound, a guard is installed, or an instance-level ``_search``
+        wrapper (metrics observers, test spies) must stay in the loop.
         """
         kernel = self._kernel
         if (
@@ -681,7 +684,9 @@ class ReachabilityIndex(ABC):
         batch = getattr(kernel, "search_batch", None)
         if batch is None:
             return None
-        return batch(us, vs)
+        if max_steps < 0:
+            return batch(us, vs)
+        return batch(us, vs, max_steps)
 
     # -- native search kernels ---------------------------------------------
     def set_kernel(self, kernel: str | None) -> str:

@@ -54,9 +54,11 @@ class BidirectionalBFSIndex(ReachabilityIndex):
 
     The only un-indexed family with a native kernel path: the
     level-synchronous frontier expansion vectorizes well, so
-    :mod:`repro.perf.kernels` provides numpy and C tiers (DFS/BFS
-    stay pure Python — their single-vertex expansion order has no
-    profitable native formulation that keeps answers bit-identical).
+    :mod:`repro.perf.kernels` provides numpy and C tiers, and the C
+    tier answers a batch's survivors in one call, step budgets
+    included (DFS/BFS stay pure Python — their single-vertex expansion
+    order has no profitable native formulation that keeps answers
+    bit-identical).
     """
 
     method_name = "bibfs"

@@ -138,8 +138,8 @@ class FelineIIndex(ReachabilityIndex):
         inner._bind_kernel()
         self._kernel_backend = inner._kernel_backend
 
-    def _search_pairs_batch(self, us, vs):
-        return self._inner._search_pairs_batch(vs, us)
+    def _search_pairs_batch(self, us, vs, max_steps: int = -1):
+        return self._inner._search_pairs_batch(vs, us, max_steps)
 
     # -- shared-memory pages: the label structures live in the delegate
     # (whose reversed graph shares this graph's CSR buffers), while the

@@ -1,7 +1,8 @@
 /* The compiled search tier of repro.perf.kernels, loaded through ctypes.
  *
  * feline_dfs is FelineSearch._walk line for line, feline_batch its
- * survivor sweep, bibfs repro.graph.traversal's bidirectional BFS.
+ * survivor sweep, bibfs repro.graph.traversal's bidirectional BFS and
+ * bibfs_batch the bibfs family's sweep.
  * Arrays are int64 and C-contiguous (checked at bind time); NULL marks
  * a structure the index lacks.  Returns 0 = not reachable,
  * 1 = reachable, 2 = step budget exhausted at the vertex just expanded
@@ -72,18 +73,20 @@ done:
     return code;
 }
 
-/* Survivor i searches with stamp0 + i + 1: one bump per search, as the
- * scalar path does.  Returns -1, or the first pair out of range. */
+/* Survivor i searches with stamp0 + i + 1 (one bump per search, as the
+ * scalar path does) under its own step budget, and its code (0, 1 or
+ * 2) lands in codes[i].  Returns -1, or the first pair out of range. */
 i64 feline_batch(const feline_ctx *c, i64 stamp0, i64 m, const i64 *us,
-                 const i64 *vs, uint8_t *answers, i64 *expanded,
+                 const i64 *vs, i64 budget, uint8_t *codes, i64 *expanded,
                  i64 *pruned)
 {
     i64 out[2];
     for (i64 i = 0; i < m; i++) {
-        const i64 code = feline_dfs(c, stamp0 + i + 1, us[i], vs[i], -1, out);
+        const i64 code = feline_dfs(c, stamp0 + i + 1, us[i], vs[i], budget,
+                                    out);
         if (code == 3)
             return i;
-        answers[i] = code == 1;
+        codes[i] = (uint8_t)code;
         expanded[i] = out[0];
         pruned[i] = out[1];
     }
@@ -139,4 +142,22 @@ i64 bibfs(const bibfs_ctx *c, i64 stamp, i64 source, i64 target,
 done:
     out[0] = expanded;
     return code;
+}
+
+/* bibfs over m pairs (u == v answers 1 unsearched), search i with
+ * stamp0 + i + 1 under its own step budget; codes as feline_batch.
+ * Returns -1, or the first pair out of range. */
+i64 bibfs_batch(const bibfs_ctx *c, i64 stamp0, i64 m, const i64 *us,
+                const i64 *vs, i64 budget, uint8_t *codes)
+{
+    i64 out[1];
+    for (i64 i = 0; i < m; i++) {
+        const i64 code = OUT_OF_RANGE(c, us[i], vs[i]) ? 3
+            : us[i] == vs[i] ? 1
+            : bibfs(c, stamp0 + i + 1, us[i], vs[i], budget, out);
+        if (code == 3)
+            return i;
+        codes[i] = (uint8_t)code;
+    }
+    return -1;
 }

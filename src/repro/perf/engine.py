@@ -30,15 +30,18 @@ deltas are scaled by the pair's multiplicity (searches are deterministic
 scalar loop.
 
 A :class:`~repro.resilience.budget.QueryBudget` applies per pair, as on
-the scalar path: each survivor search runs under a fresh guard, in
-process (pool workers never carry guards), with representatives visited
-in first-occurrence order so a ``"raise"`` policy raises for the
-lowest-position exhausted pair.  The index's ``_degrade`` runs once per
-exhausted *occurrence*, so the degradation counters and metrics match
-the scalar loop too; ``UNKNOWN`` answers land at their positions.  An
-attached :class:`~repro.obs.slowlog.SlowQueryLog` is offered every pair:
-survivors with their own search time, cut-decided pairs with their share
-of the cut pass.
+the scalar path, in process (pool workers never carry guards).  A step
+budget (no deadline, no slow log) rides the one-call native sweep: each
+search stops where its guard would have raised, and only the exhausted
+pairs come back to Python.  A deadline or a slow log keeps the per-pair
+loop, each survivor search under a fresh guard.  Either way exhausted
+pairs are degraded in first-occurrence order, so a ``"raise"`` policy
+raises for the lowest-position exhausted pair, and the index's
+``_degrade`` runs once per exhausted *occurrence*, so the degradation
+counters and metrics match the scalar loop too; ``UNKNOWN`` answers land
+at their positions.  An attached :class:`~repro.obs.slowlog.SlowQueryLog`
+is offered every pair: survivors with their own search time, cut-decided
+pairs with their share of the cut pass.
 
 :func:`as_pair_array` is the batch boundary in front of this pass: the
 facade, :meth:`~repro.baselines.base.ReachabilityIndex.query_many` and
@@ -53,6 +56,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import nullcontext
 from itertools import chain
+from time import perf_counter
 
 import numpy as np
 
@@ -193,13 +197,14 @@ def _search_survivors(index, sources, targets, survivors, answers) -> None:
         stats = index.stats
         # One native call for the whole deduplicated sweep when the
         # index carries a batch-capable kernel (stats deltas come back
-        # per pair so the multiplicity weighting below still applies).
+        # per pair so the multiplicity weighting below still applies;
+        # unbudgeted codes are 0 or 1).
         batch = index._search_pairs_batch(sources[reps], targets[reps])
         if batch is not None:
-            rep_answers, expanded, pruned = batch
+            codes, expanded, pruned = batch
             stats.expanded += int(expanded @ counts)
             stats.pruned += int(pruned @ counts)
-            answers[survivors] = rep_answers[inverse]
+            answers[survivors] = codes[inverse] == 1
             return
         search = index._search_pair
         rep_answers = np.empty(len(reps), dtype=bool)
@@ -220,27 +225,106 @@ def _search_guarded(
 ) -> list[int]:
     """:func:`_search_survivors` with a per-search budget and slow log.
 
-    Runs in process (pool workers never carry guards), one search per
-    representative in first-occurrence order — the scalar loop's order,
-    so a ``"raise"`` policy raises for the lowest-position exhausted
-    pair.  Each search gets a fresh guard from ``budget`` (when given);
-    an exhausted one goes through ``index._degrade`` once per
-    occurrence.  Each occurrence is offered to ``slow`` (when given)
-    with the time of one search plus one degrade.  Returns the
+    A step budget with no deadline and no ``slow`` log sweeps the
+    representatives in one native call where the index has a batch
+    kernel (:func:`_sweep_steps`).  Otherwise each search runs in
+    process (pool workers never carry guards) under a fresh guard from
+    ``budget`` (when given), one per representative in first-occurrence
+    order (:func:`_guarded_loop`).  Either way exhausted searches are
+    degraded in first-occurrence order — the scalar loop's, so a
+    ``"raise"`` policy raises for the lowest-position exhausted pair —
+    through ``index._degrade``, once per occurrence.  Returns the
     positions whose answer is ``UNKNOWN``.
     """
     first, inverse, counts = _dedup(index, sources, targets, survivors)
     reps = survivors[first]
+    rep_us, rep_vs = sources[reps], targets[reps]
+    result = None
+    if slow is None and budget.deadline_s is None:
+        result = _sweep_steps(index, rep_us, rep_vs, first, counts, budget)
+    if result is None:
+        result = _guarded_loop(
+            index, rep_us.tolist(), rep_vs.tolist(), counts.tolist(),
+            np.argsort(first).tolist(), budget, slow,
+        )
+    found, unknown = result
+    answers[survivors] = found[inverse]
+    if not unknown:
+        return []
+    unanswered = np.zeros(len(reps), dtype=bool)
+    unanswered[unknown] = True
+    return survivors[unanswered[inverse]].tolist()
+
+
+def _sweep_steps(index, rep_us, rep_vs, first, counts, budget):
+    """The step-budgeted representatives in one native sweep.
+
+    ``index._search_pairs_batch`` searches each pair under
+    ``budget.max_steps``; ``expanded``/``pruned`` fold in weighted by
+    ``counts``, and only the exhausted pairs (code 2) go through
+    ``index._degrade``, in first-occurrence order (``first``) and once
+    per occurrence, with the :class:`QueryBudgetExceeded` a guard raises
+    at step ``max_steps + 1``.  Under ``"raise"`` the stats are the
+    guarded loop's at its raise: the pairs first seen earlier weighted,
+    the first exhausted search once, one degrade.  Returns ``(found,
+    unknown)`` as :func:`_guarded_loop` does, or ``None`` (nothing
+    touched) when the index has no batch kernel.
+    """
+    max_steps = budget.max_steps
+    start = perf_counter()
+    batch = index._search_pairs_batch(rep_us, rep_vs, max_steps)
+    if batch is None:
+        return None
+    codes, expanded, pruned = batch
+    elapsed = perf_counter() - start
+    found = codes == 1
+    exhausted = np.flatnonzero(codes == 2)
+    weights = counts
+    if len(exhausted):
+        exhausted = exhausted[np.argsort(first[exhausted])]
+        if budget.policy == "raise":
+            head = exhausted[0]
+            weights = np.where(first < first[head], counts, 0)
+            weights[head] = 1
+    stats = index.stats
+    stats.expanded += int(expanded @ weights)
+    stats.pruned += int(pruned @ weights)
+    unknown = []
+    for j in exhausted.tolist():
+        u, v = int(rep_us[j]), int(rep_vs[j])
+        exc = QueryBudgetExceeded(
+            f"query exceeded its step budget of {max_steps}",
+            resource="steps",
+            steps=max_steps + 1,
+            elapsed_s=elapsed,
+        )
+        answer, outcome = index._degrade(u, v, budget, exc)
+        if outcome == "raised":
+            raise exc
+        for _ in range(int(counts[j]) - 1):
+            index._degrade(u, v, budget, exc)
+        if answer is UNKNOWN:
+            unknown.append(j)
+        else:
+            found[j] = answer
+    return found, unknown
+
+
+def _guarded_loop(index, rep_us, rep_vs, weights, order, budget, slow):
+    """:func:`_search_guarded`'s per-pair loop over the representatives
+    in ``order``, each search under a fresh guard from ``budget`` (when
+    given) and each occurrence offered to ``slow`` (when given) with
+    the time of one search plus one degrade.  Returns ``(found,
+    unknown)``: the boolean answers, and the representatives whose
+    answer is ``UNKNOWN``."""
     stats = index.stats
     search = index._search_pair
     method = index.method_name
     span = current_span() if slow is not None else None
     trace_id = span.trace_id if span is not None else None
-    rep_us, rep_vs = sources[reps].tolist(), targets[reps].tolist()
-    weights = counts.tolist()
-    rep_answers = np.zeros(len(reps), dtype=bool)
-    unknown = np.zeros(len(reps), dtype=bool)
-    for j in np.argsort(first).tolist():
+    found = np.zeros(len(rep_us), dtype=bool)
+    unknown = []
+    for j in order:
         u, v, weight = rep_us[j], rep_vs[j], weights[j]
         expanded, pruned = stats.expanded, stats.pruned
         start = now_ns() if slow is not None else 0
@@ -269,13 +353,10 @@ def _search_guarded(
             for _ in range(weight):
                 slow.record(u, v, answer, duration, method, trace_id=trace_id)
         if answer is UNKNOWN:
-            unknown[j] = True
+            unknown.append(j)
         else:
-            rep_answers[j] = answer
-    answers[survivors] = rep_answers[inverse]
-    if not unknown.any():
-        return []
-    return survivors[unknown[inverse]].tolist()
+            found[j] = answer
+    return found, unknown
 
 
 def _observe_layer(index, hits_positive, hits_negative, num, survivors):

@@ -29,12 +29,15 @@ variable.
 a :class:`~repro.resilience.budget.QueryBudget`: step budgets are
 enforced inside the kernel (the compiled loop counts expanded vertices
 and bails at exactly the vertex where ``SearchGuard.step`` would have
-raised), and the wrapper re-raises the identical
-:class:`~repro.exceptions.QueryBudgetExceeded`.  Wall-clock deadlines
-cannot be checked bit-identically from inside a compiled loop, so
-deadline-carrying guards route to the pure-Python loop — slower, never
-wrong.  The property suite (``tests/property/test_kernel_equivalence``)
-asserts the contract for every registered family.
+raised).  A scalar search re-raises the identical
+:class:`~repro.exceptions.QueryBudgetExceeded`; the batch sweep
+(``search_batch``) gives each pair its own step budget and returns the
+exhausted ones as code 2, which the engine degrades.  Wall-clock
+deadlines cannot be checked bit-identically from inside a compiled loop,
+so deadline-carrying guards route to the pure-Python loop (and deadline
+batches to the engine's per-pair loop) — slower, never wrong.  The
+property suite (``tests/property/test_kernel_equivalence``) asserts the
+contract for every registered family.
 
 The FELINE pruned DFS walks the index's X-sorted adjacency
 (:class:`~repro.core.index.XSortedAdjacency`): one bisect per expanded
@@ -187,10 +190,14 @@ def _c_library():
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             lib.feline_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
             lib.feline_dfs.restype = i64
-            lib.feline_batch.argtypes = [ptr, i64, i64] + [ptr] * 5
+            lib.feline_batch.argtypes = [
+                ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr
+            ]
             lib.feline_batch.restype = i64
             lib.bibfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
             lib.bibfs.restype = i64
+            lib.bibfs_batch.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr]
+            lib.bibfs_batch.restype = i64
             _c_state = (lib, None)
         except CUnavailable as exc:
             _c_state = (None, exc.reason)
@@ -323,6 +330,33 @@ def _step_budget(guard) -> int | None:
     if guard.deadline_at is not None:
         return None
     return guard.max_steps - guard.steps
+
+
+def _sweep(fn, ctx_addr, owner, us, vs, max_steps: int, *outs) -> np.ndarray:
+    """One C batch loop over the pairs ``(us[i], vs[i])``: each search
+    under its own budget of ``max_steps`` expansions (``-1``: none).
+
+    Returns the per-pair codes (``uint8``: 0 not reachable, 1 reachable,
+    2 budget exhausted).  The searches take the stamps after
+    ``owner._stamp``, which is advanced past them before the call, so
+    not even a raise leaves a stamp to reuse.  A vertex outside the
+    graph raises ``IndexError`` naming its pair.
+    """
+    m = len(us)
+    us = np.ascontiguousarray(us, dtype=np.int64)
+    vs = np.ascontiguousarray(vs, dtype=np.int64)
+    codes = np.empty(m, dtype=np.uint8)
+    stamp0 = owner._stamp
+    owner._stamp = stamp0 + m
+    bad = fn(
+        ctx_addr, stamp0, m, us.ctypes.data, vs.ctypes.data, max_steps,
+        codes.ctypes.data, *outs,
+    )
+    if bad >= 0:
+        raise IndexError(
+            f"vertex out of range in search {us[bad]} -> {vs[bad]}"
+        )
+    return codes
 
 
 def _charge(guard, expanded: int, code: int) -> None:
@@ -622,35 +656,28 @@ class CFelineKernel(FelineSearch):
         _charge(guard, expanded, code)
         return code == 1
 
-    def search_batch(self, us: np.ndarray, vs: np.ndarray):
+    def search_batch(self, us: np.ndarray, vs: np.ndarray, max_steps=-1):
         """Answer deduplicated survivor pairs in one compiled call.
 
-        Returns ``(answers, expanded, pruned)`` per-pair arrays; the
-        caller folds the deltas (with multiplicity weights) into
-        :class:`QueryStats`.  Stats and guard are deliberately not
-        touched here.
+        Each search runs under its own budget of ``max_steps`` expanded
+        vertices (``-1``: none) and stops where ``SearchGuard.step``
+        would raise.  Returns per-pair ``(codes, expanded, pruned)``
+        arrays, codes as in :func:`_sweep`; the caller folds the deltas
+        (with multiplicity weights) into :class:`QueryStats` and
+        degrades the exhausted pairs.  Stats and guard are deliberately
+        not touched here.
         """
         counter = self.dispatch_counter
         if counter is not None:
             counter.inc()
-        index = self._index
         m = len(us)
-        us = np.ascontiguousarray(us, dtype=np.int64)
-        vs = np.ascontiguousarray(vs, dtype=np.int64)
-        answers = np.zeros(m, dtype=bool)
-        expanded = np.zeros(m, dtype=np.int64)
-        pruned = np.zeros(m, dtype=np.int64)
-        stamp0 = index._stamp
-        bad = self._batch(
-            self._ctx_addr, stamp0, m, us.ctypes.data, vs.ctypes.data,
-            answers.ctypes.data, expanded.ctypes.data, pruned.ctypes.data,
+        expanded = np.empty(m, dtype=np.int64)
+        pruned = np.empty(m, dtype=np.int64)
+        codes = _sweep(
+            self._batch, self._ctx_addr, self._index, us, vs, max_steps,
+            expanded.ctypes.data, pruned.ctypes.data,
         )
-        index._stamp = stamp0 + m
-        if bad >= 0:
-            raise IndexError(
-                f"vertex out of range in search {us[bad]} -> {vs[bad]}"
-            )
-        return answers, expanded, pruned
+        return codes, expanded, pruned
 
 
 def bind_feline_search(index, adjacency, forward, backward=None):
@@ -831,13 +858,15 @@ class NumpyBiBFSKernel(_BiBFSKernelBase):
 
 
 class CBiBFSKernel(_BiBFSKernelBase):
-    """The compiled bidirectional BFS (steps-budget aware)."""
+    """The compiled bidirectional BFS (steps-budget aware), with
+    :meth:`search_batch`, the ``bibfs`` family's one-call sweep."""
 
     backend = "c"
 
     def __init__(self, graph) -> None:
         super().__init__(graph)
-        self._bibfs = _c_library().bibfs
+        lib = _c_library()
+        self._bibfs, self._batch = lib.bibfs, lib.bibfs_batch
         csr, n = self._csr, graph.num_vertices
         _c_context(
             self, _BIBFS_CTX, n,
@@ -880,6 +909,19 @@ class CBiBFSKernel(_BiBFSKernelBase):
             return True
         code, _ = self._run_native(source, target, max_nodes)
         return None if code == 2 else code == 1
+
+    def search_batch(self, us: np.ndarray, vs: np.ndarray, max_steps=-1):
+        """:meth:`CFelineKernel.search_batch` for bidirectional BFS.
+
+        The ``expanded``/``pruned`` arrays are zeros: the ``bibfs``
+        family's searches never count into :class:`QueryStats`.
+        """
+        counter = self.dispatch_counter
+        if counter is not None:
+            counter.inc()
+        codes = _sweep(self._batch, self._ctx_addr, self, us, vs, max_steps)
+        zeros = np.zeros(len(codes), dtype=np.int64)
+        return codes, zeros, zeros
 
 
 class PythonBiBFSKernel(_BiBFSKernelBase):

@@ -135,8 +135,8 @@ def _run_chunk(task):
     if batch is not None:
         # The native batch sweep: per-pair deltas come back directly
         # (worker stats are discarded anyway, see module doc).
-        chunk_answers, expanded, pruned = batch
-        answers = [bool(a) for a in chunk_answers]
+        codes, expanded, pruned = batch
+        answers = (codes == 1).tolist()
         deltas = list(zip(expanded.tolist(), pruned.tolist()))
     else:
         search = index._search_pair

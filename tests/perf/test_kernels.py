@@ -5,8 +5,8 @@ The bit-identity contract itself lives in
 machinery around it — backend discovery and the environment knob, the
 C library's build cache and its fallbacks (no compiler, failed compile,
 unwritable cache, wrong array layout), the vectorized wide-slice path,
-the one-call batch survivor sweep, forked pool workers on the C tier,
-the dispatch/shared-bytes instruments, and the
+the one-call batch survivor sweep (step budgets included), forked pool
+workers on the C tier, the dispatch/shared-bytes instruments, and the
 :func:`~repro.perf.kernels.bounded_search` degradation engine.
 """
 
@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import create_index
-from repro.exceptions import ReproError
+from repro.exceptions import QueryBudgetExceeded, ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import crown_graph, random_dag
 from repro.obs.metrics import disable_metrics, enable_metrics
-from repro.perf import kernels
+from repro.obs.slowlog import SlowQueryLog
+from repro.perf import engine, kernels
 from repro.perf.kernels import (
     KERNEL_BACKENDS,
     VECTOR_MIN_DEGREE,
@@ -38,6 +39,8 @@ from repro.perf.kernels import (
     describe_backend,
     resolve_backend,
 )
+from repro.perf.observers import build_observers
+from repro.resilience import QueryBudget
 
 from tests.property.test_kernel_equivalence import require_c
 
@@ -270,8 +273,8 @@ def _all_pairs(g):
     return [(u, v) for u in range(n) for v in range(n)]
 
 
-def _python_twin(g):
-    python = create_index("feline", g)
+def _python_twin(g, method="feline"):
+    python = create_index(method, g)
     python.set_kernel("python")
     return python.build()
 
@@ -299,6 +302,172 @@ class TestBatchSweep:
         python = _python_twin(g)
         assert answers == python.query_many(pairs)
         assert index.stats.as_dict() == python.stats.as_dict()
+
+
+def _spy_sweeps(monkeypatch, index):
+    """Record ``(pairs, max_steps)`` per ``search_batch`` call of the
+    kernel that searches for ``index`` (FELINE-I's is its delegate's)."""
+    kernel = getattr(index, "_inner", index)._kernel
+    original = kernel.search_batch
+    calls = []
+
+    def spy(us, vs, max_steps=-1):
+        calls.append((len(us), max_steps))
+        return original(us, vs, max_steps)
+
+    monkeypatch.setattr(kernel, "search_batch", spy)
+    return calls
+
+
+def _spy_degrades(monkeypatch, index):
+    """Record the ``(u, v)`` of every ``_degrade`` call on ``index``."""
+    original = index._degrade
+    calls = []
+
+    def spy(u, v, budget, exc):
+        calls.append((u, v))
+        return original(u, v, budget, exc)
+
+    monkeypatch.setattr(index, "_degrade", spy)
+    return calls
+
+
+def _observed(method, g, backend, layer):
+    index = create_index(method, g)
+    index.set_kernel(backend)
+    index.build()
+    index.attach_observers(layer)
+    return index
+
+
+def _duplicate_heavy(g, seed):
+    """Every pair twice, then a few distinct pairs many times, shuffled."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array(_all_pairs(g), dtype=np.int64)
+    repeats = pairs[rng.integers(0, len(pairs), size=8)]
+    batch = np.concatenate(
+        [pairs, pairs, repeats[rng.integers(0, 8, size=400)]]
+    )
+    return batch[rng.permutation(len(batch))]
+
+
+SWEEPING = ["feline", "feline-b", "feline-i", "bibfs"]
+
+
+class TestBudgetedSweep:
+    """Step budgets ride the one-call sweep; deadlines and slow logs,
+    the per-pair guarded loop."""
+
+    @pytest.mark.parametrize("method", SWEEPING)
+    def test_step_budget_sweeps_once_per_batch(self, monkeypatch, method):
+        require_c()
+        g = random_dag(60, avg_degree=2.5, seed=4)
+        index = create_index(method, g)
+        index.set_kernel("c")
+        index.build()
+        calls = _spy_sweeps(monkeypatch, index)
+        pairs = _all_pairs(g)
+        budget = QueryBudget(max_steps=2, policy="unknown")
+        for _ in range(2):
+            index.query_many(pairs, budget=budget)
+        assert [steps for _, steps in calls] == [2, 2]
+        python = _python_twin(g, method)
+        for _ in range(2):
+            python.query_many(pairs, budget=budget)
+        assert index.stats.as_dict() == python.stats.as_dict()
+        assert index.stats.budget_exhausted > 0
+
+    @pytest.mark.parametrize("method", SWEEPING)
+    def test_deadlines_and_slow_logs_keep_the_loop(self, monkeypatch, method):
+        require_c()
+        g = random_dag(60, avg_degree=2.5, seed=4)
+        index = create_index(method, g)
+        index.set_kernel("c")
+        index.build()
+        calls = _spy_sweeps(monkeypatch, index)
+        pairs = _all_pairs(g)
+        steps = QueryBudget(max_steps=2, policy="unknown")
+        deadline = QueryBudget(max_steps=2, deadline_s=60.0, policy="unknown")
+        index.query_many(pairs, budget=deadline)
+        index.attach_slow_log(SlowQueryLog())
+        index.query_many(pairs, budget=steps)
+        index.query_many(pairs)
+        assert calls == []
+        assert index.stats.budget_exhausted > 0
+
+    @pytest.mark.parametrize("method", SWEEPING)
+    @pytest.mark.parametrize("policy", ["unknown", "fallback"])
+    def test_degrades_once_per_exhausted_occurrence(
+        self, monkeypatch, method, policy
+    ):
+        require_c()
+        g = random_dag(40, avg_degree=2.5, seed=6)
+        layer = build_observers(g, k=3)
+        pairs = _duplicate_heavy(g, seed=6)
+        budget = QueryBudget(max_steps=2, policy=policy)
+        swept = _observed(method, g, "c", layer)
+        looped = _observed(method, g, "python", layer)
+        sweeps = _spy_sweeps(monkeypatch, swept)
+        degraded = [
+            _spy_degrades(monkeypatch, index) for index in (swept, looped)
+        ]
+        answers = [
+            index.query_many(pairs, budget=budget)
+            for index in (swept, looped)
+        ]
+        assert len(sweeps) == 1
+        assert answers[0] == answers[1]
+        assert swept.stats.as_dict() == looped.stats.as_dict()
+        # One degrade per exhausted occurrence, in the loop's order.
+        assert degraded[0] == degraded[1]
+        assert len(degraded[0]) == swept.stats.budget_exhausted > 0
+        assert len(set(degraded[0])) < len(degraded[0])
+
+    @pytest.mark.parametrize("method", ["feline", "feline-i", "bibfs"])
+    def test_raise_policy_matches_the_guarded_loop(self, monkeypatch, method):
+        require_c()
+        g = random_dag(40, avg_degree=2.5, seed=6)
+        layer = build_observers(g, k=3)
+        pairs = _duplicate_heavy(g, seed=7)
+        budget = QueryBudget(max_steps=2, policy="raise")
+        swept = _observed(method, g, "c", layer)
+        looped = _observed(method, g, "c", layer)
+        # Declining the sweep puts the same tier on the guarded loop.
+        monkeypatch.setattr(looped, "_search_pairs_batch", lambda *a: None)
+        sweeps = _spy_sweeps(monkeypatch, swept)
+        degraded = [
+            _spy_degrades(monkeypatch, index) for index in (swept, looped)
+        ]
+        raised = []
+        for index in (swept, looped):
+            with pytest.raises(QueryBudgetExceeded) as info:
+                index.query_many(pairs, budget=budget)
+            raised.append(info.value)
+        assert len(sweeps) == 1
+        for exc in raised:
+            assert exc.resource == "steps"
+            assert exc.steps == budget.max_steps + 1
+        assert swept.stats.as_dict() == looped.stats.as_dict()
+        assert degraded[0] == degraded[1] and len(degraded[0]) == 1
+
+    @pytest.mark.parametrize("method", ["feline", "bibfs"])
+    def test_out_of_range_vertex_still_raises(self, method):
+        # The engine trusts validated batches; a pair that skipped
+        # validation must still stop at C's range check.
+        require_c()
+        g = random_dag(40, avg_degree=2.0, seed=3)
+        index = create_index(method, g)
+        index.set_kernel("c")
+        index.build()
+        sources = np.array([1, 0], dtype=np.int64)
+        targets = np.array([2, 99], dtype=np.int64)
+        answers = np.zeros(2, dtype=bool)
+        with pytest.raises(IndexError, match="0 -> 99"):
+            engine._search_guarded(
+                index, sources, targets, np.arange(2), answers,
+                QueryBudget(max_steps=3, policy="unknown"), None,
+            )
+        assert index.query(0, 39) == _python_twin(g, method).query(0, 39)
 
 
 class TestForkedWorkers:

@@ -63,6 +63,11 @@ class TestSigkillUnderTraffic:
             wrong, unknowns, violations = run_traffic(
                 service, graph, oracle, queries=150, kill_every=20
             )
+            # The traffic can end before the heartbeat notices a killed
+            # worker; give the supervisor time to restart one.
+            deadline = time.monotonic() + 5.0
+            while service.stats.restarts < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
         assert wrong == 0, f"{wrong} wrong answers under SIGKILL chaos"
         assert violations == 0, f"{violations} deadline violations"
         assert service.stats.restarts >= 1
