@@ -269,7 +269,8 @@ class Reachability:
         or above ``threshold_ms`` retained in a bounded ring buffer
         (``mode="reservoir"`` samples everything uniformly instead) —
         see :class:`repro.obs.SlowQueryLog`.  Serve it live with
-        :class:`repro.obs.ObsServer` or read ``slow_log.records()``.
+        :class:`repro.serve.ReachServer` (``/slow``) or read
+        ``slow_log.records()``.
         """
         from repro.obs.slowlog import SlowQueryLog
 

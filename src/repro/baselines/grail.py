@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from random import Random
 
-import numpy as np
-
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.graph.digraph import DiGraph
 from repro.graph.levels import compute_levels
@@ -30,71 +28,11 @@ from repro.graph.spanning import (
     minpost_intervals_dag,
     minpost_intervals_tree,
 )
-from repro.perf.cut_table import CutTable, view_i64
+from repro.perf.cut_table import RankCuts, RankRow, filter_rows, view_i64
 
-__all__ = ["GrailIndex", "GrailCutTable"]
+__all__ = ["GrailIndex"]
 
 from array import array
-
-
-class GrailCutTable(CutTable):
-    """GRAIL cuts: ``d``-labelling non-containment, levels, tree interval.
-
-    The ``d`` labellings stack into two ``(d, n)`` matrices, so the
-    whole-batch negative cut is two broadcasted comparisons per
-    labelling.
-    """
-
-    def __init__(self, index: "GrailIndex") -> None:
-        self.starts = np.stack(
-            [view_i64(labels.start) for labels in index.labelings]
-        )
-        self.posts = np.stack(
-            [view_i64(labels.post) for labels in index.labelings]
-        )
-        self.labelings = index.labelings
-        self.level_array = index.levels
-        self.tree_intervals = index.tree_intervals
-        self.levels = (
-            view_i64(index.levels) if index.levels is not None else None
-        )
-        intervals = index.tree_intervals
-        if intervals is not None:
-            self.start = view_i64(intervals.start)
-            self.post = view_i64(intervals.post)
-        else:
-            self.start = self.post = None
-
-    def classify(self, sources, targets):
-        negative = np.any(
-            (self.starts[:, sources] > self.starts[:, targets])
-            | (self.posts[:, targets] > self.posts[:, sources]),
-            axis=0,
-        )
-        levels = self.levels
-        if levels is not None:
-            negative |= levels[sources] >= levels[targets]
-        if self.start is not None:
-            positive = (
-                ~negative
-                & (self.start[sources] <= self.start[targets])
-                & (self.post[targets] <= self.post[sources])
-            )
-        else:
-            positive = np.zeros(len(sources), dtype=bool)
-        return positive, negative
-
-    def classify_one(self, u, v):
-        for labels in self.labelings:
-            if labels.start[u] > labels.start[v] or labels.post[v] > labels.post[u]:
-                return "negative-cut"
-        levels = self.level_array
-        if levels is not None and levels[u] >= levels[v]:
-            return "level-filter"
-        intervals = self.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            return "positive-cut"
-        return None
 
 
 class GrailIndex(ReachabilityIndex):
@@ -159,15 +97,15 @@ class GrailIndex(ReachabilityIndex):
         return total
 
     # ------------------------------------------------------------------
-    def _contains_all(self, u: int, v: int) -> bool:
-        """Whether every labelling has ``I_v ⊆ I_u`` (no negative cut)."""
+    def _make_cut_table(self) -> RankCuts:
+        # Per labelling, I_v ⊆ I_u: start[u] ≤ start[v] ∧ post[v] ≤ post[u].
+        rows = []
         for labels in self.labelings:
-            if labels.start[u] > labels.start[v] or labels.post[v] > labels.post[u]:
-                return False
-        return True
-
-    def _make_cut_table(self) -> GrailCutTable:
-        return GrailCutTable(self)
+            rows.append(RankRow("negative-cut", view_i64(labels.start)))
+            rows.append(
+                RankRow("negative-cut", view_i64(labels.post), reverse=True)
+            )
+        return RankCuts(rows + filter_rows(self.levels, self.tree_intervals))
 
     def _search_pair(self, u: int, v: int) -> bool:
         return self._search(u, v)
@@ -189,43 +127,8 @@ class GrailIndex(ReachabilityIndex):
             details["containment"] = False
 
     def _search(self, u: int, v: int) -> bool:
-        """DFS pruned by interval containment (no target-position bound)."""
-        indptr = self.graph.out_indptr
-        indices = self.graph.out_indices
-        levels = self.levels
-        intervals = self.tree_intervals
-        level_v = levels[v] if levels is not None else 0
-        stats = self.stats
-        contains_all = self._contains_all
-        guard = self._guard
-
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
-        visited[u] = stamp
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if child == v:
-                    return True
-                if visited[child] == stamp:
-                    continue
-                visited[child] = stamp
-                if not contains_all(child, v):
-                    stats.pruned += 1
-                    continue
-                if levels is not None and levels[child] >= level_v:
-                    stats.pruned += 1
-                    continue
-                if intervals is not None and intervals.contains(child, v):
-                    return True
-                stack.append(child)
-        return False
+        """DFS pruned by the cut rows (no target-position bound)."""
+        return self._cut_table.search(self, u, v)
 
 
 register_index(GrailIndex)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
@@ -29,64 +27,11 @@ from repro.core.index import (
     build_feline_index,
     build_feline_with_adjacency,
 )
-from repro.core.query import FelineIndex
+from repro.core.query import FelineIndex, feline_rows
 from repro.graph.digraph import DiGraph
-from repro.perf.cut_table import CutTable, SwappedCutTable
+from repro.perf.cut_table import RankCuts, RankRow, filter_rows
 
-__all__ = ["FelineIIndex", "FelineBIndex", "FelineBCutTable"]
-
-
-class FelineBCutTable(CutTable):
-    """FELINE-B's cuts: both dominance tests plus the forward filters.
-
-    Reproduces the scalar cut order — forward dominance, reversed
-    dominance, level filter (all negative), then tree containment
-    (positive) — as one vectorized pass.
-    """
-
-    def __init__(
-        self, forward: FelineCoordinates, backward: FelineCoordinates
-    ) -> None:
-        fwd, bwd = forward.views, backward.views
-        self.fx, self.fy = fwd.x, fwd.y
-        self.bx, self.by = bwd.x, bwd.y
-        self.levels = fwd.levels
-        self.start, self.post = fwd.start, fwd.post
-        self.forward, self.backward = forward, backward
-
-    def classify(self, sources, targets):
-        negative = (
-            (self.fx[sources] > self.fx[targets])
-            | (self.fy[sources] > self.fy[targets])
-            | (self.bx[sources] < self.bx[targets])
-            | (self.by[sources] < self.by[targets])
-        )
-        levels = self.levels
-        if levels is not None:
-            negative |= levels[sources] >= levels[targets]
-        if self.start is not None:
-            positive = (
-                ~negative
-                & (self.start[sources] <= self.start[targets])
-                & (self.post[targets] <= self.post[sources])
-            )
-        else:
-            positive = np.zeros(len(sources), dtype=bool)
-        return positive, negative
-
-    def classify_one(self, u, v):
-        fwd, bwd = self.forward, self.backward
-        if fwd.x[u] > fwd.x[v] or fwd.y[u] > fwd.y[v]:
-            return "negative-cut"
-        if bwd.x[u] < bwd.x[v] or bwd.y[u] < bwd.y[v]:
-            return "negative-cut-reversed"
-        levels = fwd.levels
-        if levels is not None and levels[u] >= levels[v]:
-            return "level-filter"
-        intervals = fwd.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            return "positive-cut"
-        return None
+__all__ = ["FelineIIndex", "FelineBIndex"]
 
 
 class FelineIIndex(ReachabilityIndex):
@@ -121,11 +66,13 @@ class FelineIIndex(ReachabilityIndex):
         """The coordinates over the *reversed* graph (Figure 12 plots)."""
         return self._inner.coordinates
 
-    def _make_cut_table(self) -> SwappedCutTable:
-        # The inner index built its own table during self._build(); the
-        # outer one is that table with the argument order flipped, since
-        # r(u, v) on G  ⇔  r(v, u) on reversed(G).
-        return SwappedCutTable(self._inner._cut_table)
+    def _make_cut_table(self) -> RankCuts:
+        # FELINE's rows over the reversed graph with (s, t) flipped,
+        # since r(u, v) on G  ⇔  r(v, u) on reversed(G).
+        return RankCuts(
+            row._replace(reverse=not row.reverse)
+            for row in feline_rows(self._inner.coordinates)
+        )
 
     def _search_pair(self, u: int, v: int) -> bool:
         return self._inner._search_pair(v, u)
@@ -164,7 +111,7 @@ class FelineIIndex(ReachabilityIndex):
 
     def _rematerialize_after_swap(self) -> None:
         # The delegate rebuilds its table and kernel from the adopted
-        # views first; the outer table is a swap of the fresh inner one.
+        # views first; the outer table reads the same views.
         self._inner._rematerialize_after_swap()
         self._materialize_cut_table()
         self._kernel_backend = self._inner._kernel_backend
@@ -237,8 +184,17 @@ class FelineBIndex(ReachabilityIndex):
             total += self.backward.memory_bytes()
         return total
 
-    def _make_cut_table(self) -> FelineBCutTable:
-        return FelineBCutTable(self.forward, self.backward)
+    def _make_cut_table(self) -> RankCuts:
+        # Forward dominance, reversed dominance i'(v) ≼ i'(u), then the
+        # forward index's filters.
+        fwd, bwd = self.forward.views, self.backward.views
+        return RankCuts([
+            RankRow("negative-cut", fwd.x),
+            RankRow("negative-cut", fwd.y),
+            RankRow("negative-cut-reversed", bwd.x, reverse=True),
+            RankRow("negative-cut-reversed", bwd.y, reverse=True),
+            *filter_rows(fwd.levels, fwd),
+        ])
 
     def _search_pair(self, u: int, v: int) -> bool:
         fwd, bwd = self.forward, self.backward

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.heuristics import compute_y_order
-from repro.perf.cut_table import CutTable, view_i64
+from repro.perf.cut_table import RankCuts, RankRow, filter_rows, view_i64
 from repro.graph.digraph import DiGraph
 from repro.graph.levels import compute_levels
 from repro.graph.spanning import (
@@ -38,59 +36,7 @@ from repro.graph.spanning import (
 )
 from repro.graph.toposort import dfs_topological_order, ranks_from_order
 
-__all__ = ["MultiDimFelineIndex", "MultiDimCutTable"]
-
-
-class MultiDimCutTable(CutTable):
-    """FELINE-K cuts: rank dominance in all ``d`` dimensions + filters.
-
-    The ranks are stacked into one ``(d, n)`` matrix so a batch's
-    dominance test is a single broadcasted comparison per dimension.
-    """
-
-    def __init__(self, index: "MultiDimFelineIndex") -> None:
-        self.ranks = np.stack([view_i64(r) for r in index.ranks])
-        self.rank_arrays = index.ranks
-        self.level_array = index.levels
-        self.tree_intervals = index.tree_intervals
-        self.levels = (
-            view_i64(index.levels) if index.levels is not None else None
-        )
-        intervals = index.tree_intervals
-        if intervals is not None:
-            self.start = view_i64(intervals.start)
-            self.post = view_i64(intervals.post)
-        else:
-            self.start = self.post = None
-
-    def classify(self, sources, targets):
-        negative = np.any(
-            self.ranks[:, sources] > self.ranks[:, targets], axis=0
-        )
-        levels = self.levels
-        if levels is not None:
-            negative |= levels[sources] >= levels[targets]
-        if self.start is not None:
-            positive = (
-                ~negative
-                & (self.start[sources] <= self.start[targets])
-                & (self.post[targets] <= self.post[sources])
-            )
-        else:
-            positive = np.zeros(len(sources), dtype=bool)
-        return positive, negative
-
-    def classify_one(self, u, v):
-        for r in self.rank_arrays:
-            if r[u] > r[v]:
-                return "negative-cut"
-        levels = self.level_array
-        if levels is not None and levels[u] >= levels[v]:
-            return "level-filter"
-        intervals = self.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            return "positive-cut"
-        return None
+__all__ = ["MultiDimFelineIndex"]
 
 
 class MultiDimFelineIndex(ReachabilityIndex):
@@ -160,8 +106,9 @@ class MultiDimFelineIndex(ReachabilityIndex):
         """Whether ``u``'s rank ≤ ``v``'s in *every* dimension."""
         return all(r[u] <= r[v] for r in self.ranks)
 
-    def _make_cut_table(self) -> MultiDimCutTable:
-        return MultiDimCutTable(self)
+    def _make_cut_table(self) -> RankCuts:
+        rows = [RankRow("negative-cut", view_i64(r)) for r in self.ranks]
+        return RankCuts(rows + filter_rows(self.levels, self.tree_intervals))
 
     def _search_pair(self, u: int, v: int) -> bool:
         return self._search(u, v)
@@ -179,47 +126,7 @@ class MultiDimFelineIndex(ReachabilityIndex):
 
     def _search(self, u: int, v: int) -> bool:
         """DFS pruned by the target's bound in every dimension."""
-        ranks = self.ranks
-        bounds = [r[v] for r in ranks]
-        levels = self.levels
-        intervals = self.tree_intervals
-        level_v = levels[v] if levels is not None else 0
-        indptr = self.graph.out_indptr
-        indices = self.graph.out_indices
-        stats = self.stats
-        guard = self._guard
-
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
-        visited[u] = stamp
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if child == v:
-                    return True
-                if visited[child] == stamp:
-                    continue
-                visited[child] = stamp
-                pruned = False
-                for r, bound in zip(ranks, bounds):
-                    if r[child] > bound:
-                        pruned = True
-                        break
-                if pruned or (
-                    levels is not None and levels[child] >= level_v
-                ):
-                    stats.pruned += 1
-                    continue
-                if intervals is not None and intervals.contains(child, v):
-                    return True
-                stack.append(child)
-        return False
+        return self._cut_table.search(self, u, v)
 
 
 register_index(MultiDimFelineIndex)

@@ -7,8 +7,8 @@ A query ``r(u, v)`` runs the two-step process of §3:
    *negative cut*); with the optional filters, ``l_u ≥ l_v`` answers
    negatively (*level filter*) and tree-interval containment answers
    positively (*positive-cut filter*) — Algorithm 3's lines 1–2 and 6,
-   encoded in :class:`FelineCutTable` and run by the base class's query
-   chain.
+   declared as rank rows (:func:`feline_rows`) and run by the base
+   class's query chain.
 2. **Refined online search.**  Otherwise an iterative DFS from ``u``
    expands only vertices ``w`` with ``i(w) ≼ i(v)`` — the per-dimension
    bounds checks that let FELINE discard branches GRAIL (no bound) and
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
 from repro.baselines.base import ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
@@ -36,59 +34,21 @@ from repro.core.index import (
     build_feline_with_adjacency,
 )
 from repro.graph.digraph import DiGraph
-from repro.perf.cut_table import CutTable
+from repro.perf.cut_table import RankCuts, RankRow, filter_rows
 
-__all__ = ["FelineIndex", "FelineCutTable"]
+__all__ = ["FelineIndex", "feline_rows"]
 
 
-class FelineCutTable(CutTable):
-    """FELINE's O(1) cuts over the cached coordinate views (one pair:
-    over the coordinates' ``array`` storage).
-
-    Negative: dominance fails in either dimension, or the level filter
-    fires.  Positive: dominance holds, levels pass, and the min-post
-    tree interval of ``v`` is contained in ``u``'s.
-    """
-
-    def __init__(self, coordinates: FelineCoordinates) -> None:
-        views = coordinates.views
-        self.x = views.x
-        self.y = views.y
-        self.levels = views.levels
-        self.start = views.start
-        self.post = views.post
-        self.coordinates = coordinates
-
-    def classify(self, sources, targets):
-        dominated = (self.x[sources] <= self.x[targets]) & (
-            self.y[sources] <= self.y[targets]
-        )
-        levels = self.levels
-        if levels is not None:
-            dominated &= levels[sources] < levels[targets]
-        negative = ~dominated
-        if self.start is not None:
-            positive = (
-                dominated
-                & (self.start[sources] <= self.start[targets])
-                & (self.post[targets] <= self.post[sources])
-            )
-        else:
-            positive = np.zeros(len(sources), dtype=bool)
-        return positive, negative
-
-    def classify_one(self, u, v):
-        coords = self.coordinates
-        x, y = coords.x, coords.y
-        if x[u] > x[v] or y[u] > y[v]:
-            return "negative-cut"
-        levels = coords.levels
-        if levels is not None and levels[u] >= levels[v]:
-            return "level-filter"
-        intervals = coords.tree_intervals
-        if intervals is not None and intervals.contains(u, v):
-            return "positive-cut"
-        return None
+def feline_rows(coordinates: FelineCoordinates) -> list[RankRow]:
+    """FELINE's cuts over the coordinates' cached views: dominance
+    ``i(u) ≼ i(v)`` in ``X`` and ``Y`` (the negative cut), then the
+    §3.4 filters that are on."""
+    views = coordinates.views
+    return [
+        RankRow("negative-cut", views.x),
+        RankRow("negative-cut", views.y),
+        *filter_rows(views.levels, views),
+    ]
 
 
 class FelineIndex(ReachabilityIndex):
@@ -174,8 +134,8 @@ class FelineIndex(ReachabilityIndex):
             return 0
         return self.coordinates.memory_bytes()
 
-    def _make_cut_table(self) -> FelineCutTable:
-        return FelineCutTable(self.coordinates)
+    def _make_cut_table(self) -> RankCuts:
+        return RankCuts(feline_rows(self.coordinates))
 
     def _search_pair(self, u: int, v: int) -> bool:
         coords = self.coordinates

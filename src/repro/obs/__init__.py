@@ -46,9 +46,8 @@ docs/OBSERVABILITY.md):
   (:class:`QueryExplanation`), produced by ``Reachability.explain`` and
   ``ReachabilityIndex.explain``;
 * **slow-query log** (:mod:`repro.obs.slowlog`) — a bounded ring buffer
-  with threshold or reservoir sampling;
-* **scrape endpoint** (:mod:`repro.obs.server`) — a stdlib HTTP server
-  exposing ``/metrics``, ``/healthz``, and ``/slow``;
+  with threshold or reservoir sampling, served as ``/slow`` (next to
+  ``/metrics`` and ``/healthz``) by :class:`repro.serve.ReachServer`;
 * **distributed stitching** (:mod:`repro.obs.distributed`) — one trace
   per request across the HTTP edge, coalescer, shard coordinator and
   forked workers: trace-context propagation in RPC frames, worker spans
@@ -90,7 +89,6 @@ from repro.obs.metrics import (
     set_registry,
     snapshot_instruments,
 )
-from repro.obs.server import ObsServer
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.obs.spans import (
     NullTracer,
@@ -170,8 +168,7 @@ __all__ = [
     "CUTS",
     "BudgetReport",
     "QueryExplanation",
-    # slow-query log + serving
+    # slow-query log
     "SlowQueryRecord",
     "SlowQueryLog",
-    "ObsServer",
 ]

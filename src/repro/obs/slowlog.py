@@ -15,7 +15,7 @@ cluster.  Two sampling modes:
 The buffer is bounded (``capacity`` records, oldest evicted in threshold
 mode) and the ``observed`` counter keeps running, so sampling pressure is
 visible.  Records ship as JSON through the ``/slow`` endpoint of
-:class:`repro.obs.server.ObsServer`.
+:class:`repro.serve.ReachServer`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ family:
 * :mod:`repro.perf.cut_table` — the :class:`CutTable` contract: numpy
   views of an index's O(1)-cut structures (coordinates, levels, interval
   labels, FERRARI bounds, hop labels, ...) materialized **once** at
-  ``build()`` time instead of per batch call;
+  ``build()`` time instead of per batch call, and :class:`RankCuts`,
+  the one table behind every rank-dominance family's cuts;
 * :mod:`repro.perf.engine` — :func:`as_pair_array`, the batch boundary
   that validates a whole batch into one ``(n, 2)`` int64 array, and
   :func:`vectorized_query_many`, the generic batch pass: one vectorized
@@ -41,8 +42,9 @@ See ``docs/PERFORMANCE.md`` for the architecture and workload guidance.
 
 from repro.perf.cut_table import (
     CutTable,
+    RankCuts,
+    RankRow,
     SearchOnlyCutTable,
-    SwappedCutTable,
 )
 from repro.perf.engine import as_pair_array, vectorized_query_many
 from repro.perf.kernels import (
@@ -59,7 +61,8 @@ from repro.perf.shm import SharedIndexPages, shared_memory_available
 __all__ = [
     "CutTable",
     "SearchOnlyCutTable",
-    "SwappedCutTable",
+    "RankCuts",
+    "RankRow",
     "ObserverLayer",
     "build_observers",
     "as_pair_array",

@@ -44,16 +44,48 @@ registered family.
 ``counts_cuts`` declares whether decided pairs move
 ``QueryStats.positive_cuts`` / ``negative_cuts`` (the materialized
 transitive closure counts nothing: its lookup *is* the answer).
+
+Rank rows
+---------
+FELINE's dominance over topological orders (§3.1), its level filter and
+tree-interval positive cut (§3.4), FELINE-B's reversed dominance,
+FELINE-K's ``k`` ranks and GRAIL's interval labels are all one test: a
+*rank row* ``left[s] ≤ right[t]`` (``<`` when strict), where ``(s, t)``
+is ``(u, v)``, or ``(v, u)`` for a reversed row.  Those families only
+declare an ordered tuple of :class:`RankRow` and let one
+:class:`RankCuts` table run it:
+
+* a row named ``"positive-cut"`` belongs to the *positive group*; every
+  other row is *negative*;
+* the first negative row that fails disproves the pair, and its name
+  is the explain cut (``"negative-cut"``, ``"negative-cut-reversed"``,
+  ``"level-filter"``);
+* when every negative row holds, the pair is proved when every row of
+  the positive group holds (an empty group proves nothing), and is a
+  survivor otherwise.
+
+:meth:`RankCuts.classify` runs one numpy pass per row,
+:meth:`RankCuts.classify_one` the rows in declaration order on plain
+ints, and :meth:`RankCuts.search` the pruned DFS that applies the same
+rows to ``(child, v)`` for every child it meets.  Rows hold the index's
+own ``int64`` numpy views (:func:`view_i64`: zero-copy over the
+``array`` storage, or the shared-memory pages an index adopted); the
+plain-int path reads the same buffers through memoryviews, so a table
+copies nothing.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "CutTable",
     "SearchOnlyCutTable",
-    "SwappedCutTable",
+    "RankRow",
+    "RankCuts",
+    "filter_rows",
     "view_i64",
     "pack_bigints",
     "segmented_arrays",
@@ -157,20 +189,198 @@ class SearchOnlyCutTable(CutTable):
         return None
 
 
-class SwappedCutTable(CutTable):
-    """Delegates to another table with ``u``/``v`` swapped.
+#: The name of the positive group's rows (and of the verdict they give).
+POSITIVE_CUT = "positive-cut"
 
-    FELINE-I answers ``r(u, v)`` as ``r(v, u)`` on the edge-reversed
-    index, so its batch cut pass is the inner FELINE table queried with
-    the argument order flipped.
+
+class RankRow(NamedTuple):
+    """One cut row: ``left[s] ≤ right[t]``, or ``<`` when ``strict``.
+
+    ``(s, t)`` is ``(u, v)``, or ``(v, u)`` when ``reverse``; ``right``
+    defaults to ``left``.  ``left``/``right`` are ``int64`` numpy
+    views of the index's storage (see the module doc).
     """
 
-    def __init__(self, inner: CutTable) -> None:
-        self.inner = inner
-        self.counts_cuts = inner.counts_cuts
+    name: str
+    left: np.ndarray
+    right: np.ndarray | None = None
+    strict: bool = False
+    reverse: bool = False
+
+
+def filter_rows(levels, intervals) -> list[RankRow]:
+    """The §3.4 filters as rows, each left out when it is off: the
+    strict ``level-filter`` row ``levels[u] < levels[v]`` unless
+    ``levels`` is ``None``, then the tree-interval positive group
+    ``start[u] ≤ start[v]`` ∧ ``post[v] ≤ post[u]`` (``I_v ⊆ I_u``)
+    over ``intervals.start``/``.post`` unless ``intervals`` (or its
+    ``start``) is ``None``."""
+    rows = []
+    if levels is not None:
+        rows.append(RankRow("level-filter", view_i64(levels), strict=True))
+    if intervals is not None and intervals.start is not None:
+        rows.append(RankRow(POSITIVE_CUT, view_i64(intervals.start)))
+        rows.append(
+            RankRow(POSITIVE_CUT, view_i64(intervals.post), reverse=True)
+        )
+    return rows
+
+
+class RankCuts(CutTable):
+    """A family's cuts as an ordered tuple of :class:`RankRow`.
+
+    ``rows`` splits, in order, into the negative rows and the positive
+    group (rows named :data:`POSITIVE_CUT`); see the module doc for the
+    verdict rule.
+    """
+
+    def __init__(self, rows: Iterable[RankRow]) -> None:
+        self.rows = tuple(
+            row if row.right is not None else row._replace(right=row.left)
+            for row in rows
+        )
+        self.negative = tuple(r for r in self.rows if r.name != POSITIVE_CUT)
+        self.positive = tuple(r for r in self.rows if r.name == POSITIVE_CUT)
+        # Each row unpacked once: the numpy comparison for classify, and
+        # memoryviews of the same buffers for the plain-int paths.
+        self._negative_masks = self._masks(self.negative)
+        self._positive_masks = self._masks(self.positive)
+        self._negative_ints = self._plain(self.negative)
+        self._positive_ints = self._plain(self.positive)
+
+    @staticmethod
+    def _masks(rows) -> tuple:
+        return tuple(
+            (np.less if r.strict else np.less_equal, r.left, r.right, r.reverse)
+            for r in rows
+        )
+
+    @staticmethod
+    def _plain(rows) -> tuple:
+        return tuple(
+            (r.name, memoryview(r.left), memoryview(r.right), r.strict, r.reverse)
+            for r in rows
+        )
 
     def classify(self, sources, targets):
-        return self.inner.classify(targets, sources)
+        holds = _holding(self._negative_masks, sources, targets)
+        if holds is None:
+            holds = np.ones(len(sources), dtype=bool)
+        if self._positive_masks:
+            positive = _holding(
+                self._positive_masks, sources, targets, holds.copy()
+            )
+        else:
+            positive = np.zeros(len(sources), dtype=bool)
+        return positive, ~holds
 
     def classify_one(self, u, v):
-        return self.inner.classify_one(v, u)
+        for name, left, right, strict, reverse in self._negative_ints:
+            if reverse:
+                a, b = left[v], right[u]
+            else:
+                a, b = left[u], right[v]
+            if a > b or strict and a == b:
+                return name
+        for _, left, right, strict, reverse in self._positive_ints:
+            if reverse:
+                a, b = left[v], right[u]
+            else:
+                a, b = left[u], right[v]
+            if a > b or strict and a == b:
+                return None
+        return POSITIVE_CUT if self._positive_ints else None
+
+    def search(self, index, u: int, v: int) -> bool:
+        """The pruned DFS from ``u`` for a pair no cut decided.
+
+        Walks ``index.graph``'s out-CSR with the index's timestamped
+        ``_visited`` marks.  Each first-seen child is tested as
+        ``classify_one(child, v)`` would test it: a failing negative
+        row prunes it (``stats.pruned += 1``), a holding positive group
+        proves the pair.  ``stats.expanded`` counts each popped vertex
+        before the active guard's ``step()``.
+        """
+        below, above = _child_bounds(self._negative_ints, v)
+        proof = _child_bounds(self._positive_ints, v)
+        prove = bool(self._positive_ints)
+        graph = index.graph
+        indptr, indices = graph.out_indptr, graph.out_indices
+        stats = index.stats
+        guard = index._guard
+
+        index._stamp += 1
+        stamp = index._stamp
+        visited = index._visited
+        visited[u] = stamp
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            stats.expanded += 1
+            if guard is not None:
+                guard.step()
+            for k in range(indptr[w], indptr[w + 1]):
+                child = indices[k]
+                if child == v:
+                    return True
+                if visited[child] == stamp:
+                    continue
+                visited[child] = stamp
+                for values, bound in below:
+                    if values[child] > bound:
+                        break
+                else:
+                    for values, bound in above:
+                        if values[child] < bound:
+                            break
+                    else:
+                        if prove and _admits(*proof, child):
+                            return True
+                        stack.append(child)
+                        continue
+                stats.pruned += 1
+        return False
+
+
+def _holding(rows, sources, targets, out=None):
+    """``out`` AND the batch mask of every :meth:`RankCuts._masks` row
+    (``out`` itself when ``rows`` is empty)."""
+    for compare, left, right, reverse in rows:
+        if reverse:
+            held = compare(left[targets], right[sources])
+        else:
+            held = compare(left[sources], right[targets])
+        if out is None:
+            out = held
+        else:
+            out &= held
+    return out
+
+
+def _child_bounds(rows, v: int) -> tuple[tuple, tuple]:
+    """Plain-int ``rows`` as bounds on a child ``c`` for the fixed
+    target ``v``: a forward row holds iff ``left[c] ≤ right[v] -
+    strict`` (``below``), a reversed row iff ``right[c] ≥ left[v] +
+    strict`` (``above``)."""
+    below = tuple(
+        (left, right[v] - strict)
+        for _, left, right, strict, reverse in rows
+        if not reverse
+    )
+    above = tuple(
+        (right, left[v] + strict)
+        for _, left, right, strict, reverse in rows
+        if reverse
+    )
+    return below, above
+
+
+def _admits(below, above, child: int) -> bool:
+    """Whether every bound of :func:`_child_bounds` holds for ``child``."""
+    for values, bound in below:
+        if values[child] > bound:
+            return False
+    for values, bound in above:
+        if values[child] < bound:
+            return False
+    return True

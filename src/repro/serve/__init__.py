@@ -1,11 +1,11 @@
 """repro.serve — the asyncio serving tier for reachability queries.
 
-Replaces the stdlib-threaded ``ObsServer`` for *query* traffic (that
-server remains, metrics-only).  The centerpiece is request coalescing:
-concurrent ``GET /reach`` and ``POST /reach_many`` requests arriving
-within a configurable window are answered through a single vectorized
-``query_many`` call — one numpy cut pass for the whole batch — with
-answers bit-identical to issuing each query alone.
+One port serves query traffic and the observability scrapes
+(``/metrics``, ``/healthz``, ``/slow``).  The centerpiece is request
+coalescing: concurrent ``GET /reach`` and ``POST /reach_many`` requests
+arriving within a configurable window are answered through a single
+vectorized ``query_many`` call — one numpy cut pass for the whole
+batch — with answers bit-identical to issuing each query alone.
 
 Layout:
 

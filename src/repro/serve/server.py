@@ -1,9 +1,8 @@
 """The asyncio serving tier: query traffic over HTTP, coalesced.
 
-``ObsServer`` remains the metrics-only scrape shim; **this** is the
-server that takes query traffic.  A single-threaded asyncio event loop
-(run on a daemon thread so synchronous code can embed it) accepts
-keep-alive HTTP/1.1 connections and serves:
+A single-threaded asyncio event loop (run on a daemon thread so
+synchronous code can embed it) accepts keep-alive HTTP/1.1 connections
+and serves:
 
 * ``GET /reach?u=..&v=..[&deadline_ms=..]`` — one pair, answered
   through the request coalescer: concurrent requests within the
@@ -16,8 +15,7 @@ keep-alive HTTP/1.1 connections and serves:
   ``"deadline_ms"``, joining the same pending batch as the single-pair
   traffic (deadline-carrying requests batch separately, per budget);
 * ``GET /metrics`` / ``GET /healthz`` / ``GET /slow`` — the
-  observability triad, folded in from the old scrape endpoint so one
-  port serves both traffic and scrapes.
+  observability triad, so one port serves both traffic and scrapes.
 
 Admission control is wired to the resilience layer: beyond
 ``config.max_inflight`` admitted pairs, requests are shed with a
@@ -27,10 +25,10 @@ admitted query.  ``stop()`` drains gracefully: queued requests get their
 real answers, requests arriving during the drain get a structured 503 —
 no admitted request is ever dropped without a response body.
 
-Lifecycle contract (shared with :class:`repro.obs.ObsServer`):
-``start()`` on a running server raises ``RuntimeError``; ``start()``
-after ``stop()`` binds a fresh socket and serves again (with ``port=0``
-the rebind may pick a different port); ``stop()`` is idempotent.
+Lifecycle contract: ``start()`` on a running server raises
+``RuntimeError``; ``start()`` after ``stop()`` binds a fresh socket and
+serves again (with ``port=0`` the rebind may pick a different port);
+``stop()`` is idempotent.
 
 No dependencies beyond the standard library — the container bakes in no
 web framework, and the interesting work (the coalescer, the engine) is
@@ -49,7 +47,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs.distributed import recent_traces, trace_payload
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import get_registry
-from repro.obs.server import slow_log_payload
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import (
     format_trace_id,
     get_tracer,
@@ -74,6 +72,19 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def slow_log_payload(log: SlowQueryLog | None) -> dict:
+    """The ``/slow`` JSON document for a slow-query log (or ``None``)."""
+    if log is None:
+        return {"records": [], "observed": 0}
+    return {
+        "mode": log.mode,
+        "capacity": log.capacity,
+        "threshold_ns": log.threshold_ns,
+        "observed": log.observed,
+        "records": log.as_dicts(),
+    }
 
 
 class _HTTPError(Exception):
@@ -102,7 +113,7 @@ class ReachServer:
         A :class:`~repro.serve.config.ServeConfig`; defaults throughout.
     registry:
         Metrics registry backing ``/metrics``; defaults to the live
-        process-wide registry at scrape time, like ``ObsServer``.
+        process-wide registry at scrape time.
     slow_log:
         The slow-query log backing ``/slow`` (``None`` serves an empty
         document).

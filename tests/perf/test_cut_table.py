@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import available_methods, create_index
-from repro.core.query import FelineCutTable, FelineIndex
+from repro.core.query import FelineIndex
 from repro.graph.generators import random_dag
 from repro.perf.cut_table import (
+    RankCuts,
+    RankRow,
     SearchOnlyCutTable,
-    SwappedCutTable,
     pack_bigints,
     segment_keys,
     segmented_arrays,
@@ -37,8 +38,10 @@ class TestCachedViews:
         index = FelineIndex(g).build()
         table = index._cut_table
         views = index.coordinates.views
-        assert isinstance(table, FelineCutTable)
-        assert table.x is views.x and table.y is views.y
+        assert isinstance(table, RankCuts)
+        x_row, y_row = table.rows[:2]
+        assert x_row.left is views.x and x_row.right is views.x
+        assert y_row.left is views.y and y_row.right is views.y
 
     def test_cut_table_survives_repeated_batches(self):
         g = random_dag(50, avg_degree=2.0, seed=3)
@@ -100,24 +103,72 @@ class TestWrapperTables:
         assert not positive.any() and not negative.any()
         assert positive is not negative  # engine mutates them in place
 
-    def test_swapped_flips_the_arguments(self):
-        class Recorder:
-            counts_cuts = True
 
-            def classify(self, sources, targets):
-                self.seen = (sources, targets)
-                return (
-                    np.zeros(len(sources), dtype=bool),
-                    np.zeros(len(sources), dtype=bool),
-                )
+class TestRankCuts:
+    """Every row shape against its definition: ``left[s] ≤ right[t]``
+    (``<`` when strict), ``(s, t) = (v, u)`` when reversed."""
 
-        inner = Recorder()
-        swapped = SwappedCutTable(inner)
-        s = np.array([1, 2])
-        t = np.array([3, 4])
-        swapped.classify(s, t)
-        assert inner.seen[0] is t and inner.seen[1] is s
-        assert swapped.counts_cuts is True
+    @staticmethod
+    def reference(rows, u, v):
+        def holds(row):
+            s, t = (v, u) if row.reverse else (u, v)
+            right = row.left if row.right is None else row.right
+            a, b = int(row.left[s]), int(right[t])
+            return a < b if row.strict else a <= b
+
+        positive = [row for row in rows if row.name == "positive-cut"]
+        for row in rows:
+            if row.name != "positive-cut" and not holds(row):
+                return row.name
+        if positive and all(holds(row) for row in positive):
+            return "positive-cut"
+        return None
+
+    def rows(self, with_positive=True):
+        rng = np.random.default_rng(7)
+        a, b, c, d = (rng.integers(0, 6, size=12) for _ in range(4))
+        rows = [
+            RankRow("negative-cut", a, b),
+            RankRow("negative-cut-reversed", b, c, reverse=True),
+            RankRow("level-filter", c, strict=True),
+            RankRow("negative-cut", d, a, strict=True, reverse=True),
+        ]
+        if with_positive:
+            rows += [
+                RankRow("positive-cut", a),
+                RankRow("positive-cut", d, b, reverse=True),
+            ]
+        return rows
+
+    @pytest.mark.parametrize("with_positive", [True, False])
+    def test_both_paths_follow_the_row_definition(self, with_positive):
+        rows = self.rows(with_positive)
+        table = RankCuts(rows)
+        pairs = np.array(
+            [(u, v) for u in range(12) for v in range(12) if u != v],
+            dtype=np.int64,
+        )
+        positive, negative = table.classify(pairs[:, 0], pairs[:, 1])
+        names = set()
+        for (u, v), pos, neg in zip(
+            pairs.tolist(), positive.tolist(), negative.tolist()
+        ):
+            cut = self.reference(rows, u, v)
+            names.add(cut)
+            assert table.classify_one(u, v) == cut, (u, v)
+            assert pos == (cut == "positive-cut"), (u, v)
+            assert neg == (cut not in (None, "positive-cut")), (u, v)
+        assert ("positive-cut" in names) == with_positive
+        assert {"negative-cut", "negative-cut-reversed", "level-filter"} <= names
+
+    def test_rows_hold_the_given_arrays(self):
+        rows = self.rows()
+        table = RankCuts(rows)
+        assert all(
+            kept.left is given.left for kept, given in zip(table.rows, rows)
+        )
+        assert table.rows[2].right is rows[2].left  # right defaults to left
+        assert [row.name for row in table.positive] == ["positive-cut"] * 2
 
 
 # The names classify_one may return.

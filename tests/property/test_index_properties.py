@@ -60,7 +60,9 @@ class TestGrailProperties:
         for u in range(g.num_vertices):
             for v in range(g.num_vertices):
                 if dfs_reachable(g, u, v):
-                    assert index._contains_all(u, v)
+                    assert all(
+                        labels.contains(u, v) for labels in index.labelings
+                    )
 
     @given(dags(max_vertices=14))
     @settings(max_examples=25, deadline=None)
