@@ -232,9 +232,7 @@ class Reachability:
         :attr:`stats` untouched.
         """
         pairs = as_pair_array(pairs, self.graph.num_vertices)
-        return list(
-            self.index.query_many(self._scc_view[pairs], budget=budget)
-        )
+        return self.index.query_many(self._scc_view[pairs], budget=budget)
 
     def explain(self, u: int, v: int, budget: QueryBudget | None = None):
         """Answer ``r(u, v)`` with full provenance — why this verdict?

@@ -191,6 +191,10 @@ class ReachabilityIndex(ABC):
         self._kernel = None
         self._kernel_choice = None
         self._kernel_backend = "python"
+        # The batch engine's compiled cut pass (kernels.bind_classify;
+        # None = the numpy route), rebound with the table, the kernel
+        # and the observer layer.
+        self._classify = None
         # Shared-memory index pages (repro.perf.shm): the owned arena
         # and the original arrays it displaced (restored on close).
         self._shared_pages = None
@@ -219,6 +223,7 @@ class ReachabilityIndex(ABC):
             self._build_instrumented()
             self._materialize_cut_table()
             self._bind_kernel()
+            self._bind_classify()
         if tracer.enabled:
             self._query_tracer = tracer
         self._refresh_hot_obs()
@@ -705,6 +710,7 @@ class ReachabilityIndex(ABC):
         self._kernel_choice = kernel
         if self._built:
             self._bind_kernel()
+            self._bind_classify()
         else:
             self._kernel_backend = kernels.resolve_backend(kernel)
         return self._kernel_backend
@@ -729,6 +735,19 @@ class ReachabilityIndex(ABC):
         kernels.resolve_backend(self._kernel_choice)
         self._kernel_backend = "python"
         self._arm_kernel(None)
+
+    def _bind_classify(self) -> None:
+        """Bind the batch engine's compiled cut pass over the current
+        cut table and observer layer
+        (:func:`repro.perf.kernels.bind_classify`).
+
+        Called wherever either changes or the kernel is rebound:
+        :meth:`build`, :meth:`set_kernel`, :meth:`attach_observers`,
+        persistence loading and :meth:`_rematerialize_after_swap`.
+        """
+        from repro.perf import kernels
+
+        self._classify = kernels.bind_classify(self)
 
     def _arm_kernel(self, kernel) -> None:
         """Install a bound kernel, arming its dispatch counter when live."""
@@ -761,6 +780,7 @@ class ReachabilityIndex(ABC):
                 f"the graph has {self.graph.num_vertices}"
             )
         self._observers = layer
+        self._bind_classify()
         return layer
 
     @property
@@ -946,6 +966,7 @@ class ReachabilityIndex(ABC):
         """Rebuild the views-derived machinery after an array swap."""
         self._materialize_cut_table()
         self._bind_kernel()
+        self._bind_classify()
 
     # -- explain -----------------------------------------------------------
     def explain(

@@ -115,6 +115,7 @@ class FelineIIndex(ReachabilityIndex):
         self._inner._rematerialize_after_swap()
         self._materialize_cut_table()
         self._kernel_backend = self._inner._kernel_backend
+        self._bind_classify()
 
     def _explain_details(self, u: int, v: int, explanation) -> None:
         # Provenance comes from the reversed-graph index with the

@@ -427,6 +427,7 @@ def load_index(
     index._cut_table = index._make_cut_table()
     index._built = True
     index._bind_kernel()
+    index._bind_classify()
     if observers is not None:
         index.attach_observers(observers)
     return index

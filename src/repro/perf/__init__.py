@@ -12,9 +12,10 @@ family:
   the one table behind every rank-dominance family's cuts;
 * :mod:`repro.perf.engine` — :func:`as_pair_array`, the batch boundary
   that validates a whole batch into one ``(n, 2)`` int64 array, and
-  :func:`vectorized_query_many`, the generic batch pass: one vectorized
-  cut classification for the whole batch, then per-pair online search
-  only for the survivors.  Answers and
+  :func:`vectorized_query_many`, the generic batch pass: one cut
+  classification for the whole batch, one code per pair (a compiled
+  call on the ``c`` tier, numpy masks elsewhere), then per-pair online
+  search only for the survivors.  Answers and
   :class:`~repro.baselines.base.QueryStats` are bit-identical to the
   scalar loop;
 * :mod:`repro.perf.observers` — :class:`ObserverLayer`, O'Reach-style

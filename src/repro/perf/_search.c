@@ -2,7 +2,9 @@
  *
  * feline_dfs is FelineSearch._walk line for line, feline_batch its
  * survivor sweep, bibfs repro.graph.traversal's bidirectional BFS and
- * bibfs_batch the bibfs family's sweep.
+ * bibfs_batch the bibfs family's sweep.  classify_batch is the batch
+ * engine's cut pass: the reflexive cut, the observer layer and a rank-row
+ * table (repro.perf.cut_table.RankCuts) in the scalar chain's order.
  * Arrays are int64 and C-contiguous (checked at bind time); NULL marks
  * a structure the index lacks.  Returns 0 = not reachable,
  * 1 = reachable, 2 = step budget exhausted at the vertex just expanded
@@ -159,5 +161,84 @@ i64 bibfs_batch(const bibfs_ctx *c, i64 stamp0, i64 m, const i64 *us,
             return i;
         codes[i] = (uint8_t)code;
     }
+    return -1;
+}
+
+/* One rank row: left[s] <= right[t] (< when strict), (s, t) = (u, v),
+ * or (v, u) when reverse (repro.perf.cut_table.RankRow). */
+typedef struct {
+    const i64 *left, *right;
+    i64 strict, reverse;
+} rank_row;
+
+typedef struct {
+    i64 n;                            /* vertex count */
+    i64 num_observer;                 /* observer rank rows (0: no layer) */
+    i64 width;                        /* bytes per support bitset (0: k = 0) */
+    const uint8_t *fwd_bits, *bwd_bits; /* (n, width) support bitsets */
+    i64 num_negative, num_positive;   /* the table's rows */
+    const rank_row *rows;             /* observer, negative, positive group */
+} classify_ctx;
+
+/* The codes of repro.perf.engine: how each pair was decided. */
+enum { EQUAL, OBSERVER_POSITIVE, OBSERVER_NEGATIVE, CUT_POSITIVE,
+       CUT_NEGATIVE, SURVIVOR, NUM_CODES };
+
+static int row_holds(const rank_row *r, i64 u, i64 v)
+{
+    const i64 a = r->reverse ? r->left[v] : r->left[u];
+    const i64 b = r->reverse ? r->right[u] : r->right[v];
+    return r->strict ? a < b : a <= b;
+}
+
+/* ReachabilityIndex._answer's cuts for one pair: the observer layer as
+ * ObserverLayer.decide (rank rows, then the positive support bits, then
+ * the two contrapositives), then the table's negative rows in order,
+ * then its positive group (an empty group proves nothing). */
+static int classify_pair(const classify_ctx *c, i64 u, i64 v)
+{
+    if (u == v)
+        return EQUAL;
+    const rank_row *row = c->rows, *end = row + c->num_observer;
+    for (; row < end; row++)
+        if (!row_holds(row, u, v))
+            return OBSERVER_NEGATIVE;
+    const i64 w = c->width;
+    if (w) {
+        const uint8_t *fu = c->fwd_bits + u * w, *fv = c->fwd_bits + v * w;
+        const uint8_t *bu = c->bwd_bits + u * w, *bv = c->bwd_bits + v * w;
+        for (i64 k = 0; k < w; k++)
+            if (bu[k] & fv[k])
+                return OBSERVER_POSITIVE;
+        for (i64 k = 0; k < w; k++)
+            if ((fu[k] & ~fv[k]) | (bv[k] & ~bu[k]))
+                return OBSERVER_NEGATIVE;
+    }
+    for (end += c->num_negative; row < end; row++)
+        if (!row_holds(row, u, v))
+            return CUT_NEGATIVE;
+    if (c->num_positive == 0)
+        return SURVIVOR;
+    for (end += c->num_positive; row < end; row++)
+        if (!row_holds(row, u, v))
+            return SURVIVOR;
+    return CUT_POSITIVE;
+}
+
+/* codes[i] = pair i's code; counts[code] = its pairs in the batch.
+ * Returns -1, or the first pair out of range (counts untouched). */
+i64 classify_batch(const classify_ctx *c, i64 m, const i64 *us,
+                   const i64 *vs, uint8_t *codes, i64 *counts)
+{
+    i64 tally[NUM_CODES] = {0};
+    for (i64 i = 0; i < m; i++) {
+        if (OUT_OF_RANGE(c, us[i], vs[i]))
+            return i;
+        const int code = classify_pair(c, us[i], vs[i]);
+        codes[i] = (uint8_t)code;
+        tally[code]++;
+    }
+    for (int k = 0; k < NUM_CODES; k++)
+        counts[k] = tally[k];
     return -1;
 }

@@ -3,11 +3,17 @@
 One call classifies every pair of a batch through the index family's O(1)
 cuts — reflexive, observer (when an
 :class:`~repro.perf.observers.ObserverLayer` is attached), negative,
-positive — with numpy, updates the
+positive — into one code per pair (:func:`classify_codes`), updates the
 :class:`~repro.baselines.base.QueryStats` counters exactly as the scalar
 loop would, and runs the per-pair online search only for the survivors
 (in process, or partitioned across a :class:`repro.perf.pool.SearchPool`
 when one is attached to the index).
+
+The codes come from one compiled call where the index binds one
+(:class:`~repro.perf.kernels.CClassify`: the ``c`` tier with a
+:class:`~repro.perf.cut_table.RankCuts` or search-only table), and
+otherwise from the observer layer's and the table's ``classify`` masks
+(:func:`mask_codes`, the reference route).  Both give the same codes.
 
 This is the implementation behind
 :meth:`~repro.baselines.base.ReachabilityIndex.query_many` for every
@@ -66,7 +72,16 @@ from repro.obs.spans import current_span, get_tracer
 from repro.obs.timing import elapsed_ns, now_ns
 from repro.resilience.budget import UNKNOWN
 
-__all__ = ["as_pair_array", "vectorized_query_many"]
+__all__ = ["as_pair_array", "classify_codes", "mask_codes",
+           "vectorized_query_many"]
+
+#: How a batch pair was decided, one ``uint8`` per pair (``classify_batch``
+#: in ``_search.c`` writes the same numbers).
+EQUAL, OBSERVER_POSITIVE, OBSERVER_NEGATIVE, CUT_POSITIVE, CUT_NEGATIVE, \
+    SURVIVOR = range(6)
+
+#: The answer each code gives; a survivor's is its search's.
+_ANSWERS = np.array([True, True, False, True, False, False])
 
 
 def _checked_pairs(pairs, num_vertices: int) -> array:
@@ -156,29 +171,46 @@ def _ndarray_pairs(arr: np.ndarray, num_vertices: int) -> np.ndarray:
 
 def _check_range(arr: np.ndarray, num_vertices: int) -> None:
     """Raise :class:`InvalidVertexError` for the first id outside
-    ``0 .. num_vertices - 1`` in pair order."""
+    ``0 .. num_vertices - 1`` in pair order.
+
+    Two reductions test the batch; the bad id is looked for only when
+    one exists.
+    """
+    if arr.size == 0 or (
+        arr.max() < num_vertices and (arr.dtype.kind == "u" or arr.min() >= 0)
+    ):
+        return
     bad = arr >= num_vertices
     if arr.dtype.kind == "i":
         bad |= arr < 0
-    if bad.any():
-        vertex = arr.reshape(-1)[np.argmax(bad.reshape(-1))]
-        raise InvalidVertexError(int(vertex), num_vertices)
+    vertex = arr.reshape(-1)[np.argmax(bad.reshape(-1))]
+    raise InvalidVertexError(int(vertex), num_vertices)
 
 
 def _dedup(index, sources, targets, survivors):
     """Collapse duplicated survivor pairs.
 
-    Returns ``(first, inverse, counts)`` from :func:`numpy.unique` over
-    the survivors' ``(u, v)`` keys: ``survivors[first]`` are the
-    representatives, ``inverse`` maps each survivor to its
-    representative, ``counts`` are the multiplicities.
+    Returns ``(first, inverse, counts)`` over the survivors' ``(u, v)``
+    keys, as :func:`numpy.unique` would (representatives in key order):
+    ``survivors[first]`` are the representatives, each a key's first
+    occurrence, ``inverse`` maps each survivor to its representative,
+    ``counts`` are the multiplicities.  A stable sort and an
+    adjacent-difference flag do it for a fraction of ``np.unique``'s
+    fixed cost.
     """
     n = max(index.graph.num_vertices, 1)
     keys = sources[survivors] * np.int64(n) + targets[survivors]
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, inverse, counts
+    m = len(keys)
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    # starts[i]: sorted key i opens a run; starts[m] closes the last.
+    starts = np.empty(m + 1, dtype=bool)
+    starts[0] = starts[m] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:m])
+    bounds = starts.nonzero()[0]
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = starts[:m].cumsum() - 1
+    return order[bounds[:-1]], inverse, bounds[1:] - bounds[:-1]
 
 
 def _search_survivors(index, sources, targets, survivors, answers) -> None:
@@ -359,6 +391,59 @@ def _guarded_loop(index, rep_us, rep_vs, weights, order, budget, slow):
     return found, unknown
 
 
+def mask_codes(index, sources, targets):
+    """The codes of :func:`classify_codes` from the observer layer's
+    and the cut table's ``classify`` masks: the reference route, and
+    the only one where no compiled pass is bound.
+
+    Each layer's masks are disjoint; a pair takes the code of the first
+    step of the scalar chain that decides it (reflexive, observers,
+    table).  Traced as ``engine.observer`` and ``engine.cut`` spans.
+    """
+    tracer = get_tracer()
+    traced = tracer.enabled
+    num = len(sources)
+    observers = index._observers
+    if observers is not None:
+        with (
+            tracer.span("engine.observer", size=num)
+            if traced
+            else nullcontext()
+        ):
+            obs_positive, obs_negative = observers.classify(sources, targets)
+    with tracer.span("engine.cut", size=num) if traced else nullcontext():
+        positive, negative = index._cut_table.classify(sources, targets)
+    codes = np.full(num, SURVIVOR, dtype=np.uint8)
+    codes[negative] = CUT_NEGATIVE
+    codes[positive] = CUT_POSITIVE
+    if observers is not None:
+        codes[obs_negative] = OBSERVER_NEGATIVE
+        codes[obs_positive] = OBSERVER_POSITIVE
+    codes[sources == targets] = EQUAL
+    return codes, np.bincount(codes, minlength=SURVIVOR + 1).tolist()
+
+
+def classify_codes(index, sources, targets):
+    """Classify a batch: ``(codes, counts)``.
+
+    ``codes[i]`` says how pair ``(sources[i], targets[i])`` is decided
+    (:data:`EQUAL`, :data:`OBSERVER_POSITIVE`, :data:`OBSERVER_NEGATIVE`,
+    :data:`CUT_POSITIVE`, :data:`CUT_NEGATIVE`, or :data:`SURVIVOR` for
+    a pair that needs a search) and ``counts[c]`` how many pairs have
+    code ``c``.  One compiled call where the index binds one (traced as
+    one ``engine.cut`` span covering observers and rows), else
+    :func:`mask_codes`.  Nothing is counted into the stats here.
+    """
+    compiled = index._classify
+    if compiled is None:
+        return mask_codes(index, sources, targets)
+    tracer = get_tracer()
+    if tracer.enabled:
+        with tracer.span("engine.cut", size=len(sources)):
+            return compiled(sources, targets)
+    return compiled(sources, targets)
+
+
 def _observe_layer(index, hits_positive, hits_negative, num, survivors):
     """Observer-layer metrics: hit counters and the survivor-rate gauge.
 
@@ -411,7 +496,7 @@ def vectorized_query_many(
     ``budget_exhausted`` / ``fallbacks`` / ``unknowns`` in the index's
     ``_degrade``.
 
-    An empty batch returns ``[]`` immediately — no masks are built and
+    An empty batch returns ``[]`` immediately — no codes are built and
     neither the observers nor the pool are touched.
     """
     num = len(pairs)
@@ -419,60 +504,28 @@ def vectorized_query_many(
         return []
     slow = index._slow_log
     start = now_ns() if slow is not None else 0
-    table = index._cut_table
     stats = index.stats
     tracer = get_tracer()
-    traced = tracer.enabled
 
-    pairs_arr = np.asarray(pairs, dtype=np.int64)
-    sources, targets = pairs_arr[:, 0], pairs_arr[:, 1]
-    equal = sources == targets
+    # One contiguous row per side: the compiled pass reads them as is.
+    sources, targets = np.asarray(pairs, dtype=np.int64).T.copy()
+    codes, counts = classify_codes(index, sources, targets)
+    equal, obs_positive, obs_negative, positive, negative, searches = counts
 
     stats.queries += num
-    stats.equal_cuts += int(equal.sum())
+    stats.equal_cuts += equal
+    stats.observer_positive += obs_positive
+    stats.observer_negative += obs_negative
+    if index._cut_table.counts_cuts:
+        stats.negative_cuts += negative
+        stats.positive_cuts += positive
+    stats.searches += searches
 
-    # Observer pre-pass: decided pairs never reach the family's cuts,
-    # the order of the scalar chain (ReachabilityIndex._answer).
-    observers = index._observers
-    obs_positive = None
-    if observers is not None:
-        if traced:
-            with tracer.span("engine.observer", size=num):
-                obs_positive, obs_negative = observers.classify(
-                    sources, targets
-                )
-        else:
-            obs_positive, obs_negative = observers.classify(sources, targets)
-        obs_positive &= ~equal
-        obs_negative &= ~equal
-        hits_positive = int(obs_positive.sum())
-        hits_negative = int(obs_negative.sum())
-        stats.observer_positive += hits_positive
-        stats.observer_negative += hits_negative
-        decided = equal | obs_positive | obs_negative
-    else:
-        decided = equal
-
-    if traced:
-        with tracer.span("engine.cut", size=num):
-            positive, negative = table.classify(sources, targets)
-    else:
-        positive, negative = table.classify(sources, targets)
-    positive = positive & ~decided
-    negative = negative & ~decided
-    undecided = ~(decided | positive | negative)
-    if table.counts_cuts:
-        stats.negative_cuts += int(negative.sum())
-        stats.positive_cuts += int(positive.sum())
-
-    answers = equal | positive
-    if obs_positive is not None:
-        answers |= obs_positive
-    survivors = np.flatnonzero(undecided)
-    stats.searches += len(survivors)
+    answers = _ANSWERS[codes]
+    survivors = np.flatnonzero(codes == SURVIVOR)
     if slow is not None:
         # Each cut-decided pair is offered at its share of the cut pass.
-        decided = ~undecided
+        decided = codes != SURVIVOR
         span = current_span()
         slow.record_many(
             sources[decided], targets[decided], answers[decided],
@@ -483,7 +536,7 @@ def vectorized_query_many(
     if len(survivors):
         with (
             tracer.span("engine.search", survivors=len(survivors))
-            if traced
+            if tracer.enabled
             else nullcontext()
         ):
             if budget is None and slow is None:
@@ -492,10 +545,8 @@ def vectorized_query_many(
                 unknown = _search_guarded(
                     index, sources, targets, survivors, answers, budget, slow
                 )
-    if observers is not None:
-        _observe_layer(
-            index, hits_positive, hits_negative, num, len(survivors)
-        )
+    if index._observers is not None:
+        _observe_layer(index, obs_positive, obs_negative, num, searches)
     result = answers.tolist()
     for position in unknown:
         result[position] = UNKNOWN

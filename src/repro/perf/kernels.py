@@ -10,6 +10,8 @@ hardware speed over the flat CSR arrays exported once per graph by
 * ``c`` — the FELINE-family pruned DFS, its batch survivor sweep and the
   bidirectional BFS in one C source shipped with the package
   (``_search.c``), compiled on first use and loaded through ``ctypes``;
+  the same library runs the batch engine's cut pass
+  (:class:`CClassify`, bound by :func:`bind_classify`);
 * ``numpy`` — a vectorized frontier/neighbour-slice expansion that needs
   nothing beyond the library's existing numpy dependency;
 * ``python`` — the reference loops (:class:`FelineSearch` for the
@@ -73,6 +75,8 @@ import numpy as np
 
 from repro.exceptions import QueryBudgetExceeded, ReproError
 from repro.obs.metrics import get_registry
+from repro.perf.cut_table import RankCuts, SearchOnlyCutTable
+from repro.perf.observers import ObserverLayer
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -84,6 +88,8 @@ __all__ = [
     "resolve_backend",
     "FelineSearch",
     "bind_feline_search",
+    "CClassify",
+    "bind_classify",
     "bibfs_kernel_for",
     "bounded_search",
     "describe_backend",
@@ -198,6 +204,8 @@ def _c_library():
             lib.bibfs.restype = i64
             lib.bibfs_batch.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr]
             lib.bibfs_batch.restype = i64
+            lib.classify_batch.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
+            lib.classify_batch.restype = i64
             _c_state = (lib, None)
         except CUnavailable as exc:
             _c_state = (None, exc.reason)
@@ -311,15 +319,31 @@ def _c_context(kernel, struct, n: int, **arrays) -> None:
     """
     ctx = struct(n=n)
     for name, arr in arrays.items():
-        if arr is None:
-            continue
-        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-            raise CUnavailable("layout", f"{name} is {arr.dtype}")
-        setattr(ctx, name, arr.ctypes.data)
+        if arr is not None:
+            setattr(ctx, name, _address(name, arr))
     kernel._arrays, kernel._ctx = arrays, ctx
     kernel._ctx_addr = ctypes.addressof(ctx)
     kernel._out = (ctypes.c_int64 * 2)()
     kernel._out_addr = ctypes.addressof(kernel._out)
+
+
+def _address(name: str, arr: np.ndarray, dtype=np.int64) -> int:
+    """The address of ``arr``'s data, which C reads as a flat run of
+    ``dtype``; :class:`CUnavailable` (``layout``) unless the array is
+    that dtype and C-contiguous."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise CUnavailable("layout", f"{name} is {arr.dtype}")
+    return arr.ctypes.data
+
+
+def _ref(arr: np.ndarray):
+    """A per-call ctypes argument for a C-contiguous array's data: a
+    reference into its buffer, a quarter of ``arr.ctypes.data``'s cost
+    (read-only and empty arrays pass that address)."""
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
 
 
 def _step_budget(guard) -> int | None:
@@ -349,8 +373,8 @@ def _sweep(fn, ctx_addr, owner, us, vs, max_steps: int, *outs) -> np.ndarray:
     stamp0 = owner._stamp
     owner._stamp = stamp0 + m
     bad = fn(
-        ctx_addr, stamp0, m, us.ctypes.data, vs.ctypes.data, max_steps,
-        codes.ctypes.data, *outs,
+        ctx_addr, stamp0, m, _ref(us), _ref(vs), max_steps, _ref(codes),
+        *outs,
     )
     if bad >= 0:
         raise IndexError(
@@ -371,6 +395,127 @@ def _charge(guard, expanded: int, code: int) -> None:
                 steps=guard.steps,
                 elapsed_s=perf_counter() - guard.start,
             )
+
+
+# ---------------------------------------------------------------------------
+# the batch engine's cut pass
+# ---------------------------------------------------------------------------
+
+
+class _RankRow(ctypes.Structure):
+    _fields_ = [
+        ("left", ctypes.c_void_p), ("right", ctypes.c_void_p),
+        ("strict", ctypes.c_int64), ("reverse", ctypes.c_int64),
+    ]
+
+
+class _ClassifyCtx(ctypes.Structure):
+    _fields_ = [
+        ("n", ctypes.c_int64), ("num_observer", ctypes.c_int64),
+        ("width", ctypes.c_int64),
+        ("fwd_bits", ctypes.c_void_p), ("bwd_bits", ctypes.c_void_p),
+        ("num_negative", ctypes.c_int64), ("num_positive", ctypes.c_int64),
+        ("rows", ctypes.c_void_p),
+    ]
+
+
+#: Codes ``classify_batch`` counts (see :mod:`repro.perf.engine`).
+_NUM_CODES = 6
+
+
+class CClassify:
+    """The batch engine's cut pass in one compiled call.
+
+    ``classify_batch`` runs, per pair, the reflexive cut, the observer
+    layer (its :meth:`~repro.perf.observers.ObserverLayer.rank_rows`, then
+    the support bitsets as ``decide`` tests them) and the table's rank
+    rows — the negative rows in order, then the positive group — and
+    writes the pair's code.  The context holds raw pointers into the
+    rows' and the layer's own arrays (the object keeps them alive), so
+    nothing is copied; :func:`bind_classify` builds a new one whenever
+    any of them may have moved.
+    """
+
+    def __init__(self, n: int, observers, negative, positive) -> None:
+        obs_rows = observers.rank_rows() if observers is not None else ()
+        rows = (*obs_rows, *negative, *positive)
+        structs = (_RankRow * len(rows))()
+        for slot, row in zip(structs, rows):
+            slot.left = _address(row.name, row.left)
+            slot.right = _address(row.name, row.right)
+            slot.strict, slot.reverse = row.strict, row.reverse
+        ctx = _ClassifyCtx(
+            n=n, num_observer=len(obs_rows),
+            num_negative=len(negative), num_positive=len(positive),
+            rows=ctypes.addressof(structs),
+        )
+        if observers is not None and observers.k:
+            fwd, bwd = observers.fwd_bits, observers.bwd_bits
+            if fwd.shape[0] != n or bwd.shape != fwd.shape:
+                raise CUnavailable("layout", f"support bitsets {fwd.shape}")
+            ctx.width = fwd.shape[1]
+            ctx.fwd_bits = _address("fwd_bits", fwd, np.uint8)
+            ctx.bwd_bits = _address("bwd_bits", bwd, np.uint8)
+        self._fn = _c_library().classify_batch
+        self._arrays, self._rows = (rows, observers), structs
+        self._ctx = ctx
+        self._ctx_addr = ctypes.addressof(ctx)
+
+    def __call__(self, sources: np.ndarray, targets: np.ndarray):
+        """``(codes, counts)`` for the pairs ``(sources[i], targets[i])``:
+        a ``uint8`` code per pair and the six code counts as ints.  A
+        vertex outside the graph raises ``IndexError`` naming its pair,
+        and nothing is counted."""
+        m = len(sources)
+        sources = np.ascontiguousarray(sources, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        codes = np.empty(m, dtype=np.uint8)
+        counts = (ctypes.c_int64 * _NUM_CODES)()
+        bad = self._fn(
+            self._ctx_addr, m, _ref(sources), _ref(targets), _ref(codes),
+            counts,
+        )
+        if bad >= 0:
+            raise IndexError(
+                f"vertex out of range in classify {sources[bad]} -> "
+                f"{targets[bad]}"
+            )
+        return codes, counts[:]
+
+
+def bind_classify(index) -> CClassify | None:
+    """The index's compiled cut pass, or ``None`` for the numpy route.
+
+    Compiled when the index's kernel choice resolves to ``c``, its table
+    is a :class:`~repro.perf.cut_table.RankCuts` (or decides nothing, a
+    :class:`~repro.perf.cut_table.SearchOnlyCutTable`) and its observer
+    layer, if any, is an :class:`~repro.perf.observers.ObserverLayer`.
+    Called whenever the table, the kernel or the layer changes (build,
+    ``set_kernel``, ``attach_observers``, persistence loading,
+    shared-page adoption and restore), so a context never outlives the
+    arrays it points into.
+    """
+    table = index._cut_table
+    observers = index._observers
+    if (
+        table is None
+        or resolve_backend(index._kernel_choice) != "c"
+        or not (observers is None or isinstance(observers, ObserverLayer))
+    ):
+        return None
+    if isinstance(table, RankCuts):
+        negative, positive = table.negative, table.positive
+    elif type(table) is SearchOnlyCutTable:
+        negative = positive = ()
+    else:
+        return None
+    try:
+        return CClassify(
+            index.graph.num_vertices, observers, negative, positive
+        )
+    except CUnavailable as exc:
+        _count_fallback(exc.reason)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +820,7 @@ class CFelineKernel(FelineSearch):
         pruned = np.empty(m, dtype=np.int64)
         codes = _sweep(
             self._batch, self._ctx_addr, self._index, us, vs, max_steps,
-            expanded.ctypes.data, pruned.ctypes.data,
+            _ref(expanded), _ref(pruned),
         )
         return codes, expanded, pruned
 

@@ -7,7 +7,9 @@ consulted.  This module packages that idea as an :class:`ObserverLayer` that
 runs in front of **every** family's
 :class:`~repro.perf.cut_table.CutTable`: the batch engine
 (:mod:`repro.perf.engine`) runs :meth:`ObserverLayer.classify` as a
-vectorized pre-pass, and the scalar query chain
+vectorized pre-pass (or, on the ``c`` tier, the same checks inside one
+compiled classify call over :meth:`ObserverLayer.rank_rows` and the
+bit rows), and the scalar query chain
 (:meth:`~repro.baselines.base.ReachabilityIndex._answer`) runs
 :meth:`ObserverLayer.decide` before the table's ``classify_one``.
 
@@ -54,6 +56,7 @@ from repro.graph.toposort import (
     kahn_order,
     ranks_from_order,
 )
+from repro.perf.cut_table import RankRow
 
 __all__ = ["ObserverLayer", "build_observers"]
 
@@ -90,8 +93,10 @@ class ObserverLayer:
             memoryview, (self.t1, self.t2, self.fmax, self.bmin)
         )
         self.supports = np.asarray(supports, dtype=np.int64)
-        self.fwd_bits = np.asarray(fwd_bits, dtype=np.uint8)
-        self.bwd_bits = np.asarray(bwd_bits, dtype=np.uint8)
+        # Row-major bit rows: one vertex's bitset is one run of bytes,
+        # which the compiled batch pass reads in place.
+        self.fwd_bits = np.ascontiguousarray(fwd_bits, dtype=np.uint8)
+        self.bwd_bits = np.ascontiguousarray(bwd_bits, dtype=np.uint8)
         # Python-int mirrors of the bit rows for the scalar decide();
         # built lazily so an mmap-loaded layer stays lazy until the
         # scalar path is actually used.
@@ -119,6 +124,21 @@ class ObserverLayer:
                 self.t1, self.t2, self.fmax, self.bmin,
                 self.supports, self.fwd_bits, self.bwd_bits,
             )
+        )
+
+    def rank_rows(self) -> tuple[RankRow, ...]:
+        """The four rank checks as :class:`~repro.perf.cut_table.RankRow`,
+        in :meth:`decide`'s order, each holding for every reachable
+        ``u != v``: ``t1[u] < t1[v]``, ``t2[u] < t2[v]``, ``t1[v] ≤
+        fmax[u]`` and ``bmin[v] ≤ t1[u]``.  Built over the current arrays
+        (the compiled batch pass reads them; see
+        :func:`repro.perf.kernels.bind_classify`)."""
+        name = "observer-negative"
+        return (
+            RankRow(name, self.t1, self.t1, strict=True),
+            RankRow(name, self.t2, self.t2, strict=True),
+            RankRow(name, self.t1, self.fmax, reverse=True),
+            RankRow(name, self.bmin, self.t1, reverse=True),
         )
 
     # -- batch ----------------------------------------------------------

@@ -212,3 +212,123 @@ class TestEveryFamilyMaterializes:
                 assert cut in CUT_NAMES, (method, cut)
                 assert pos == (cut == "positive-cut"), (method, u, v, cut)
                 assert neg == (not pos), (method, u, v, cut)
+
+
+def _random_layer(n: int, k: int, seed: int):
+    """An observer layer of random arrays: wrong as reachability data,
+    but it makes every check fire, ties and overlapping verdicts
+    included, so the code order of each route shows."""
+    from repro.perf.observers import ObserverLayer
+
+    rng = np.random.default_rng(seed)
+    t1, t2, fmax, bmin = (rng.integers(0, n // 2, size=n) for _ in range(4))
+    width = (k + 7) // 8
+    fwd, bwd = (
+        rng.integers(0, 256, size=(n, width), dtype=np.uint8)
+        & rng.integers(0, 256, size=(n, width), dtype=np.uint8)
+        for _ in range(2)
+    )
+    return ObserverLayer(
+        t1=t1, t2=t2, fmax=fmax, bmin=bmin,
+        supports=np.arange(k, dtype=np.int64), fwd_bits=fwd, bwd_bits=bwd,
+    )
+
+
+class TestClassifyKernel:
+    """The compiled cut pass (``kernels.CClassify``) writes the numpy
+    route's codes and counts (``engine.mask_codes``) for every rank-row
+    family, with and without filters and observer layers whose bit rows
+    span 0, 1 and 2 bytes."""
+
+    FAMILIES = ["feline", "feline-b", "feline-i", "feline-k", "grail"]
+    N = 40
+
+    def pairs(self):
+        n = self.N
+        pairs = np.array(
+            [(u, v) for u in range(n) for v in range(n)], dtype=np.int64
+        )
+        # Every pair twice: reflexive and duplicate pairs included.
+        pairs = np.concatenate([pairs, pairs[::-1]])
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    def index(self, method, filters, kernel="c"):
+        from tests.property.test_kernel_equivalence import require_c
+
+        require_c()
+        g = random_dag(self.N, avg_degree=2.0, seed=5)
+        index = create_index(method, g, **({} if filters else FILTERS_OFF))
+        index.set_kernel(kernel)
+        return index.build()
+
+    @pytest.mark.parametrize(
+        "layer, k",
+        [(None, 0)] + [(layer, k) for layer in ("built", "random")
+                       for k in (0, 3, 16)],
+    )
+    @pytest.mark.parametrize("filters", [True, False])
+    @pytest.mark.parametrize("method", FAMILIES)
+    def test_codes_match_the_numpy_route(self, method, filters, layer, k):
+        from repro.perf.engine import mask_codes
+        from repro.perf.observers import build_observers
+
+        index = self.index(method, filters)
+        if layer == "built":
+            index.attach_observers(build_observers(index.graph, k=k))
+        elif layer == "random":
+            index.attach_observers(_random_layer(self.N, k, seed=k))
+        compiled = index._classify
+        assert compiled is not None
+        sources, targets = self.pairs()
+        codes, counts = compiled(sources, targets)
+        want, want_counts = mask_codes(index, sources, targets)
+        assert codes.tolist() == want.tolist()
+        assert counts == want_counts
+        assert sum(counts) == len(sources)
+
+    @pytest.mark.parametrize("kernel", ["c", "python"])
+    def test_out_of_range_pair_counts_nothing(self, kernel):
+        from repro.perf.engine import vectorized_query_many
+        from repro.perf.observers import build_observers
+
+        index = self.index("feline", True, kernel)
+        index.attach_observers(build_observers(index.graph, k=3))
+        assert (index._classify is None) == (kernel == "python")
+        before = index.stats.as_dict()
+        pairs = np.array([(0, 1), (2, 2), (3, self.N), (4, 5)])
+        with pytest.raises(IndexError):
+            vectorized_query_many(index, pairs)
+        assert index.stats.as_dict() == before
+        if kernel == "c":
+            with pytest.raises(IndexError, match=f"3 -> {self.N}"):
+                index._classify(pairs[:, 0], pairs[:, 1])
+
+    def test_bound_on_the_c_tier_only(self, monkeypatch):
+        from repro.perf.observers import build_observers
+
+        index = self.index("grail", True)
+        first = index._classify
+        assert first is not None and first._ctx.num_observer == 0
+        index.attach_observers(build_observers(index.graph, k=3))
+        assert index._classify is not first
+        assert index._classify._ctx.num_observer == 4
+        assert index._classify._ctx.width == 1
+        index.set_kernel("python")
+        assert index._classify is None
+        index.set_kernel(None)
+        assert index._classify is not None
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        index.set_kernel(None)
+        assert index._classify is None
+
+    def test_search_only_tables_classify_reflexive_and_observers(self):
+        from repro.perf.engine import mask_codes
+        from repro.perf.observers import build_observers
+
+        index = self.index("bfs", True)
+        index.attach_observers(build_observers(index.graph, k=3))
+        assert index._classify._ctx.num_negative == 0
+        sources, targets = self.pairs()
+        codes, counts = index._classify(sources, targets)
+        want, want_counts = mask_codes(index, sources, targets)
+        assert codes.tolist() == want.tolist() and counts == want_counts

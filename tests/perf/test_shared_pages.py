@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from repro.baselines.base import available_methods, create_index
 from repro.exceptions import ReproError
 from repro.graph.generators import crown_graph, random_dag
 from repro.perf.shm import SharedIndexPages, shared_memory_available
+
+# The checkout's package, for the child processes a test starts.
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
@@ -146,11 +150,10 @@ class TestCrossProcessAttach:
                 "print(int(pages.view('weights').sum()))\n"
                 "pages.close()\n"
             )
-            env = dict(os.environ, PYTHONPATH="src")
+            env = dict(os.environ, PYTHONPATH=str(SRC))
             proc = subprocess.run(
                 [sys.executable, "-c", child, json.dumps(pages.manifest())],
-                capture_output=True, text=True, env=env, cwd="/root/repo",
-                timeout=60,
+                capture_output=True, text=True, env=env, timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == str(sum(range(100)))
@@ -291,3 +294,53 @@ class TestSearchAdjacencyPages:
         ctx = index._kernel._ctx
         assert ctx.out_indices == g.csr().out_indices.ctypes.data
         assert index.query_many(pairs) == before
+
+    @pytest.mark.parametrize("method", ["feline", "feline-i", "feline-b"])
+    def test_c_classify_reads_adopted_pages(self, method):
+        """The compiled cut pass is rebuilt over the adopted observer
+        and row arrays, and over the originals again after restore."""
+        from repro.perf.observers import build_observers
+        from tests.property.test_kernel_equivalence import require_c
+
+        require_c()
+        g = random_dag(60, avg_degree=3.0, seed=9)
+        index = create_index(method, g)
+        index.set_kernel("c")
+        index.build()
+        layer = index.attach_observers(build_observers(g, k=12))
+        pairs = [(u, v) for u in range(60) for v in range(60)]
+        before = index.query_many(pairs)
+        stats = index.stats.as_dict()
+
+        def pointers():
+            compiled = index._classify
+            rows = compiled._rows
+            return compiled._ctx.fwd_bits, rows[0].left, rows[4].left
+
+        original = (
+            layer.fwd_bits.ctypes.data,
+            layer.t1.ctypes.data,
+            index._cut_table.negative[0].left.ctypes.data,
+        )
+        assert pointers() == original
+        pages = index.enable_shared_pages()
+        try:
+            assert pointers() == (
+                pages.view("obs.fwd_bits").ctypes.data,
+                pages.view("obs.t1").ctypes.data,
+                index._cut_table.negative[0].left.ctypes.data,
+            )
+            row_array = index._cut_table.negative[0].left
+            assert any(
+                np.shares_memory(row_array, pages.view(name))
+                for name in pages.names()
+            )
+            index.stats.reset()
+            assert index.query_many(pairs) == before
+            assert index.stats.as_dict() == stats
+        finally:
+            index.close_shared_pages()
+        assert pointers() == original
+        index.stats.reset()
+        assert index.query_many(pairs) == before
+        assert index.stats.as_dict() == stats
