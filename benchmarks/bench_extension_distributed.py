@@ -1,18 +1,26 @@
-"""EXT2 — Extension benchmark: distributed FELINE (simulated cluster).
+"""EXT2 — Extension benchmark: distributed FELINE on the shard service.
 
-Measures the cost model of the simulated distributed deployment
-(DESIGN.md S27): query throughput, messages and rounds as the shard
-count grows, and shard load balance — the quantities a real cluster
-deployment of FELINE would tune.
+The conclusion's announced distributed FELINE as :mod:`repro.shard`
+deploys it (DESIGN.md S27): the DAG is cut into X-rank slabs, each
+served by a forked worker process with its own FELINE index; the
+coordinator keeps the global coordinates for O(1) cuts and routes
+cross-shard pairs through the SCARAB backbone.  The report shows where
+each query is answered — by a coordinator cut, inside one shard, or
+across shards — and what it costs in RPCs and wall time, per query
+through scalar ``reachable`` and per batch through ``reachable_many``.
 """
+
+from time import perf_counter
 
 import pytest
 
+from repro import Reachability
 from repro.bench.reporting import format_table
 from repro.bench.runner import ExperimentReport
-from repro.core.distributed import SimulatedCluster
 from repro.datasets.queries import mixed_workload
 from repro.graph.generators import random_dag
+from repro.obs.metrics import metrics_enabled
+from repro.shard import ShardConfig, ShardService
 
 from conftest import save_report, scaled
 
@@ -31,41 +39,83 @@ def workload(graph):
 
 
 @pytest.fixture(scope="module")
-def report(graph, workload):
+def services(graph):
+    """One service per shard count, closed at teardown."""
+    opened = {}
+    try:
+        for shards in SHARD_COUNTS:
+            opened[shards] = ShardService(graph, ShardConfig(num_shards=shards))
+        yield opened
+    finally:
+        for service in opened.values():
+            service.close()
+
+
+def _measured(service, run):
+    """``run()``'s answers, wall µs, RPCs and coordinator stat deltas."""
+    before = service.stats.as_dict()
+    with metrics_enabled() as registry:
+        start = perf_counter()
+        answers = run()
+        elapsed_us = (perf_counter() - start) * 1e6
+    rpcs = sum(
+        counter.value
+        for counter in registry.instruments()
+        if counter.name == "repro_shard_rpc_total"
+        and counter.labels.get("outcome") == "ok"
+    )
+    after = service.stats.as_dict()
+    deltas = {
+        key: after[key] - before[key]
+        for key in ("queries", "local_queries", "cross_queries")
+    }
+    return answers, elapsed_us, rpcs, deltas
+
+
+@pytest.fixture(scope="module")
+def measured(services, workload):
+    """Per shard count: the workload once scalar, once as one batch."""
+    pairs = workload.pairs
+    runs = {}
+    for shards, service in services.items():
+        runs[shards] = {
+            "scalar": _measured(
+                service, lambda: [service.reachable(u, v) for u, v in pairs]
+            ),
+            "batch": _measured(service, lambda: service.reachable_many(pairs)),
+        }
+    return runs
+
+
+@pytest.fixture(scope="module")
+def report(measured, workload):
+    queries = len(workload)
     rows = []
     data = {}
-    for shards in SHARD_COUNTS:
-        cluster = SimulatedCluster(graph, num_shards=shards)
-        cluster.stats.reset(cluster.num_shards)
-        for u, v in workload.pairs:
-            cluster.query(u, v)
-        stats = cluster.stats
-        expansions = stats.expansions_per_shard
-        balance = (
-            max(expansions) / max(1, min(expansions))
-            if min(expansions) > 0
-            else float("inf")
-        )
+    for shards, run in measured.items():
+        _, scalar_us, scalar_rpcs, counts = run["scalar"]
+        _, batch_us, batch_rpcs, _ = run["batch"]
+        local = counts["local_queries"] / queries
+        cross = counts["cross_queries"] / queries
         rows.append([
             shards,
-            stats.messages,
-            stats.rounds,
-            stats.forwarded_vertices,
-            round(stats.local_only_queries / stats.queries, 3),
-            round(balance, 2),
+            round(1.0 - local - cross, 3),
+            round(local, 3),
+            round(cross, 3),
+            round(scalar_rpcs / queries, 3),
+            round(batch_rpcs / queries, 3),
+            round(scalar_us / queries, 1),
+            round(batch_us / queries, 1),
         ])
-        data[shards] = {
-            "messages": stats.messages,
-            "rounds": stats.rounds,
-            "local_fraction": stats.local_only_queries / stats.queries,
-        }
+        data[shards] = {"local": local, "cross": cross}
     result = ExperimentReport(
         experiment_id="EXT-distributed",
-        title=f"Simulated distributed FELINE, {N}-vertex DAG, "
-              f"{len(workload)} queries",
+        title=f"Distributed FELINE on the shard service, {N}-vertex DAG, "
+              f"{queries} queries",
         text=format_table(
-            ["shards", "messages", "rounds", "forwarded",
-             "local-only fraction", "expansion imbalance"],
+            ["shards", "coordinator cut", "local", "cross-shard",
+             "RPCs/query scalar", "RPCs/query batch",
+             "µs/query scalar", "µs/query batch"],
             rows,
         ),
         data=data,
@@ -75,28 +125,24 @@ def report(graph, workload):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_query_batch(benchmark, report, graph, workload, shards):
-    cluster = SimulatedCluster(graph, num_shards=shards)
-
-    def run():
-        return [cluster.query(u, v) for u, v in workload.pairs]
-
-    answers = benchmark(run)
+def test_query_batch(benchmark, services, workload, shards):
+    answers = benchmark(services[shards].reachable_many, workload.pairs)
     assert len(answers) == len(workload.pairs)
 
 
-def test_shape_messages_grow_with_shards(report):
-    """More shards = more boundary crossings; one shard = none."""
-    assert report.data[1]["messages"] == 0
-    assert report.data[8]["messages"] >= report.data[2]["messages"]
+def test_shape_one_shard_never_crosses(report):
+    assert report.data[1]["cross"] == 0
 
 
-def test_shape_answers_independent_of_sharding(graph, workload):
-    reference = None
-    for shards in (1, 4):
-        cluster = SimulatedCluster(graph, num_shards=shards)
-        answers = [cluster.query(u, v) for u, v in workload.pairs]
-        if reference is None:
-            reference = answers
-        else:
-            assert answers == reference
+def test_shape_cross_share_grows_with_shards(report):
+    """More slabs, more pairs whose endpoints fall in different ones."""
+    shares = [report.data[shards]["cross"] for shards in SHARD_COUNTS]
+    assert shares == sorted(shares)
+    assert shares[-1] > 0
+
+
+def test_shape_answers_independent_of_sharding(measured, graph, workload):
+    reference = Reachability(graph).reachable_many(workload.pairs)
+    for shards, run in measured.items():
+        for mode in ("scalar", "batch"):
+            assert run[mode][0] == reference, (shards, mode)

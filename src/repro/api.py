@@ -36,6 +36,8 @@ this module only curates, it does not wrap.
 
 from __future__ import annotations
 
+# repro/__init__ binds Reachability before it imports this module.
+from repro import Reachability
 from repro.baselines.base import QueryStats, available_methods
 from repro.core.persistence import load_index, save_index
 from repro.exceptions import ReproError
@@ -80,45 +82,18 @@ __all__ = [
 ]
 
 
-def _facade():
-    # Late import: repro/__init__ imports this module at its bottom, so
-    # pulling Reachability at module import time would be circular.
-    from repro import Reachability
-
-    return Reachability
-
-
-def build_index(
-    graph,
-    method: str = "feline",
-    workers: int = 0,
-    observers: int = 0,
-    kernel: str | None = None,
-    shared_pages: bool = False,
-    **params,
-):
+def build_index(graph, **options) -> Reachability:
     """Build a ready-to-query oracle over any directed graph.
 
     ``graph`` is a :class:`DiGraph` or an iterable of ``(u, v)`` edges;
     cycles are condensed automatically.  Returns a
     :class:`~repro.Reachability` — pass it straight to
-    :class:`ReachServer` or query it in process.  ``workers >= 2``
-    attaches a survivor-search pool for batch traffic; ``observers >= 1``
-    builds an O'Reach-style observer layer consulted before the index's
-    own cuts on every query; ``kernel`` selects the survivor-path search
-    backend (``"auto"``/``"c"``/``"numpy"``/``"python"``, all
-    bit-identical) and ``shared_pages=True`` moves the read-only index
-    pages into shared memory (see ``docs/PERFORMANCE.md``).
+    :class:`ReachServer` or query it in process.  ``options`` are the
+    facade's own — ``method``, ``workers``, ``observers``, ``kernel``,
+    ``shared_pages`` and index parameters; see :class:`Reachability`
+    and ``docs/PERFORMANCE.md``.
     """
-    return _facade()(
-        graph,
-        method=method,
-        workers=workers,
-        observers=observers,
-        kernel=kernel,
-        shared_pages=shared_pages,
-        **params,
-    )
+    return Reachability(graph, **options)
 
 
 def reach(
@@ -148,8 +123,3 @@ def reach_many(
         for (u, v), answer in zip(pairs, answers)
     ]
 
-
-def __getattr__(name: str):
-    if name == "Reachability":
-        return _facade()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -942,14 +942,26 @@ class ReachabilityIndex(ABC):
         self._adopt_observer_arrays(pages)
 
     def _adopt_observer_arrays(self, pages) -> None:
+        """Swap in a layer built over the arena's views, so the scalar
+        :meth:`~repro.perf.observers.ObserverLayer.decide` (its
+        memoryviews and bit-row ints are made from the arrays it is
+        built over) reads the shared pages like the batch paths do."""
         observers = self._observers
         if observers is None:
             return
-        stash = {}
-        for attr in _OBSERVER_ARRAYS:
-            stash[attr] = getattr(observers, attr)
-            setattr(observers, attr, pages.view(f"obs.{attr}"))
-        self._shared_originals["observers"] = stash
+        from repro.perf.observers import ObserverLayer
+
+        self._shared_originals["observers"] = observers
+        self._observers = ObserverLayer(
+            **{attr: pages.view(f"obs.{attr}") for attr in _OBSERVER_ARRAYS}
+        )
+
+    def _restore_observer_arrays(self) -> None:
+        """Put the original layer back; the adopted one, and with it
+        every view of the arena it held, is dropped."""
+        original = (self._shared_originals or {}).get("observers")
+        if original is not None:
+            self._observers = original
 
     def _restore_shared_arrays(self) -> None:
         """Hook: undo :meth:`_adopt_shared_arrays`."""
@@ -957,10 +969,7 @@ class ReachabilityIndex(ABC):
         csr = originals.get("csr")
         if csr is not None:
             self.graph.adopt_csr(csr)
-        stash = originals.get("observers")
-        if stash is not None:
-            for attr, arr in stash.items():
-                setattr(self._observers, attr, arr)
+        self._restore_observer_arrays()
 
     def _rematerialize_after_swap(self) -> None:
         """Rebuild the views-derived machinery after an array swap."""

@@ -23,7 +23,6 @@ from repro.core.advisor import (
     recommend_method,
 )
 from repro.core.bidirectional import FelineBIndex, FelineIIndex
-from repro.core.distributed import ClusterStats, ShardWorker, SimulatedCluster
 from repro.core.heuristics import available_heuristics, compute_y_order
 from repro.core.incremental import IncrementalFelineIndex
 from repro.core.multidim import MultiDimFelineIndex
@@ -42,9 +41,6 @@ __all__ = [
     "FelineBIndex",
     "IncrementalFelineIndex",
     "MultiDimFelineIndex",
-    "SimulatedCluster",
-    "ShardWorker",
-    "ClusterStats",
     "recommend_method",
     "describe_recommendation",
     "extract_features",

@@ -104,10 +104,7 @@ class FelineIIndex(ReachabilityIndex):
     def _restore_shared_arrays(self) -> None:
         self._inner._restore_shared_arrays()
         self._inner._shared_originals = None
-        stash = (self._shared_originals or {}).get("observers")
-        if stash is not None:
-            for attr, arr in stash.items():
-                setattr(self._observers, attr, arr)
+        self._restore_observer_arrays()
 
     def _rematerialize_after_swap(self) -> None:
         # The delegate rebuilds its table and kernel from the adopted

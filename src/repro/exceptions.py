@@ -24,8 +24,8 @@ subclasses communicate *what* went wrong:
 * :class:`PersistenceError` — an index file is unreadable: wrong magic,
   truncated, or failing its checksums; ``path`` and ``offset`` locate the
   damage.  :class:`ChecksumError` is the CRC-mismatch subclass.
-* :class:`WorkerError` — a (simulated) distributed worker failed; the
-  dispatch layer retries these with jittered backoff.
+* :class:`WorkerError` — a shard worker process failed an RPC; the
+  shard service retries these with jittered backoff.
 * :class:`DatasetError` — an unknown dataset name or unusable dataset
   parameters.
 * :class:`UnknownMethodError` — a method name not present in the index
@@ -176,10 +176,13 @@ class ChecksumError(PersistenceError):
 
 
 class WorkerError(ReproError):
-    """A distributed worker failed to serve a dispatch.
+    """A shard worker process failed to serve an RPC.
 
-    ``shard_id`` identifies the worker; ``transient`` signals whether the
-    dispatch layer should retry (with jittered backoff) or fail fast.
+    Raised by :class:`repro.shard.WorkerChannel` on a timeout, an error
+    reply or a dead worker.  ``shard_id`` identifies the worker;
+    ``transient`` signals whether :class:`repro.shard.ShardService` should
+    retry (with :class:`~repro.resilience.retry.RetryPolicy` backoff) or
+    fail fast.
     """
 
     def __init__(

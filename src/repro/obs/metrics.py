@@ -226,8 +226,8 @@ class MetricsRegistry:
     """Holds every live instrument plus the build-phase trace log.
 
     Instruments are created on first request and memoized by name and
-    label set; creation is guarded by a lock so concurrent builders (the
-    distributed simulation, future thread pools) can share one registry.
+    label set; creation is guarded by a lock so concurrent threads (the
+    shard service's supervisor, the serving tier) can share one registry.
     """
 
     enabled = True

@@ -3,8 +3,9 @@
 A :class:`SlowQueryLog` is a thread-safe ring buffer of
 :class:`SlowQueryRecord` entries, attachable to any index
 (:meth:`repro.baselines.base.ReachabilityIndex.attach_slow_log`), the
-facade (:meth:`repro.Reachability.enable_slow_log`), or the simulated
-cluster.  Two sampling modes:
+facade (:meth:`repro.Reachability.enable_slow_log`), or the shard
+service (:meth:`repro.shard.ShardService.attach_slow_log`).  Two
+sampling modes:
 
 * ``mode="threshold"`` (default) — record every query at or above
   ``threshold_ns``; the classic slow-query log.
@@ -130,8 +131,8 @@ class SlowQueryLog:
         """Offer one query; returns the stored record or ``None``.
 
         Threshold mode drops fast queries; reservoir mode keeps a uniform
-        sample of everything offered.  Thread-safe — the cluster's worker
-        dispatches and a scrape can race this.
+        sample of everything offered.  Thread-safe — the serving tier's
+        flushes and a scrape can race this.
         """
         with self._lock:
             self.observed += 1

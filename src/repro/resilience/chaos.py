@@ -3,8 +3,8 @@
 The harness has three parts:
 
 * **Hook points.**  Production code calls :func:`fire` at named points
-  (``"index.build.start"``, ``"feline.search"``,
-  ``"persistence.load.section"``, ``"distributed.expand"``, ...).  With no
+  (``"index.build.start"``, ``"persistence.load.section"``,
+  ``"shard.worker.request"``, ...).  With no
   hooks installed this is one empty-dict truthiness check; tests install
   callables with :func:`install` / the :func:`injected` context manager to
   raise :class:`InjectedFault` (or anything else) mid-build or mid-query.
@@ -14,16 +14,15 @@ The harness has three parts:
   (:func:`flip_bytes`, :func:`truncate_file`) so the integrity layers —
   checksums, :func:`repro.resilience.verify.verify_index` — can be shown
   to catch every mutation.
-* **Worker faults.**  :class:`FlakyWorker` and :class:`SlowWorker` wrap a
-  :class:`~repro.core.distributed.ShardWorker` to fail or delay the first
-  N dispatches, exercising the cluster's retry-with-backoff path.
 * **Process faults.**  :func:`kill_process` (SIGKILL), the
   :func:`freeze_process` / :func:`thaw_process` pair (SIGSTOP/SIGCONT)
   and the :class:`DropResponse` / :class:`DuplicateResponse` control
-  exceptions give the *real* multi-process shard service
-  (:mod:`repro.shard`) its murder weapons: a worker can be killed or
-  wedged mid-query, and a shard worker's response hook can drop or
-  duplicate a wire message.  The service must still answer every
+  exceptions give the multi-process shard service (:mod:`repro.shard`)
+  its murder weapons: a worker can be killed or wedged mid-query, a
+  raising ``shard.worker.request`` hook fails a dispatch (the
+  coordinator retries it through
+  :class:`~repro.resilience.retry.RetryPolicy`), and a shard worker's
+  response hook can drop or duplicate a wire message.  The service must still answer every
   admitted query within its deadline, correctly or honestly-UNKNOWN.
 
 Everything is seeded and deterministic: the same seed injects the same
@@ -39,7 +38,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
-from repro.exceptions import ReproError, WorkerError
+from repro.exceptions import ReproError
 
 __all__ = [
     "InjectedFault",
@@ -52,8 +51,6 @@ __all__ = [
     "corrupt_coordinates",
     "flip_bytes",
     "truncate_file",
-    "FlakyWorker",
-    "SlowWorker",
     "DropResponse",
     "DuplicateResponse",
     "kill_process",
@@ -209,76 +206,6 @@ def truncate_file(path: str | Path, size: int) -> None:
         raise ReproError(f"truncate size must be >= 0, got {size}")
     data = path.read_bytes()
     path.write_bytes(data[:size])
-
-
-# ---------------------------------------------------------------------------
-# Worker faults
-# ---------------------------------------------------------------------------
-class FlakyWorker:
-    """Wraps a shard worker to fail its first ``fail_times`` dispatches.
-
-    Failures raise a *transient* :class:`~repro.exceptions.WorkerError`
-    **before** touching the inner worker, matching the dispatch layer's
-    retry assumption (no partial side effects on failure).  After the
-    budgeted failures it delegates transparently.
-    """
-
-    def __init__(self, worker, fail_times: int = 1) -> None:
-        self.worker = worker
-        self.fail_times = fail_times
-        self.failures = 0
-
-    @property
-    def shard_id(self) -> int:
-        return self.worker.shard_id
-
-    @property
-    def owned(self):
-        return self.worker.owned
-
-    @property
-    def expanded(self) -> int:
-        return self.worker.expanded
-
-    def expand(self, *args, **kwargs):
-        if self.failures < self.fail_times:
-            self.failures += 1
-            raise WorkerError(
-                f"chaos: shard {self.worker.shard_id} dispatch failed "
-                f"({self.failures}/{self.fail_times})",
-                shard_id=self.worker.shard_id,
-                transient=True,
-            )
-        return self.worker.expand(*args, **kwargs)
-
-
-class SlowWorker:
-    """Wraps a shard worker to record a simulated delay per dispatch.
-
-    No real sleeping happens; ``simulated_delay_s`` accumulates so tests
-    and benchmarks can reason about straggler cost deterministically.
-    """
-
-    def __init__(self, worker, delay_s: float = 0.05) -> None:
-        self.worker = worker
-        self.delay_s = delay_s
-        self.simulated_delay_s = 0.0
-
-    @property
-    def shard_id(self) -> int:
-        return self.worker.shard_id
-
-    @property
-    def owned(self):
-        return self.worker.owned
-
-    @property
-    def expanded(self) -> int:
-        return self.worker.expanded
-
-    def expand(self, *args, **kwargs):
-        self.simulated_delay_s += self.delay_s
-        return self.worker.expand(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

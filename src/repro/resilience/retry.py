@@ -1,8 +1,8 @@
 """Retry with jittered exponential backoff for worker dispatch.
 
-A real FELINE cluster loses workers; the simulated one
-(:class:`repro.core.distributed.SimulatedCluster`) models that with
-transient :class:`~repro.exceptions.WorkerError`.  :class:`RetryPolicy`
+A FELINE cluster loses workers: a failed shard RPC of
+:class:`repro.shard.ShardService` surfaces as a transient
+:class:`~repro.exceptions.WorkerError`.  :class:`RetryPolicy`
 centralises how those are retried: exponential backoff with *full
 jitter* (delay drawn uniformly from ``[0, base * multiplier**attempt]``,
 the AWS-recommended variant that decorrelates thundering herds), capped
@@ -10,8 +10,9 @@ at ``max_delay``.
 
 The policy is deterministic (seeded) and, by default, does not actually
 sleep — ``sleep=None`` records the would-be delays in
-:attr:`RetryPolicy.total_delay_s` so the simulation stays instant while
-tests can still assert on backoff arithmetic.  Pass ``sleep=time.sleep``
+:attr:`RetryPolicy.total_delay_s` (the shard service's worker restarts
+already pace its retries) while tests can still assert on backoff
+arithmetic.  Pass ``sleep=time.sleep``
 for real pacing.
 """
 

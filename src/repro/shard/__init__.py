@@ -1,10 +1,9 @@
 """repro.shard — the fault-tolerant multi-process shard deployment.
 
-Where :class:`repro.core.distributed.SimulatedCluster` *models* a FELINE
-cluster in one process, this package *runs* one: forked worker processes
-each own an X-slab partition of the condensed DAG with their own
-(budgeted) FELINE index, and a coordinator routes cross-shard queries
-through the SCARAB backbone, supervises workers with heartbeats,
+The distributed FELINE the paper's conclusion announces, run as forked
+worker processes on one host: each worker owns an X-slab partition of
+the condensed DAG with its own (budgeted) FELINE index, and a
+coordinator routes cross-shard queries through the SCARAB backbone, supervises workers with heartbeats,
 propagates per-query deadlines end-to-end, fails over dead or wedged
 workers by re-forking from the prebuilt plan, and degrades to a bounded
 coordinator-side search (or an honest :data:`~repro.resilience.UNKNOWN`)

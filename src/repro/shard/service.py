@@ -1,9 +1,8 @@
 """The fault-tolerant multi-process shard service.
 
-:class:`ShardService` is the real deployment that
-:class:`repro.core.distributed.SimulatedCluster` simulates: the input
-graph is condensed, partitioned into X-rank slabs (see
-:mod:`repro.shard.plan`), and each slab is served by an actual forked
+:class:`ShardService` is the distributed FELINE the paper's
+conclusion announces: the input graph is condensed, partitioned into
+X-rank slabs (see :mod:`repro.shard.plan`), and each slab is served by an actual forked
 worker process owning its own FELINE index.  The coordinator keeps the
 global FELINE coordinates (O(1) cuts), the SCARAB backbone routing
 index, and a replica of the condensed DAG for degraded-mode fallback.

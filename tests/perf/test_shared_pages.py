@@ -344,3 +344,42 @@ class TestSearchAdjacencyPages:
         index.stats.reset()
         assert index.query_many(pairs) == before
         assert index.stats.as_dict() == stats
+
+    @pytest.mark.parametrize("method", ["feline", "feline-i", "feline-b"])
+    def test_scalar_observers_read_adopted_pages(self, method):
+        """The scalar chain's observer checks read the arena after
+        adoption (a shard worker's ``local`` RPC answers through the
+        scalar ``query``), and the private arrays again after restore."""
+        from repro.perf.observers import build_observers
+
+        g = random_dag(60, avg_degree=3.0, seed=9)
+        index = create_index(method, g).build()
+        layer = index.attach_observers(build_observers(g, k=12))
+        pairs = [(u, v) for u in range(60) for v in range(60)]
+        before = [index.query(u, v) for u, v in pairs]
+        stats = index.stats.as_dict()
+        assert stats["observer_positive"] + stats["observer_negative"] > 0
+
+        def scalar_reads(current, arrays) -> bool:
+            return all(
+                np.shares_memory(
+                    np.asarray(getattr(current, f"_{name}")), arrays(name)
+                )
+                for name in ("t1", "t2", "fmax", "bmin")
+            )
+
+        pages = index.enable_shared_pages()
+        try:
+            assert scalar_reads(
+                index.observers, lambda name: pages.view(f"obs.{name}")
+            )
+            index.stats.reset()
+            assert [index.query(u, v) for u, v in pairs] == before
+            assert index.stats.as_dict() == stats
+        finally:
+            index.close_shared_pages()
+        assert index.observers is layer
+        assert scalar_reads(layer, lambda name: getattr(layer, name))
+        index.stats.reset()
+        assert [index.query(u, v) for u, v in pairs] == before
+        assert index.stats.as_dict() == stats

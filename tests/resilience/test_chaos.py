@@ -3,19 +3,17 @@ survived — never a silent wrong answer."""
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.core.distributed import SimulatedCluster
 from repro.core.query import FelineIndex
 from repro.exceptions import WorkerError
 from repro.graph.generators import random_dag
-from repro.resilience import RetryPolicy, chaos
-from repro.resilience.chaos import (
-    FlakyWorker,
-    InjectedFault,
-    SlowWorker,
-    injected,
-)
+from repro.resilience import UNKNOWN, RetryPolicy, chaos
+from repro.resilience.chaos import InjectedFault, injected
+from repro.shard import ShardConfig, ShardService
 from tests.conftest import reachability_oracle
 
 
@@ -148,74 +146,105 @@ class TestRetryPolicy:
         assert slept == [delay]
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="shard workers need the fork start method",
+)
 class TestClusterFaults:
-    def make_cluster(self, **kwargs):
-        graph = random_dag(200, avg_degree=2.0, seed=7)
-        return graph, SimulatedCluster(graph, num_shards=4, **kwargs)
+    """Worker faults on the shard service.  A hook installed before the
+    service starts fires inside every forked worker; workers restarted
+    after it is uninstalled run clean.  A fork-shared counter lets a
+    hook count or clear across worker processes."""
+
+    GRAPH = random_dag(200, avg_degree=2.0, seed=7)
+    PAIRS = [(u, v) for u in range(0, 200, 13) for v in range(0, 200, 17)]
+
+    def run(self, hook, keep_hook=False, **config):
+        """Answers and stats of ``PAIRS`` on a 4-shard service whose
+        first workers fire ``hook`` on every request (restarted ones
+        too with ``keep_hook``)."""
+        config = ShardConfig(num_shards=4, supervise=False, **config)
+        with injected("shard.worker.request", hook):
+            service = ShardService(self.GRAPH, config)
+            if not keep_hook:
+                chaos.uninstall("shard.worker.request")
+            with service:
+                answers = [service.reachable(u, v) for u, v in self.PAIRS]
+        return answers, service.stats
+
+    def expected(self):
+        oracle = reachability_oracle(self.GRAPH)
+        return [oracle(u, v) for u, v in self.PAIRS]
+
+    @staticmethod
+    def counter(start=0):
+        return multiprocessing.get_context("fork").Value("i", start)
+
+    @staticmethod
+    def bump(counter, by=1) -> int:
+        with counter.get_lock():
+            counter.value += by
+            return counter.value
 
     def test_flaky_worker_survived(self):
-        graph, cluster = self.make_cluster()
-        cluster.workers = [FlakyWorker(w, fail_times=1) for w in cluster.workers]
-        oracle = reachability_oracle(graph)
-        for u in range(0, 200, 13):
-            for v in range(0, 200, 17):
-                assert cluster.query(u, v) == oracle(u, v), (u, v)
-        assert cluster.stats.worker_failures > 0
-        assert cluster.stats.retries >= cluster.stats.worker_failures > 0
+        def fail(**ctx):
+            raise WorkerError("chaos dispatch", shard_id=ctx["shard_id"])
+
+        # Every first-generation worker fails; failover re-forks clean ones.
+        answers, stats = self.run(fail)
+        assert answers == self.expected()
+        assert stats.rpc_failures > 0
+        assert stats.failovers == stats.rpc_failures
+        assert stats.degraded_fallback == stats.degraded_unknown == 0
 
     def test_worker_outage_surfaces_not_silences(self):
-        graph, cluster = self.make_cluster(
-            retry_policy=RetryPolicy(max_attempts=2)
+        def fail(**ctx):
+            raise WorkerError("chaos dispatch", shard_id=ctx["shard_id"])
+
+        # More failures than the retry budget on every worker: shard-bound
+        # queries must surface as UNKNOWN, never as a wrong boolean.
+        answers, stats = self.run(
+            fail, keep_hook=True, max_attempts=2, on_shard_loss="unknown"
         )
-        # More failures than the retry budget: the query must fail loudly.
-        cluster.workers = [
-            FlakyWorker(w, fail_times=10) for w in cluster.workers
-        ]
-        with pytest.raises(WorkerError):
-            # A cross-shard positive query must dispatch to some worker.
-            for u in range(200):
-                cluster.query(u, (u + 97) % 200)
+        assert UNKNOWN in answers
+        for answer, truth in zip(answers, self.expected()):
+            assert answer is UNKNOWN or answer == truth
+        assert stats.degraded_unknown == answers.count(UNKNOWN)
 
     def test_slow_worker_accumulates_delay(self):
-        graph, cluster = self.make_cluster()
-        cluster.workers = [
-            SlowWorker(w, delay_s=0.01) for w in cluster.workers
-        ]
-        oracle = reachability_oracle(graph)
-        for u in range(0, 200, 29):
-            for v in range(0, 200, 31):
-                assert cluster.query(u, v) == oracle(u, v)
-        assert sum(w.simulated_delay_s for w in cluster.workers) > 0
+        delayed = self.counter()
+
+        def slow(**ctx):
+            self.bump(delayed)
+            time.sleep(0.002)
+
+        start = time.monotonic()
+        answers, _ = self.run(slow, keep_hook=True)
+        assert answers == self.expected()
+        assert delayed.value > 0
+        assert time.monotonic() - start >= 0.002 * delayed.value
 
     def test_expand_hook_fires(self):
-        graph, cluster = self.make_cluster()
-        fired = []
-        chaos.install(
-            "distributed.expand", lambda **ctx: fired.append(ctx["shard_id"])
+        fired = self.counter()
+        answers, stats = self.run(
+            lambda **ctx: self.bump(fired), keep_hook=True
         )
-        for u in range(0, 200, 41):
-            cluster.query(u, (u + 83) % 200)
-        chaos.uninstall("distributed.expand")
-        assert fired  # at least one dispatch went through the hook
+        assert answers == self.expected()
+        assert fired.value >= stats.local_queries + stats.cross_queries > 0
 
     def test_injected_transient_fault_at_dispatch_is_retried(self):
-        graph, cluster = self.make_cluster()
-        state = {"left": 2}
+        left = self.counter(2)
 
         def hook(**ctx):
-            if state["left"] > 0:
-                state["left"] -= 1
+            if self.bump(left, -1) >= 0:
                 raise WorkerError(
                     "chaos dispatch", shard_id=ctx["shard_id"], transient=True
                 )
 
-        chaos.install("distributed.expand", hook)
-        oracle = reachability_oracle(graph)
-        try:
-            for u in range(0, 200, 19):
-                for v in range(0, 200, 23):
-                    assert cluster.query(u, v) == oracle(u, v)
-        finally:
-            chaos.uninstall("distributed.expand")
-        assert state["left"] == 0
-        assert cluster.stats.retries >= 2
+        # The fault outlives one restart but clears within max_attempts=3:
+        # one query is retried twice and answered exactly, undegraded.
+        answers, stats = self.run(hook, keep_hook=True, max_attempts=3)
+        assert answers == self.expected()
+        assert stats.rpc_failures == 2
+        assert stats.failovers == 1
+        assert stats.degraded_fallback == stats.degraded_unknown == 0

@@ -5,19 +5,19 @@ import doctest
 import pytest
 
 import repro
-import repro.core.distributed
 import repro.core.incremental
 import repro.core.query
 import repro.graph.builder
 import repro.scarab.scar
+import repro.shard.service
 
 MODULES_WITH_EXAMPLES = [
     repro,
     repro.graph.builder,
     repro.core.query,
     repro.core.incremental,
-    repro.core.distributed,
     repro.scarab.scar,
+    repro.shard.service,
 ]
 
 
