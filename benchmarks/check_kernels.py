@@ -4,9 +4,9 @@ Reads a kernel-sweep report written by ``smoke.py`` and enforces, per
 (workload, method):
 
 * **numpy never loses** — the numpy tier's batch throughput must be at
-  least ``1 - tolerance`` of the pure-Python tier's (the numpy kernels
-  fall back to the scalar loop below ``VECTOR_MIN_DEGREE``, so they
-  should cost nothing where vectorization can't help);
+  least ``1 - tolerance`` of the pure-Python tier's (a rank-row family
+  has no numpy search and runs the python loop there, so for the swept
+  families this bounds the noise between two runs of one loop);
 * **C must pay for itself** — when ``c`` cells exist (everywhere the
   library builds; the no-compiler CI job has none, and absent cells are
   fine), the compiled tier's survivor search must be ``--c-speedup``

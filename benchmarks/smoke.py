@@ -20,10 +20,11 @@ observer count — ``check_observers.py`` gates CI on the survivor-rate
 drop and on calibration-normalized throughput.
 
 Both workloads additionally feed a *kernel* sweep written to
-``BENCH_pr10.json``: each method's batch runs once per available
-search-kernel backend (``python``, ``numpy``, and ``c`` when its library
-builds — see :mod:`repro.perf.kernels`), with answers asserted
-identical across backends.  ``check_kernels.py`` gates CI on the numpy
+``BENCH_pr10.json``: the batch of each method — FELINE, FELINE-B,
+GRAIL and FELINE-K — runs once per available search-kernel backend
+(``python``, ``numpy``, and ``c`` when its library builds — see
+:mod:`repro.perf.kernels`), with answers asserted identical across
+backends.  ``check_kernels.py`` gates CI on the numpy
 tier being no slower than pure Python and (when C cells exist) on the
 compiled tier's search-heavy speedup.  Every report records
 ``kernel_backend`` / ``c_fallback_reason`` / ``shared_pages`` so
@@ -70,6 +71,13 @@ NUM_QUERIES = 2_000
 SPECS = [
     MethodSpec("feline", "FELINE"),
     MethodSpec("feline-b", "FELINE-B"),
+]
+#: The kernel sweep also covers the rank-row families whose search
+#: moved to C after these specs were fixed.
+KERNEL_SPECS = [
+    *SPECS,
+    MethodSpec("grail", "GRAIL"),
+    MethodSpec("feline-k", "FELINE-K"),
 ]
 OBSERVER_AXIS = [0, 16]
 
@@ -266,7 +274,7 @@ def kernel_report(out_dir: Path, workloads, graph, runs: int = 3) -> dict:
     for name, pairs in workloads:
         results = []
         reference: dict[str, list] = {}
-        for spec in SPECS:
+        for spec in KERNEL_SPECS:
             for backend in available_backends()[::-1]:  # python first
                 cell, answers = _kernel_cell(
                     graph, spec.method, pairs, backend, runs

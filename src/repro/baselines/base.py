@@ -14,6 +14,7 @@ automatically by the :class:`repro.Reachability` facade.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from time import perf_counter
@@ -48,6 +49,7 @@ _OBSERVER_ARRAYS = (
 __all__ = [
     "QueryStats",
     "ReachabilityIndex",
+    "RankSearchIndex",
     "register_index",
     "create_index",
     "available_methods",
@@ -1072,6 +1074,45 @@ class ReachabilityIndex(ABC):
     def __repr__(self) -> str:
         state = "built" if self._built else "unbuilt"
         return f"<{type(self).__name__} {state} on {self.graph!r}>"
+
+
+class RankSearchIndex(ReachabilityIndex):
+    """A family whose cuts are a :class:`~repro.perf.cut_table.RankCuts`
+    table and whose survivors run that table's pruned DFS.
+
+    FELINE, FELINE-B, FELINE-K and GRAIL search this way: on the C tier
+    through the kernel :func:`~repro.perf.kernels.bind_rank_search`
+    arms, else on :meth:`~repro.perf.cut_table.RankCuts.search`, over
+    :attr:`adjacency` when the family sorts one by its table's key row.
+    """
+
+    #: The :class:`~repro.core.index.XSortedAdjacency` the search walks
+    #: (``None``: the graph's out-CSR).
+    adjacency = None
+
+    def __init__(self, graph: DiGraph) -> None:
+        super().__init__(graph)
+        # Timestamped visited marks, shared by every tier:
+        # _visited[w] == _stamp ⇔ w seen in the current search.
+        self._visited = array("l", [0] * graph.num_vertices)
+        self._stamp = 0
+
+    def _search_pair(self, u: int, v: int) -> bool:
+        return self._search(u, v)
+
+    def _search(self, u: int, v: int) -> bool:
+        """One pruned DFS from ``u`` towards ``v`` on the bound tier
+        (every tier is bit-identical in answers, stats and budget
+        semantics; the active guard steps once per expanded vertex)."""
+        kernel = self._kernel
+        if kernel is not None:
+            return kernel.search(u, v)
+        return self._cut_table.search(self, u, v, self.adjacency)
+
+    def _bind_kernel(self) -> None:
+        from repro.perf import kernels
+
+        kernels.bind_rank_search(self, self.adjacency)
 
 
 _REGISTRY: dict[str, Callable[..., ReachabilityIndex]] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from random import Random
 
-from repro.baselines.base import ReachabilityIndex, register_index
+from repro.baselines.base import RankSearchIndex, register_index
 from repro.graph.digraph import DiGraph
 from repro.graph.levels import compute_levels
 from repro.graph.spanning import (
@@ -35,7 +35,7 @@ __all__ = ["GrailIndex"]
 from array import array
 
 
-class GrailIndex(ReachabilityIndex):
+class GrailIndex(RankSearchIndex):
     """GRAIL with ``d`` randomized interval labellings plus both filters.
 
     Parameters
@@ -72,8 +72,6 @@ class GrailIndex(ReachabilityIndex):
         self.labelings: list[IntervalLabels] = []
         self.levels: array | None = None
         self.tree_intervals: IntervalLabels | None = None
-        self._visited = array("l", [0] * graph.num_vertices)
-        self._stamp = 0
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -107,9 +105,6 @@ class GrailIndex(ReachabilityIndex):
             )
         return RankCuts(rows + filter_rows(self.levels, self.tree_intervals))
 
-    def _search_pair(self, u: int, v: int) -> bool:
-        return self._search(u, v)
-
     def _explain_details(self, u: int, v: int, explanation) -> None:
         """The d interval labels consulted, and whether containment
         failed."""
@@ -125,10 +120,6 @@ class GrailIndex(ReachabilityIndex):
             details["level(v)"] = self.levels[v]
         if explanation.cut == "negative-cut":
             details["containment"] = False
-
-    def _search(self, u: int, v: int) -> bool:
-        """DFS pruned by the cut rows (no target-position bound)."""
-        return self._cut_table.search(self, u, v)
 
 
 register_index(GrailIndex)

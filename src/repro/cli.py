@@ -161,7 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="survivor-path search-kernel backend (default auto: "
             "c when the search library compiles and loads, else numpy; "
-            "all backends are bit-identical — see docs/PERFORMANCE.md)",
+            "numpy is the bidirectional BFS's, the rank-row families "
+            "search on python under it; all backends are bit-identical "
+            "— see docs/PERFORMANCE.md)",
         )
 
     query = sub.add_parser("query", help="answer one reachability query")

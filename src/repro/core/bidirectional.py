@@ -18,9 +18,7 @@ paper's Figure 12 plots).  Two variants exploit this:
 
 from __future__ import annotations
 
-from array import array
-
-from repro.baselines.base import ReachabilityIndex, register_index
+from repro.baselines.base import RankSearchIndex, ReachabilityIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
     XSortedAdjacency,
@@ -121,7 +119,7 @@ class FelineIIndex(ReachabilityIndex):
         explanation.details["reversed_index"] = True
 
 
-class FelineBIndex(ReachabilityIndex):
+class FelineBIndex(RankSearchIndex):
     """FELINE-B: bidirectional pruning with normal + reversed coordinates.
 
     Construction cost is roughly doubled (two Algorithm 1 runs) but the
@@ -150,9 +148,6 @@ class FelineBIndex(ReachabilityIndex):
         self.backward: FelineCoordinates | None = None
         # Children sorted by the forward X rank, as in FelineIndex.
         self.adjacency: XSortedAdjacency | None = None
-        self._dfs = None
-        self._visited = array("l", [0] * graph.num_vertices)
-        self._stamp = 0
 
     def _build(self) -> None:
         # Filters live on the normal index only (paper §4.3.5): the
@@ -183,8 +178,9 @@ class FelineBIndex(ReachabilityIndex):
         return total
 
     def _make_cut_table(self) -> RankCuts:
-        # Forward dominance, reversed dominance i'(v) ≼ i'(u), then the
-        # forward index's filters.
+        # Forward dominance (X, the key row the adjacency is sorted by,
+        # first), reversed dominance i'(v) ≼ i'(u), then the forward
+        # index's filters.
         fwd, bwd = self.forward.views, self.backward.views
         return RankCuts([
             RankRow("negative-cut", fwd.x),
@@ -192,20 +188,7 @@ class FelineBIndex(ReachabilityIndex):
             RankRow("negative-cut-reversed", bwd.x, reverse=True),
             RankRow("negative-cut-reversed", bwd.y, reverse=True),
             *filter_rows(fwd.levels, fwd),
-        ])
-
-    def _search_pair(self, u: int, v: int) -> bool:
-        fwd, bwd = self.forward, self.backward
-        return self._search(
-            u, v, fwd.x[v], fwd.y[v], bwd.x[v], bwd.y[v]
-        )
-
-    def _bind_kernel(self) -> None:
-        from repro.perf import kernels
-
-        self._dfs = kernels.bind_feline_search(
-            self, self.adjacency, self.forward, self.backward
-        )
+        ], key=0)
 
     def _shared_arrays(self) -> dict:
         arrays = super()._shared_arrays()
@@ -251,13 +234,6 @@ class FelineBIndex(ReachabilityIndex):
             intervals = fwd.tree_intervals
             details["interval(u)"] = (intervals.start[u], intervals.post[u])
             details["interval(v)"] = (intervals.start[v], intervals.post[v])
-
-    def _search(
-        self, u: int, v: int, xv: int, yv: int, rxv: int, ryv: int
-    ) -> bool:
-        """One DFS restricted to the intersection of both admissible
-        regions, on the bound tier (see :meth:`FelineIndex._search`)."""
-        return self._dfs.search(u, v, xv, yv, rxv, ryv)
 
 
 register_index(FelineIIndex)

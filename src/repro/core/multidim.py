@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.baselines.base import ReachabilityIndex, register_index
+from repro.baselines.base import RankSearchIndex, register_index
 from repro.core.heuristics import compute_y_order
 from repro.perf.cut_table import RankCuts, RankRow, filter_rows, view_i64
 from repro.graph.digraph import DiGraph
@@ -39,7 +39,7 @@ from repro.graph.toposort import dfs_topological_order, ranks_from_order
 __all__ = ["MultiDimFelineIndex"]
 
 
-class MultiDimFelineIndex(ReachabilityIndex):
+class MultiDimFelineIndex(RankSearchIndex):
     """FELINE with ``dimensions`` topological orderings (default 3).
 
     ``dimensions=2`` reproduces plain FELINE; higher values trade index
@@ -66,8 +66,6 @@ class MultiDimFelineIndex(ReachabilityIndex):
         self.ranks: list[array] = []
         self.levels: array | None = None
         self.tree_intervals: IntervalLabels | None = None
-        self._visited = array("l", [0] * graph.num_vertices)
-        self._stamp = 0
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -110,9 +108,6 @@ class MultiDimFelineIndex(ReachabilityIndex):
         rows = [RankRow("negative-cut", view_i64(r)) for r in self.ranks]
         return RankCuts(rows + filter_rows(self.levels, self.tree_intervals))
 
-    def _search_pair(self, u: int, v: int) -> bool:
-        return self._search(u, v)
-
     def _explain_details(self, u: int, v: int, explanation) -> None:
         """Per-dimension coordinates, and whether dominance failed."""
         details = explanation.details
@@ -123,10 +118,6 @@ class MultiDimFelineIndex(ReachabilityIndex):
             details["level(v)"] = self.levels[v]
         if explanation.cut == "negative-cut":
             details["dominates"] = False
-
-    def _search(self, u: int, v: int) -> bool:
-        """DFS pruned by the target's bound in every dimension."""
-        return self._cut_table.search(self, u, v)
 
 
 register_index(MultiDimFelineIndex)

@@ -13,8 +13,10 @@ A query ``r(u, v)`` runs the two-step process of §3:
    expands only vertices ``w`` with ``i(w) ≼ i(v)`` — the per-dimension
    bounds checks that let FELINE discard branches GRAIL (no bound) and
    FERRARI (one-dimensional bound) keep exploring (Figures 5–7).  The
-   DFS walks an X-sorted adjacency, so the ``X`` bound is one bisect
-   per expanded vertex and cuts the children past it as a block;
+   DFS is the rows' search (:meth:`~repro.perf.cut_table.RankCuts.search`)
+   over an X-sorted adjacency with ``X`` as the key row, so the ``X``
+   bound is one bisect per expanded vertex and cuts the children past it
+   as a block;
    ``stats.pruned`` counts child edges cut per expansion (that block,
    plus first-seen children failing the ``Y`` or level bound).
 
@@ -25,9 +27,7 @@ workload issues hundreds of thousands of queries.
 
 from __future__ import annotations
 
-from array import array
-
-from repro.baselines.base import ReachabilityIndex, register_index
+from repro.baselines.base import RankSearchIndex, register_index
 from repro.core.index import (
     FelineCoordinates,
     XSortedAdjacency,
@@ -51,7 +51,7 @@ def feline_rows(coordinates: FelineCoordinates) -> list[RankRow]:
     ]
 
 
-class FelineIndex(ReachabilityIndex):
+class FelineIndex(RankSearchIndex):
     """The FELINE reachability index (coordinates + filters + pruned DFS).
 
     Parameters
@@ -92,14 +92,8 @@ class FelineIndex(ReachabilityIndex):
         self._use_positive_cut = use_positive_cut
         self._seed = seed
         self.coordinates: FelineCoordinates | None = None
-        # The search side: the X-sorted adjacency the pruned DFS walks
-        # and the bound search tier (repro.perf.kernels.FelineSearch).
+        # The X-sorted adjacency the pruned DFS walks.
         self.adjacency: XSortedAdjacency | None = None
-        self._dfs = None
-        # Timestamped visited marks: _visited[w] == _stamp ⇔ w seen in the
-        # current query's search.
-        self._visited = array("l", [0] * graph.num_vertices)
-        self._stamp = 0
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -135,18 +129,8 @@ class FelineIndex(ReachabilityIndex):
         return self.coordinates.memory_bytes()
 
     def _make_cut_table(self) -> RankCuts:
-        return RankCuts(feline_rows(self.coordinates))
-
-    def _search_pair(self, u: int, v: int) -> bool:
-        coords = self.coordinates
-        return self._search(u, v, coords.x[v], coords.y[v])
-
-    def _bind_kernel(self) -> None:
-        from repro.perf import kernels
-
-        self._dfs = kernels.bind_feline_search(
-            self, self.adjacency, self.coordinates
-        )
+        # X is the key row the adjacency is sorted by.
+        return RankCuts(feline_rows(self.coordinates), key=0)
 
     def _shared_arrays(self) -> dict:
         arrays = super()._shared_arrays()
@@ -191,18 +175,6 @@ class FelineIndex(ReachabilityIndex):
             intervals = coords.tree_intervals
             details["interval(u)"] = (intervals.start[u], intervals.post[u])
             details["interval(v)"] = (intervals.start[v], intervals.post[v])
-
-    def _search(self, u: int, v: int, xv: int, yv: int) -> bool:
-        """One pruned DFS from ``u`` restricted to ``{w : i(w) ≼ i(v)}``.
-
-        Runs on the bound tier (:mod:`repro.perf.kernels`; every tier
-        is bit-identical in answers, stats and budget semantics) and
-        honours the active :class:`~repro.resilience.budget.SearchGuard`
-        (one step per expanded vertex).  ``stats.pruned`` counts child
-        edges cut per expansion: the children past the ``X`` bisect,
-        plus the first-seen children failing the ``Y`` or level bound.
-        """
-        return self._dfs.search(u, v, xv, yv)
 
 
 register_index(FelineIndex)

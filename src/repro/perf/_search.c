@@ -1,14 +1,15 @@
 /* The compiled search tier of repro.perf.kernels, loaded through ctypes.
  *
- * feline_dfs is FelineSearch._walk line for line, feline_batch its
- * survivor sweep, bibfs repro.graph.traversal's bidirectional BFS and
- * bibfs_batch the bibfs family's sweep.  classify_batch is the batch
- * engine's cut pass: the reflexive cut, the observer layer and a rank-row
- * table (repro.perf.cut_table.RankCuts) in the scalar chain's order.
- * Arrays are int64 and C-contiguous (checked at bind time); NULL marks
- * a structure the index lacks.  Returns 0 = not reachable,
- * 1 = reachable, 2 = step budget exhausted at the vertex just expanded
- * (budget < 0: none), 3 = a vertex outside 0..n-1 (nothing touched).
+ * rank_dfs is repro.perf.cut_table.RankCuts.search, the pruned DFS of
+ * every rank-row family, and rank_batch its survivor sweep; bibfs is
+ * repro.graph.traversal's bidirectional BFS and bibfs_batch the bibfs
+ * family's sweep.  classify_batch is the batch engine's cut pass: the
+ * reflexive cut, the observer layer and a rank-row table in the scalar
+ * chain's order.  Arrays are int64 and C-contiguous (checked at bind
+ * time); NULL marks a structure the index lacks.  Returns 0 = not
+ * reachable, 1 = reachable, 2 = step budget exhausted at the vertex just
+ * expanded (budget < 0: none), 3 = a vertex outside 0..n-1 (nothing
+ * touched).
  */
 #include <stdint.h>
 
@@ -17,83 +18,11 @@ typedef int64_t i64;
 #define OUT_OF_RANGE(c, a, b) ((uint64_t)(a) >= (uint64_t)(c)->n \
                                || (uint64_t)(b) >= (uint64_t)(c)->n)
 
-typedef struct {
-    i64 n;                              /* vertex count */
-    const i64 *indptr, *indices, *keys; /* X-sorted out-adjacency */
-    const i64 *x, *y, *bx, *by;         /* i(w); FELINE-B's reversed i'(w) */
-    const i64 *levels, *start, *post;   /* level filter, tree intervals */
-    i64 *visited, *stack;               /* timestamped marks, DFS stack */
-} feline_ctx;
-
-/* One pruned DFS from u towards v; out = {expanded, pruned}. */
-i64 feline_dfs(const feline_ctx *c, i64 stamp, i64 u, i64 v, i64 budget,
-               i64 *out)
-{
-    if (OUT_OF_RANGE(c, u, v))
-        return 3;
-    const i64 xv = c->x[v], yv = c->y[v];
-    const i64 rxv = c->bx ? c->bx[v] : 0, ryv = c->by ? c->by[v] : 0;
-    const i64 level_v = c->levels ? c->levels[v] : 0;
-    const i64 start_v = c->start ? c->start[v] : 0;
-    const i64 post_v = c->start ? c->post[v] : 0;
-    i64 *visited = c->visited, *stack = c->stack;
-    i64 expanded = 0, pruned = 0, top = 1, code = 0;
-
-    visited[u] = stamp;
-    stack[0] = u;
-    while (top > 0) {
-        const i64 w = stack[--top];
-        if (++expanded > budget && budget >= 0) { code = 2; goto done; }
-        const i64 lo = c->indptr[w], hi = c->indptr[w + 1];
-        /* bisect_right(keys, xv, lo, hi): children from `cut` on have
-         * X above X[v] and are cut as a block. */
-        i64 cut = lo, end = hi;
-        while (cut < end) {
-            const i64 mid = (cut + end) >> 1;
-            if (c->keys[mid] > xv) end = mid; else cut = mid + 1;
-        }
-        pruned += hi - cut;
-        for (i64 k = lo; k < cut; k++) {
-            const i64 child = c->indices[k];
-            if (child == v) { code = 1; goto done; }
-            if (visited[child] == stamp) continue;
-            visited[child] = stamp;
-            if (c->y[child] > yv
-                || (c->bx && (c->bx[child] < rxv || c->by[child] < ryv))
-                || (c->levels && c->levels[child] >= level_v)) {
-                pruned++;
-                continue;
-            }
-            if (c->start && c->start[child] <= start_v
-                && post_v <= c->post[child]) { code = 1; goto done; }
-            stack[top++] = child;
-        }
-    }
-done:
-    out[0] = expanded;
-    out[1] = pruned;
-    return code;
-}
-
-/* Survivor i searches with stamp0 + i + 1 (one bump per search, as the
- * scalar path does) under its own step budget, and its code (0, 1 or
- * 2) lands in codes[i].  Returns -1, or the first pair out of range. */
-i64 feline_batch(const feline_ctx *c, i64 stamp0, i64 m, const i64 *us,
-                 const i64 *vs, i64 budget, uint8_t *codes, i64 *expanded,
-                 i64 *pruned)
-{
-    i64 out[2];
-    for (i64 i = 0; i < m; i++) {
-        const i64 code = feline_dfs(c, stamp0 + i + 1, us[i], vs[i], budget,
-                                    out);
-        if (code == 3)
-            return i;
-        codes[i] = (uint8_t)code;
-        expanded[i] = out[0];
-        pruned[i] = out[1];
-    }
-    return -1;
-}
+#if defined(__GNUC__)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE static inline
+#endif
 
 typedef struct {
     i64 n;                            /* vertex count */
@@ -147,7 +76,7 @@ done:
 }
 
 /* bibfs over m pairs (u == v answers 1 unsearched), search i with
- * stamp0 + i + 1 under its own step budget; codes as feline_batch.
+ * stamp0 + i + 1 under its own step budget; codes as rank_batch.
  * Returns -1, or the first pair out of range. */
 i64 bibfs_batch(const bibfs_ctx *c, i64 stamp0, i64 m, const i64 *us,
                 const i64 *vs, i64 budget, uint8_t *codes)
@@ -240,5 +169,151 @@ i64 classify_batch(const classify_ctx *c, i64 m, const i64 *us,
     }
     for (int k = 0; k < NUM_CODES; k++)
         counts[k] = tally[k];
+    return -1;
+}
+
+/* A rank row as a bound on a child c for the fixed target v
+ * (cut_table._child_bounds): a forward row holds iff
+ * left[c] <= right[v] - strict, a "below" bound over left; a reversed
+ * row iff right[c] >= left[v] + strict, an "above" bound over right. */
+typedef struct {
+    const i64 *values;
+    i64 bound;
+} child_bound;
+
+typedef struct {
+    i64 n;                            /* vertex count */
+    const i64 *indptr, *indices;      /* the out-adjacency the DFS walks */
+    const i64 *keys;                  /* the key row's value per slot (NULL: no key) */
+    const rank_row *key;              /* the negative row the rows are sorted by */
+    i64 num_negative, num_positive;   /* the rows each child is tested by */
+    const rank_row *rows;             /* negative rows but the key, positive group */
+    i64 *visited, *stack;             /* timestamped marks, DFS stack */
+    child_bound *bounds;              /* per-search scratch, one per row */
+} rank_ctx;
+
+/* The rows as bounds for target v, each group's below bounds from its
+ * front and above bounds from its back; counts = {negative below,
+ * negative above, positive below, positive above}. */
+static void set_bounds(const rank_ctx *c, i64 v, i64 *counts)
+{
+    const rank_row *row = c->rows;
+    child_bound *group = c->bounds;
+    for (int g = 0; g < 2; g++) {
+        const i64 size = g ? c->num_positive : c->num_negative;
+        i64 below = 0, above = size;
+        for (const rank_row *end = row + size; row < end; row++) {
+            if (row->reverse)
+                group[--above] = (child_bound){row->right,
+                                               row->left[v] + row->strict};
+            else
+                group[below++] = (child_bound){row->left,
+                                               row->right[v] - row->strict};
+        }
+        counts[2 * g] = below;
+        counts[2 * g + 1] = size - below;
+        group += size;
+    }
+}
+
+/* Whether child meets the nb below bounds, then the na above ones. */
+ALWAYS_INLINE int admits(const child_bound *b, i64 nb, i64 na, i64 child)
+{
+    for (i64 j = 0; j < nb; j++)
+        if (b[j].values[child] > b[j].bound)
+            return 0;
+    for (i64 j = nb; j < nb + na; j++)
+        if (b[j].values[child] < b[j].bound)
+            return 0;
+    return 1;
+}
+
+/* The DFS over bounds set by set_bounds, with their counts as arguments
+ * so that a call with constants compiles to a loop of its own. */
+ALWAYS_INLINE i64 dfs(const rank_ctx *c, const child_bound *bounds,
+                      i64 stamp, i64 u, i64 v, i64 budget, i64 *out,
+                      i64 nb, i64 na, i64 pb, i64 pa)
+{
+    const child_bound *negative = bounds, *positive = bounds + nb + na;
+    const i64 *keys = c->keys;
+    const i64 key_bound = keys ? c->key->right[v] - c->key->strict : 0;
+    i64 *restrict visited = c->visited, *restrict stack = c->stack;
+    i64 expanded = 0, pruned = 0, top = 1, code = 0;
+
+    visited[u] = stamp;
+    stack[0] = u;
+    while (top > 0) {
+        const i64 w = stack[--top];
+        if (++expanded > budget && budget >= 0) { code = 2; goto done; }
+        const i64 lo = c->indptr[w], hi = c->indptr[w + 1];
+        i64 cut = hi;
+        if (keys) {
+            /* bisect_right(keys, key_bound, lo, hi): children from `cut`
+             * on fail the key row and are cut as a block. */
+            i64 end = hi;
+            cut = lo;
+            while (cut < end) {
+                const i64 mid = (cut + end) >> 1;
+                if (keys[mid] > key_bound) end = mid; else cut = mid + 1;
+            }
+            pruned += hi - cut;
+        }
+        for (i64 k = lo; k < cut; k++) {
+            const i64 child = c->indices[k];
+            if (child == v) { code = 1; goto done; }
+            if (visited[child] == stamp) continue;
+            visited[child] = stamp;
+            if (!admits(negative, nb, na, child)) { pruned++; continue; }
+            if (pb + pa > 0 && admits(positive, pb, pa, child)) {
+                code = 1;
+                goto done;
+            }
+            stack[top++] = child;
+        }
+    }
+done:
+    out[0] = expanded;
+    out[1] = pruned;
+    return code;
+}
+
+/* One pruned DFS from u towards v; out = {expanded, pruned}. */
+i64 rank_dfs(const rank_ctx *c, i64 stamp, i64 u, i64 v, i64 budget,
+             i64 *out)
+{
+    if (OUT_OF_RANGE(c, u, v))
+        return 3;
+    i64 n[4];
+    set_bounds(c, v, n);
+    /* FELINE with both filters (Y and the level filter, then the tree
+     * interval), its bounds copied where no store of the search can
+     * reach them, so they stay in registers. */
+    if (n[0] == 2 && n[1] == 0 && n[2] == 1 && n[3] == 1) {
+        child_bound local[4];
+        for (int j = 0; j < 4; j++)
+            local[j] = c->bounds[j];
+        return dfs(c, local, stamp, u, v, budget, out, 2, 0, 1, 1);
+    }
+    return dfs(c, c->bounds, stamp, u, v, budget, out, n[0], n[1], n[2],
+               n[3]);
+}
+
+/* Survivor i searches with stamp0 + i + 1 (one bump per search, as the
+ * scalar path does) under its own step budget, and its code (0, 1 or
+ * 2) lands in codes[i].  Returns -1, or the first pair out of range. */
+i64 rank_batch(const rank_ctx *c, i64 stamp0, i64 m, const i64 *us,
+               const i64 *vs, i64 budget, uint8_t *codes, i64 *expanded,
+               i64 *pruned)
+{
+    i64 out[2];
+    for (i64 i = 0; i < m; i++) {
+        const i64 code = rank_dfs(c, stamp0 + i + 1, us[i], vs[i], budget,
+                                  out);
+        if (code == 3)
+            return i;
+        codes[i] = (uint8_t)code;
+        expanded[i] = out[0];
+        pruned[i] = out[1];
+    }
     return -1;
 }

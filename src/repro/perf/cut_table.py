@@ -67,15 +67,21 @@ declare an ordered tuple of :class:`RankRow` and let one
 :meth:`RankCuts.classify` runs one numpy pass per row,
 :meth:`RankCuts.classify_one` the rows in declaration order on plain
 ints, and :meth:`RankCuts.search` the pruned DFS that applies the same
-rows to ``(child, v)`` for every child it meets.  Rows hold the index's
-own ``int64`` numpy views (:func:`view_i64`: zero-copy over the
-``array`` storage, or the shared-memory pages an index adopted); the
-plain-int path reads the same buffers through memoryviews, so a table
-copies nothing.
+rows to ``(child, v)`` for every child it meets — the python reference
+of every rank-row family's search, whose C tier is ``rank_dfs`` in
+``_search.c``.  A table may name a *key* row that a search adjacency is
+sorted by; the search then bisects each adjacency row by the key
+instead of testing the key row per child.  Rows hold the index's own
+``int64`` numpy views (:func:`view_i64`: zero-copy over the ``array``
+storage, or the shared-memory pages an index adopted); the plain-int
+path reads the same buffers (:func:`plain_view`), so a table copies
+nothing.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -87,6 +93,7 @@ __all__ = [
     "RankCuts",
     "filter_rows",
     "view_i64",
+    "plain_view",
     "pack_bigints",
     "segmented_arrays",
     "segment_keys",
@@ -105,6 +112,24 @@ def view_i64(values) -> np.ndarray:
     if out.dtype != np.int64:
         out = out.astype(np.int64)
     return out
+
+
+def plain_view(values: np.ndarray):
+    """A zero-copy sequence that reads the ``int64`` ``values`` as plain
+    ints: the ``array`` a :func:`view_i64` view wraps whole (it indexes
+    faster than any memoryview), else a memoryview cast through bytes
+    to the native format (numpy exports an unaligned array — one mapped
+    from an index file, say — as ``=q``, which a memoryview cannot
+    index).
+    """
+    owner = getattr(values.base, "obj", None)
+    if (
+        isinstance(owner, array)
+        and owner.itemsize == 8
+        and owner.buffer_info() == (values.ctypes.data, len(values))
+    ):
+        return owner
+    return memoryview(np.ascontiguousarray(values)).cast("B").cast("q")
 
 
 def pack_bigints(bitsets, num_bits: int) -> np.ndarray:
@@ -231,22 +256,43 @@ class RankCuts(CutTable):
 
     ``rows`` splits, in order, into the negative rows and the positive
     group (rows named :data:`POSITIVE_CUT`); see the module doc for the
-    verdict rule.
+    verdict rule.  ``key`` names the position of a negative, forward,
+    non-strict row with ``right is left`` that a search adjacency may
+    be sorted by (see :meth:`search`).
     """
 
-    def __init__(self, rows: Iterable[RankRow]) -> None:
+    def __init__(self, rows: Iterable[RankRow], key: int | None = None) -> None:
         self.rows = tuple(
             row if row.right is not None else row._replace(right=row.left)
             for row in rows
         )
         self.negative = tuple(r for r in self.rows if r.name != POSITIVE_CUT)
         self.positive = tuple(r for r in self.rows if r.name == POSITIVE_CUT)
+        self.key = None if key is None else self.rows[key]
+        # The bisect must never cut v itself: v meets its own key bound.
+        if self.key is not None and (
+            self.key.name == POSITIVE_CUT
+            or self.key.strict
+            or self.key.reverse
+            or self.key.right is not self.key.left
+        ):
+            raise ValueError(f"row {key} cannot be a search key")
+        #: The negative rows a child of a key-sorted row is tested by.
+        self.unkeyed = tuple(r for r in self.negative if r is not self.key)
         # Each row unpacked once: the numpy comparison for classify, and
-        # memoryviews of the same buffers for the plain-int paths.
+        # plain-int views of the same buffers for the scalar paths.
         self._negative_masks = self._masks(self.negative)
         self._positive_masks = self._masks(self.positive)
         self._negative_ints = self._plain(self.negative)
         self._positive_ints = self._plain(self.positive)
+        # The search's rows as bounds on a child, walking the graph's
+        # CSR or, bisecting by the key, a key-sorted adjacency.
+        self._search_plan = _bound_plan(self._negative_ints, self._positive_ints)
+        if self.key is not None:
+            self._keyed_plan = _bound_plan(
+                self._plain(self.unkeyed), self._positive_ints
+            )
+            self._key_right = plain_view(self.key.right)
 
     @staticmethod
     def _masks(rows) -> tuple:
@@ -258,7 +304,7 @@ class RankCuts(CutTable):
     @staticmethod
     def _plain(rows) -> tuple:
         return tuple(
-            (r.name, memoryview(r.left), memoryview(r.right), r.strict, r.reverse)
+            (r.name, plain_view(r.left), plain_view(r.right), r.strict, r.reverse)
             for r in rows
         )
 
@@ -291,22 +337,35 @@ class RankCuts(CutTable):
                 return None
         return POSITIVE_CUT if self._positive_ints else None
 
-    def search(self, index, u: int, v: int) -> bool:
-        """The pruned DFS from ``u`` for a pair no cut decided.
+    def search(self, index, u: int, v: int, adjacency=None) -> bool:
+        """The pruned DFS from ``u`` for a pair no cut decided: the
+        python reference of every rank-row family's search.
 
         Walks ``index.graph``'s out-CSR with the index's timestamped
-        ``_visited`` marks.  Each first-seen child is tested as
-        ``classify_one(child, v)`` would test it: a failing negative
-        row prunes it (``stats.pruned += 1``), a holding positive group
-        proves the pair.  ``stats.expanded`` counts each popped vertex
-        before the active guard's ``step()``.
+        ``_visited`` marks, or, when the table has a ``key`` and
+        ``adjacency`` is given, the rows of ``adjacency`` (an
+        :class:`~repro.core.index.XSortedAdjacency` sorted by the key
+        row).  Then one ``bisect_right`` per expanded
+        vertex finds ``cut``, the first child failing the key row, and
+        the suffix ``[cut, hi)`` is pruned as a block
+        (``stats.pruned += hi - cut``).  Each first-seen child of the
+        rest is tested as ``classify_one(child, v)`` would test it: a
+        failing negative row prunes it (``stats.pruned += 1``), a holding
+        positive group proves the pair.  ``stats.expanded`` counts each
+        popped vertex before the active guard's ``step()``; the counters
+        reach ``index.stats`` even when the guard raises.
         """
-        below, above = _child_bounds(self._negative_ints, v)
-        proof = _child_bounds(self._positive_ints, v)
-        prove = bool(self._positive_ints)
         graph = index.graph
-        indptr, indices = graph.out_indptr, graph.out_indices
-        stats = index.stats
+        indptr = graph.out_indptr
+        if self.key is None or adjacency is None:
+            indices, keys = graph.out_indices, None
+            plan = self._search_plan
+        else:
+            indices, keys = adjacency.indices, adjacency.keys
+            key_bound = self._key_right[v]
+            plan = self._keyed_plan
+        below, above, proof_below, proof_above = _child_bounds(plan, v)
+        prove = bool(self._positive_ints)
         guard = index._guard
 
         index._stamp += 1
@@ -314,32 +373,54 @@ class RankCuts(CutTable):
         visited = index._visited
         visited[u] = stamp
         stack = [u]
-        while stack:
-            w = stack.pop()
-            stats.expanded += 1
-            if guard is not None:
-                guard.step()
-            for k in range(indptr[w], indptr[w + 1]):
-                child = indices[k]
-                if child == v:
-                    return True
-                if visited[child] == stamp:
-                    continue
-                visited[child] = stamp
-                for values, bound in below:
-                    if values[child] > bound:
-                        break
-                else:
-                    for values, bound in above:
-                        if values[child] < bound:
+        pop, push = stack.pop, stack.append
+        expanded = pruned = 0
+        try:
+            while stack:
+                w = pop()
+                expanded += 1
+                if guard is not None:
+                    guard.step()
+                lo = indptr[w]
+                cut = hi = indptr[w + 1]
+                if keys is not None:
+                    cut = bisect_right(keys, key_bound, lo, hi)
+                    pruned += hi - cut
+                for k in range(lo, cut):
+                    child = indices[k]
+                    if child == v:
+                        return True
+                    if visited[child] == stamp:
+                        continue
+                    visited[child] = stamp
+                    # A failing negative row prunes the child; a
+                    # positive group that holds proves the pair.
+                    for values, bound in below:
+                        if values[child] > bound:
                             break
                     else:
-                        if prove and _admits(*proof, child):
-                            return True
-                        stack.append(child)
-                        continue
-                stats.pruned += 1
-        return False
+                        for values, bound in above:
+                            if values[child] < bound:
+                                break
+                        else:
+                            for values, bound in proof_below:
+                                if values[child] > bound:
+                                    break
+                            else:
+                                for values, bound in proof_above:
+                                    if values[child] < bound:
+                                        break
+                                else:
+                                    if prove:
+                                        return True
+                            push(child)
+                            continue
+                    pruned += 1
+            return False
+        finally:
+            stats = index.stats
+            stats.expanded += expanded
+            stats.pruned += pruned
 
 
 def _holding(rows, sources, targets, out=None):
@@ -357,30 +438,33 @@ def _holding(rows, sources, targets, out=None):
     return out
 
 
-def _child_bounds(rows, v: int) -> tuple[tuple, tuple]:
-    """Plain-int ``rows`` as bounds on a child ``c`` for the fixed
-    target ``v``: a forward row holds iff ``left[c] ≤ right[v] -
-    strict`` (``below``), a reversed row iff ``right[c] ≥ left[v] +
-    strict`` (``above``)."""
-    below = tuple(
-        (left, right[v] - strict)
-        for _, left, right, strict, reverse in rows
-        if not reverse
+def _bound_plan(negative, positive) -> tuple:
+    """Plain-int negative and positive rows as four groups of
+    ``(values, source, offset)``: a child ``c`` meets a row of the
+    *below* groups iff ``values[c] ≤ source[v] + offset`` and one of the
+    *above* groups iff ``values[c] ≥ source[v] + offset``.  A forward
+    row is ``left[c] ≤ right[v] - strict`` (below), a reversed one
+    ``right[c] ≥ left[v] + strict`` (above)."""
+    return tuple(
+        tuple(
+            (right, left, strict) if reverse else (left, right, -strict)
+            for _, left, right, strict, reverse in rows
+            if reverse == above
+        )
+        for rows in (negative, positive)
+        for above in (False, True)
     )
-    above = tuple(
-        (right, left[v] + strict)
-        for _, left, right, strict, reverse in rows
-        if reverse
-    )
-    return below, above
 
 
-def _admits(below, above, child: int) -> bool:
-    """Whether every bound of :func:`_child_bounds` holds for ``child``."""
-    for values, bound in below:
-        if values[child] > bound:
-            return False
-    for values, bound in above:
-        if values[child] < bound:
-            return False
-    return True
+def _child_bounds(plan, v: int) -> list:
+    """A :func:`_bound_plan` as bounds for the target ``v``: four lists
+    of ``(values, bound)`` — negative below, negative above, positive
+    below, positive above.  Plain loops: a comprehension costs a call
+    per group, which a short search notices."""
+    bounds = []
+    for group in plan:
+        bound = []
+        for values, source, offset in group:
+            bound.append((values, source[v] + offset))
+        bounds.append(bound)
+    return bounds

@@ -5,18 +5,23 @@ vectorized cut tables) have decided the easy majority of a workload, the
 queries that remain — the *survivors* — each run an online search whose
 inner loop used to be pure Python.  This module makes that loop run at
 hardware speed over the flat CSR arrays exported once per graph by
-:meth:`repro.graph.digraph.DiGraph.csr`, with a three-tier backend:
+:meth:`repro.graph.digraph.DiGraph.csr`, with three backends:
 
-* ``c`` — the FELINE-family pruned DFS, its batch survivor sweep and the
-  bidirectional BFS in one C source shipped with the package
-  (``_search.c``), compiled on first use and loaded through ``ctypes``;
-  the same library runs the batch engine's cut pass
-  (:class:`CClassify`, bound by :func:`bind_classify`);
-* ``numpy`` — a vectorized frontier/neighbour-slice expansion that needs
-  nothing beyond the library's existing numpy dependency;
-* ``python`` — the reference loops (:class:`FelineSearch` for the
-  FELINE family), the always-correct last resort (and an explicit
-  choice for debugging).
+* ``c`` — one C source shipped with the package (``_search.c``),
+  compiled on first use and loaded through ``ctypes``: the pruned DFS of
+  every rank-row family — FELINE, FELINE-B, FELINE-I, FELINE-K and
+  GRAIL (:class:`CRankSearch`, bound by :func:`bind_rank_search`) — with
+  its batch survivor sweep, the bidirectional BFS, and the batch
+  engine's cut pass (:class:`CClassify`, bound by :func:`bind_classify`);
+* ``numpy`` — a vectorized frontier expansion for the bidirectional BFS
+  that needs nothing beyond the library's numpy dependency; a rank-row
+  family has no numpy search (one measured 0.94–1.05× the python loop),
+  so under ``numpy`` it searches on the reference loop and reports
+  ``kernel_backend == "python"``;
+* ``python`` — the reference loops
+  (:meth:`~repro.perf.cut_table.RankCuts.search` for the rank-row
+  families), the always-correct last resort (and an explicit choice for
+  debugging).
 
 Selection is automatic (``c`` when its library builds and loads, see
 :func:`build_search_library`; else ``numpy``, and
@@ -41,19 +46,18 @@ batches to the engine's per-pair loop) — slower, never wrong.  The
 property suite (``tests/property/test_kernel_equivalence``) asserts the
 contract for every registered family.
 
-The FELINE pruned DFS walks the index's X-sorted adjacency
-(:class:`~repro.core.index.XSortedAdjacency`): one bisect per expanded
-vertex finds ``cut``, the first child whose ``X`` exceeds ``X[v]``, and
-only ``[lo, cut)`` is scanned.  ``pruned`` therefore counts child edges
-cut per expansion: the whole suffix ``hi - cut`` of every expanded
-vertex, plus each first-seen child of the prefix that fails a
-``Y``/reversed/level bound.
+The rank-row DFS tests each first-seen child against the table's rows
+with the target fixed.  FELINE and FELINE-B walk an X-sorted adjacency
+(:class:`~repro.core.index.XSortedAdjacency`) and name ``X`` as their
+table's key row: one bisect per expanded vertex finds ``cut``, the
+first child whose ``X`` exceeds ``X[v]``, and only ``[lo, cut)`` is
+scanned.  ``pruned`` therefore counts child edges cut per expansion: the
+whole suffix ``hi - cut`` of every expanded vertex, plus each
+first-seen child of the prefix that fails a row.
 
-The numpy tier keeps the Python traversal *order* (LIFO stack, slice
-order, first-occurrence dedup) and vectorizes only the per-vertex
-neighbour-slice processing — and only for bisected slices of at least
-:data:`VECTOR_MIN_DEGREE` children, so low-degree graphs never pay numpy
-call overhead and the tier is no slower than pure Python anywhere.
+The numpy bidirectional BFS keeps the Python traversal *order* and
+vectorizes only frontiers of at least :data:`VECTOR_MIN_DEGREE`
+vertices, so small frontiers never pay numpy call overhead.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ import shutil
 import subprocess
 import tempfile
 from array import array
-from bisect import bisect_right
 from pathlib import Path
 from time import perf_counter
 from weakref import WeakKeyDictionary
@@ -86,8 +89,8 @@ __all__ = [
     "c_fallback_reason",
     "numba_version",
     "resolve_backend",
-    "FelineSearch",
-    "bind_feline_search",
+    "CRankSearch",
+    "bind_rank_search",
     "CClassify",
     "bind_classify",
     "bibfs_kernel_for",
@@ -100,10 +103,10 @@ __all__ = [
 #: available one).
 KERNEL_BACKENDS = ("c", "numpy", "python")
 
-#: Neighbour-slice / frontier length below which the numpy tier stays on
-#: the scalar loop: numpy's per-call overhead beats vectorization gains
-#: for short slices, and the scalar path is shared with the python tier
-#: so short-degree traversal costs are identical.
+#: Frontier length below which the numpy bidirectional BFS stays on the
+#: scalar loop: numpy's per-call overhead beats vectorization gains for
+#: short frontiers, and the scalar loop is the python tier's, so
+#: small-frontier costs are identical.
 VECTOR_MIN_DEGREE = 32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -194,12 +197,12 @@ def _c_library():
             except OSError as exc:
                 raise CUnavailable("load-failed", str(exc)) from None
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.feline_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
-            lib.feline_dfs.restype = i64
-            lib.feline_batch.argtypes = [
+            lib.rank_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
+            lib.rank_dfs.restype = i64
+            lib.rank_batch.argtypes = [
                 ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr
             ]
-            lib.feline_batch.restype = i64
+            lib.rank_batch.restype = i64
             lib.bibfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
             lib.bibfs.restype = i64
             lib.bibfs_batch.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr]
@@ -299,17 +302,15 @@ def _struct(fields: str):
     })
 
 
-_FELINE_CTX = _struct(
-    "indptr indices keys x y bx by levels start post visited stack"
-)
 _BIBFS_CTX = _struct(
     "out_indptr out_indices in_indptr in_indices fwd_seen bwd_seen "
     "buf_a buf_b buf_c buf_d"
 )
 
 
-def _c_context(kernel, struct, n: int, **arrays) -> None:
-    """Bind ``kernel`` to one ``struct`` of raw pointers into ``arrays``.
+def _c_context(kernel, ctx, **arrays) -> None:
+    """Bind ``kernel`` to the context struct ``ctx``, its pointer fields
+    set to raw pointers into ``arrays``.
 
     Built once per bind — a call passes one address instead of
     re-deriving a dozen — and the kernel keeps ``arrays`` alive as long
@@ -317,7 +318,6 @@ def _c_context(kernel, struct, n: int, **arrays) -> None:
     C-contiguous (C reads 8-byte words), else :class:`CUnavailable`
     (``layout``); C refuses vertices outside ``0..n-1`` (code 3).
     """
-    ctx = struct(n=n)
     for name, arr in arrays.items():
         if arr is not None:
             setattr(ctx, name, _address(name, arr))
@@ -423,6 +423,16 @@ class _ClassifyCtx(ctypes.Structure):
 _NUM_CODES = 6
 
 
+def _row_structs(rows):
+    """``rows`` as a C array of ``rank_row`` over their own arrays."""
+    structs = (_RankRow * len(rows))()
+    for slot, row in zip(structs, rows):
+        slot.left = _address(row.name, row.left)
+        slot.right = _address(row.name, row.right)
+        slot.strict, slot.reverse = row.strict, row.reverse
+    return structs
+
+
 class CClassify:
     """The batch engine's cut pass in one compiled call.
 
@@ -439,11 +449,7 @@ class CClassify:
     def __init__(self, n: int, observers, negative, positive) -> None:
         obs_rows = observers.rank_rows() if observers is not None else ()
         rows = (*obs_rows, *negative, *positive)
-        structs = (_RankRow * len(rows))()
-        for slot, row in zip(structs, rows):
-            slot.left = _address(row.name, row.left)
-            slot.right = _address(row.name, row.right)
-            slot.strict, slot.reverse = row.strict, row.reverse
+        structs = _row_structs(rows)
         ctx = _ClassifyCtx(
             n=n, num_observer=len(obs_rows),
             num_negative=len(negative), num_positive=len(positive),
@@ -552,234 +558,71 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# FELINE pruned-DFS kernels
+# the rank-row pruned DFS
 # ---------------------------------------------------------------------------
 
 
-class FelineSearch:
-    """The pruned DFS of a FELINE-family index: the python tier.
-
-    One loop serves FELINE (and FELINE-I's inner index) and FELINE-B.
-    It walks the index's :class:`~repro.core.index.XSortedAdjacency`, so
-    the ``X`` bound costs one ``bisect_right`` per expanded vertex: the
-    children ``[lo, cut)`` have ``X ≤ X[v]`` and get the remaining
-    per-child checks, the suffix ``[cut, hi)`` is cut whole
-    (``pruned += hi - cut``).  Counters live in locals and are folded
-    into :class:`~repro.baselines.base.QueryStats` in a ``finally``, so
-    a guard that raises mid-search still leaves them counted.
-
-    Holds both representations of every structure the search touches:
-    the ``array`` objects for scalar indexing (fast Python-int access)
-    and the ``int64`` numpy views for the vectorized and compiled tiers,
-    which subclass this one.  Both are views of the *same* memory, so
-    the timestamped visited buffer stays coherent across tiers.
-    """
-
-    backend = "python"
-    #: The wide-slice hook (numpy tier): ``None`` keeps every slice on
-    #: the scalar loop.
-    _wide = None
-
-    def __init__(self, index, adjacency, forward, backward=None) -> None:
-        self._index = index
-        self.dispatch_counter = None
-        graph = index.graph
-        self._indptr = graph.out_indptr
-        self._indptr_np = graph.csr().out_indptr
-        self._indices, self._keys = adjacency.indices, adjacency.keys
-        self._indices_np = adjacency.indices_np
-        self._keys_np = adjacency.keys_np
-        fv = forward.views
-        self._y, self._y_np = forward.y, fv.y
-        self._levels, self._levels_np = forward.levels, fv.levels
-        intervals = forward.tree_intervals
-        if intervals is not None:
-            self._start, self._post = intervals.start, intervals.post
-        else:
-            self._start = self._post = None
-        self._start_np, self._post_np = fv.start, fv.post
-        if backward is not None:
-            self._bx, self._by = backward.x, backward.y
-            bv = backward.views
-            self._bx_np, self._by_np = bv.x, bv.y
-        else:
-            self._bx = self._by = None
-            self._bx_np = self._by_np = _EMPTY_I64
-        self._visited_np = _stamp_view(index._visited)
-
-    def search(self, u, v, xv, yv, rxv=0, ryv=0):
-        """Whether ``v`` is reachable from ``u`` inside ``{w : i(w) ≼ i(v)}``
-        (and, for FELINE-B, ``i'(v) ≼ i'(w)``)."""
-        counter = self.dispatch_counter
-        if counter is not None:
-            counter.inc()
-        return self._walk(u, v, xv, yv, rxv, ryv, self._wide)
-
-    def _walk(self, u, v, xv, yv, rxv, ryv, wide):
-        index = self._index
-        guard = index._guard
-        indptr = self._indptr
-        indices = self._indices
-        keys = self._keys
-        y = self._y
-        bx, by = self._bx, self._by
-        levels = self._levels
-        level_v = levels[v] if levels is not None else 0
-        start, post = self._start, self._post
-        if start is not None:
-            start_v, post_v = start[v], post[v]
-        vec_min = VECTOR_MIN_DEGREE
-
-        index._stamp += 1
-        stamp = index._stamp
-        visited = index._visited
-        visited[u] = stamp
-        stack = [u]
-        pop = stack.pop
-        push = stack.append
-        expanded = 0
-        pruned = 0
-        try:
-            while stack:
-                w = pop()
-                expanded += 1
-                if guard is not None:
-                    guard.step()
-                lo = indptr[w]
-                hi = indptr[w + 1]
-                # Children past `cut` have X above X[v] (Definition 3):
-                # cut as a block.
-                cut = bisect_right(keys, xv, lo, hi)
-                pruned += hi - cut
-                if wide is not None and cut - lo >= vec_min:
-                    hit, wide_pruned = wide(
-                        lo, cut, v, stamp, yv, rxv, ryv, level_v, stack
-                    )
-                    pruned += wide_pruned
-                    if hit:
-                        return True
-                    continue
-                for k in range(lo, cut):
-                    child = indices[k]
-                    if child == v:
-                        return True
-                    if visited[child] == stamp:
-                        continue
-                    visited[child] = stamp
-                    if (
-                        y[child] > yv
-                        or (bx is not None
-                            and (bx[child] < rxv or by[child] < ryv))
-                        or (levels is not None and levels[child] >= level_v)
-                    ):
-                        pruned += 1
-                        continue
-                    # Positive cut on the branch: a tree path from
-                    # `child` reaches `v` without further expansion.
-                    if (
-                        start is not None
-                        and start[child] <= start_v
-                        and post_v <= post[child]
-                    ):
-                        return True
-                    push(child)
-            return False
-        finally:
-            stats = index.stats
-            stats.expanded += expanded
-            stats.pruned += pruned
+class _RankCtx(ctypes.Structure):
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("indptr", ctypes.c_void_p), ("indices", ctypes.c_void_p),
+        ("keys", ctypes.c_void_p), ("key", ctypes.c_void_p),
+        ("num_negative", ctypes.c_int64), ("num_positive", ctypes.c_int64),
+        ("rows", ctypes.c_void_p),
+        ("visited", ctypes.c_void_p), ("stack", ctypes.c_void_p),
+        ("bounds", ctypes.c_void_p),
+    ]
 
 
-class NumpyFelineKernel(FelineSearch):
-    """The numpy tier: the python loop, with wide slices vectorized.
+class CRankSearch:
+    """The C tier of a rank-row family's search: the whole pruned DFS
+    (:meth:`~repro.perf.cut_table.RankCuts.search`) in one compiled call.
 
-    The DFS keeps the exact LIFO pop loop of the python tier (so the
-    :class:`~repro.resilience.budget.SearchGuard` — steps *and*
-    deadlines — works natively), but a bisected slice of at least
-    :data:`VECTOR_MIN_DEGREE` children is processed with numpy: target
-    hit, first-occurrence dedup, visited marking, coordinate/level
-    prunes and the interval positive-cut, all order-preserving.
-    """
-
-    backend = "numpy"
-
-    def __init__(self, index, adjacency, forward, backward=None) -> None:
-        super().__init__(index, adjacency, forward, backward)
-        self._wide = self._expand_wide
-
-    def _expand_wide(self, lo, cut, v, stamp, yv, rxv, ryv, level_v, stack):
-        """Vectorized processing of the bisected slice ``[lo, cut)``.
-
-        Returns ``(concluded, pruned)``: ``concluded`` is ``True`` when
-        the search ends positively (target hit or interval
-        positive-cut); otherwise the surviving children are pushed in
-        slice order.  ``pruned`` honours the sequential contract:
-        children past an early positive exit are never counted.
-        """
-        children = self._indices_np[lo:cut]
-        eq = children == v
-        target_hit = bool(eq.any())
-        if target_hit:
-            # Children past the first target occurrence are never
-            # processed by the sequential loop.
-            children = children[: int(eq.argmax())]
-            if children.size == 0:
-                return True, 0
-        visited_np = self._visited_np
-        cand = children[visited_np[children] != stamp]
-        if cand.size == 0:
-            return target_hit, 0
-        cand = _ordered_unique(cand)
-        visited_np[cand] = stamp
-        prune = self._y_np[cand] > yv
-        if self._bx is not None:
-            prune |= (self._bx_np[cand] < rxv) | (self._by_np[cand] < ryv)
-        if self._levels is not None:
-            prune |= self._levels_np[cand] >= level_v
-        if self._start is not None:
-            positive = ~prune
-            positive &= self._start_np[cand] <= self._start[v]
-            positive &= self._post[v] <= self._post_np[cand]
-            if positive.any():
-                first = int(positive.argmax())
-                return True, int(prune[:first].sum())
-        survivors = cand[~prune]
-        if survivors.size:
-            stack.extend(survivors.tolist())
-        return target_hit, int(prune.sum())
-
-
-class CFelineKernel(FelineSearch):
-    """The C tier: the whole DFS in one compiled call.
-
-    The bind builds one context struct over every array the search
-    reads, so a call passes ``(ctx, stamp, u, v, budget, out)``; the
-    bounds come from ``v``'s own coordinates, as every caller's do.
-    Step budgets run inside the kernel (exact raise point);
-    deadline-carrying guards route to the python loop.  Also provides
-    :meth:`search_batch`, the engine's one-call survivor sweep.
+    The bind builds one context over the index's table — its rows, the
+    key row and the adjacency sorted by it when the table has one, else
+    the graph's out-CSR — the visited marks the python loop shares, a
+    stack and the per-search bound scratch, one slot per row.  Step
+    budgets run inside the kernel (exact raise point); deadline-carrying
+    guards route to the python loop.  :meth:`search_batch` is the
+    engine's one-call survivor sweep.
     """
 
     backend = "c"
 
-    def __init__(self, index, adjacency, forward, backward=None) -> None:
-        super().__init__(index, adjacency, forward, backward)
+    def __init__(self, index, adjacency=None) -> None:
+        self._index = index
+        self._table = table = index._cut_table
+        self._adjacency = adjacency
+        self.dispatch_counter = None
         lib = _c_library()
-        self._dfs, self._batch = lib.feline_dfs, lib.feline_batch
-        fv = forward.views
-        bv = backward.views if backward is not None else None
+        self._dfs, self._batch = lib.rank_dfs, lib.rank_batch
         n = index.graph.num_vertices
+        csr = index.graph.csr()
+        keyed = table.key is not None and adjacency is not None
+        negative = table.unkeyed if keyed else table.negative
+        rows = (*negative, *table.positive)
+        structs = _row_structs(rows)
+        key = _row_structs((table.key,) if keyed else ())
+        self._rows = structs, key
+        ctx = _RankCtx(
+            n=n, num_negative=len(negative), num_positive=len(table.positive),
+            rows=ctypes.addressof(structs),
+            key=ctypes.addressof(key) if keyed else None,
+        )
         _c_context(
-            self, _FELINE_CTX, n,
-            indptr=self._indptr_np, indices=self._indices_np,
-            keys=self._keys_np, x=fv.x, y=fv.y,
-            bx=bv.x if bv else None, by=bv.y if bv else None,
-            levels=fv.levels, start=fv.start, post=fv.post,
-            visited=self._visited_np,
+            self, ctx,
+            indptr=csr.out_indptr,
+            indices=adjacency.indices_np if keyed else csr.out_indices,
+            keys=adjacency.keys_np if keyed else None,
+            visited=_stamp_view(index._visited),
             stack=np.empty(n + 1, dtype=np.int64),
+            # child_bound {values, bound}: two words per row.
+            bounds=np.empty(2 * max(len(rows), 1), dtype=np.int64),
         )
 
-    def search(self, u, v, xv, yv, rxv=0, ryv=0):
+    def search(self, u: int, v: int) -> bool:
+        """Whether ``v`` is reachable from ``u`` along the children the
+        table's rows admit (stats and guard as the python loop)."""
         counter = self.dispatch_counter
         if counter is not None:
             counter.inc()
@@ -787,7 +630,7 @@ class CFelineKernel(FelineSearch):
         guard = index._guard
         budget = _step_budget(guard)
         if budget is None:
-            return self._walk(u, v, xv, yv, rxv, ryv, None)
+            return self._table.search(index, u, v, self._adjacency)
         index._stamp += 1
         code = self._dfs(
             self._ctx_addr, index._stamp, u, v, budget, self._out_addr
@@ -825,32 +668,25 @@ class CFelineKernel(FelineSearch):
         return codes, expanded, pruned
 
 
-def bind_feline_search(index, adjacency, forward, backward=None):
-    """Bind a FELINE-family index's kernel; return its search object.
+def bind_rank_search(index, adjacency=None) -> None:
+    """Bind a rank-row family's search kernel as the index's ``_kernel``.
 
-    ``forward``/``backward`` are the
-    :class:`~repro.core.index.FelineCoordinates` the search prunes with
-    (``backward`` only for FELINE-B), ``adjacency`` the
-    :class:`~repro.core.index.XSortedAdjacency` it walks.  The native
-    tiers are armed as the index's ``_kernel``; the python tier leaves
-    ``_kernel`` ``None`` and is returned bare.  Called on every
-    (re)bind, so a C context never outlives the arrays it points into.
+    The index's table is a :class:`~repro.perf.cut_table.RankCuts`;
+    ``adjacency`` is the :class:`~repro.core.index.XSortedAdjacency`
+    sorted by the table's key row, if it has one.  The ``c`` tier arms a
+    :class:`CRankSearch`; every other tier — ``numpy`` included — arms
+    nothing, so the index searches on the python loop and reports
+    ``"python"``.  Called on every (re)bind, so a C context never
+    outlives the arrays it points into.
     """
-    backend = resolve_backend(index._kernel_choice, count_fallback=True)
-    if backend == "c":
+    kernel = None
+    if resolve_backend(index._kernel_choice, count_fallback=True) == "c":
         try:
-            kernel = CFelineKernel(index, adjacency, forward, backward)
+            kernel = CRankSearch(index, adjacency)
         except CUnavailable as exc:
             _count_fallback(exc.reason)
-            backend = "numpy"
-    if backend == "numpy":
-        kernel = NumpyFelineKernel(index, adjacency, forward, backward)
-    index._kernel_backend = backend
-    if backend == "python":
-        index._arm_kernel(None)
-        return FelineSearch(index, adjacency, forward, backward)
+    index._kernel_backend = "c" if kernel is not None else "python"
     index._arm_kernel(kernel)
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +850,7 @@ class CBiBFSKernel(_BiBFSKernelBase):
         self._bibfs, self._batch = lib.bibfs, lib.bibfs_batch
         csr, n = self._csr, graph.num_vertices
         _c_context(
-            self, _BIBFS_CTX, n,
+            self, _BIBFS_CTX(n=n),
             out_indptr=csr.out_indptr, out_indices=csr.out_indices,
             in_indptr=csr.in_indptr, in_indices=csr.in_indices,
             fwd_seen=self._fwd_seen_np, bwd_seen=self._bwd_seen_np,
@@ -1056,7 +892,7 @@ class CBiBFSKernel(_BiBFSKernelBase):
         return None if code == 2 else code == 1
 
     def search_batch(self, us: np.ndarray, vs: np.ndarray, max_steps=-1):
-        """:meth:`CFelineKernel.search_batch` for bidirectional BFS.
+        """:meth:`CRankSearch.search_batch` for bidirectional BFS.
 
         The ``expanded``/``pruned`` arrays are zeros: the ``bibfs``
         family's searches never count into :class:`QueryStats`.

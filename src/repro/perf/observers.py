@@ -56,7 +56,7 @@ from repro.graph.toposort import (
     kahn_order,
     ranks_from_order,
 )
-from repro.perf.cut_table import RankRow
+from repro.perf.cut_table import RankRow, plain_view
 
 __all__ = ["ObserverLayer", "build_observers"]
 
@@ -90,7 +90,7 @@ class ObserverLayer:
         # buffers: no numpy scalars, no copy, and an mmap-loaded layer
         # stays lazy.
         self._t1, self._t2, self._fmax, self._bmin = map(
-            memoryview, (self.t1, self.t2, self.fmax, self.bmin)
+            plain_view, (self.t1, self.t2, self.fmax, self.bmin)
         )
         self.supports = np.asarray(supports, dtype=np.int64)
         # Row-major bit rows: one vertex's bitset is one run of bytes,

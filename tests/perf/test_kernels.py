@@ -4,8 +4,9 @@ The bit-identity contract itself lives in
 ``tests/property/test_kernel_equivalence.py``; this file covers the
 machinery around it — backend discovery and the environment knob, the
 C library's build cache and its fallbacks (no compiler, failed compile,
-unwritable cache, wrong array layout), the vectorized wide-slice path,
-the one-call batch survivor sweep (step budgets included), forked pool
+unwritable cache, wrong array layout), the numpy BFS's vectorized
+frontiers, the one-call batch survivor sweep (step budgets included),
+the range check of the compiled searches, forked pool
 workers on the C tier, the dispatch/shared-bytes instruments, and the
 :func:`~repro.perf.kernels.bounded_search` degradation engine.
 """
@@ -164,9 +165,10 @@ class TestFallback:
         registry = enable_metrics()
         try:
             g = random_dag(40, avg_degree=2.0, seed=3)
-            for method in ("feline", "bibfs"):
+            # FELINE has no numpy search: it runs the python loop.
+            for method, bound in (("feline", "python"), ("bibfs", "numpy")):
                 index = create_index(method, g).build()
-                assert index.kernel_backend == "numpy"
+                assert index.kernel_backend == bound
             assert c_fallback_reason() == reason
             assert _fallback_count(registry, reason) == 2
             with pytest.raises(ReproError, match=reason):
@@ -194,46 +196,54 @@ class TestFallback:
                 adjacency, keys_np=adjacency.keys_np.astype(np.int32)
             )
             index._bind_kernel()
-            assert index.kernel_backend == "numpy"
+            assert index.kernel_backend == "python"
             assert _fallback_count(registry, "layout") == 1
         finally:
             disable_metrics()
         with pytest.raises(CUnavailable, match="layout"):
             kernels._c_context(
-                object.__new__(kernels.FelineSearch), kernels._FELINE_CTX, 3,
-                keys=np.zeros(3, dtype=np.int32),
+                object.__new__(kernels.CBiBFSKernel), kernels._BIBFS_CTX(n=3),
+                out_indptr=np.zeros(3, dtype=np.int32),
             )
 
 
 class TestVertexBounds:
     def test_c_refuses_vertices_outside_the_graph(self):
         # C checks every vertex against n before touching an array, so
-        # a bad id is an IndexError, never a write past a buffer.
+        # a bad id is an IndexError, never a write past a buffer: the
+        # visited marks, which a search writes first, stay as they were.
         require_c()
         g = random_dag(40, avg_degree=2.0, seed=3)
-        index = create_index("feline", g)
-        index.set_kernel("c")
-        index.build()
-        kernel = index._kernel
-        for u, v in ((0, 40), (-1, 5), (40, 0), (2**62, 1)):
-            with pytest.raises(IndexError):
-                kernel.search(u, v, 0, 0)
-        with pytest.raises(IndexError, match="0 -> 99"):
-            kernel.search_batch(np.array([1, 0]), np.array([2, 99]))
+        for method in ("feline", "grail", "feline-k"):
+            index = create_index(method, g)
+            index.set_kernel("c")
+            index.build()
+            kernel = index._kernel
+            marks = bytes(index._visited)
+            for u, v in ((0, 40), (-1, 5), (40, 0), (2**62, 1)):
+                with pytest.raises(IndexError):
+                    kernel.search(u, v)
+            with pytest.raises(IndexError, match="0 -> 99"):
+                kernel.search_batch(np.array([0, 1]), np.array([99, 2]))
+            assert bytes(index._visited) == marks
+            with pytest.raises(IndexError, match="0 -> 99"):
+                kernel.search_batch(np.array([1, 0]), np.array([2, 99]))
+            assert index.query(0, 39) == _python_twin(g, method).query(0, 39)
         with pytest.raises(IndexError):
             bounded_search(g, 0, 40, 10, backend="c")
-        assert index.query(0, 39) == _python_twin(g).query(0, 39)
 
 
 class TestIndexBinding:
     def test_set_kernel_before_and_after_build(self):
         g = random_dag(40, avg_degree=2.0, seed=3)
-        index = create_index("feline", g)
-        assert index.set_kernel("numpy") == "numpy"
-        index.build()
-        assert index.kernel_backend == "numpy"
-        assert index.set_kernel("python") == "python"
-        assert index._kernel is None  # python = the original loops
+        # FELINE has no numpy search: built, it runs the python loop.
+        for method, bound in (("bibfs", "numpy"), ("feline", "python")):
+            index = create_index(method, g)
+            assert index.set_kernel("numpy") == "numpy"
+            index.build()
+            assert index.kernel_backend == bound
+            assert index.set_kernel("python") == "python"
+            assert index._kernel is None  # python = the original loops
 
     def test_family_without_native_path_reports_python(self):
         g = random_dag(30, avg_degree=2.0, seed=3)
@@ -250,19 +260,21 @@ class TestIndexBinding:
 
 class TestWideSlices:
     def test_high_degree_vertices_take_the_vectorized_path(self):
-        # Degrees far above VECTOR_MIN_DEGREE force _expand_wide; the
-        # answers and counters must still match the python loops.
+        # Fans far above VECTOR_MIN_DEGREE give the numpy BFS frontiers
+        # it expands as one gather; the answers and counters must still
+        # match the python loops.
         fan = 3 * VECTOR_MIN_DEGREE
         edges = [(0, k) for k in range(1, fan + 1)]
         edges += [(k, fan + 1) for k in range(1, fan + 1)]
         edges += [(fan + 1, fan + 2), (0, fan + 3)]  # a dead-end branch
         g = DiGraph(fan + 4, edges, name="wide-fan")
-        python = create_index("feline", g)
+        python = create_index("bibfs", g)
         python.set_kernel("python")
         python.build()
-        numpy_ix = create_index("feline", g)
+        numpy_ix = create_index("bibfs", g)
         numpy_ix.set_kernel("numpy")
         numpy_ix.build()
+        assert numpy_ix.kernel_backend == "numpy"
         pairs = [(u, v) for u in range(g.num_vertices) for v in (0, fan + 2)]
         assert numpy_ix.query_many(pairs) == python.query_many(pairs)
         assert numpy_ix.stats.as_dict() == python.stats.as_dict()
@@ -351,7 +363,7 @@ def _duplicate_heavy(g, seed):
     return batch[rng.permutation(len(batch))]
 
 
-SWEEPING = ["feline", "feline-b", "feline-i", "bibfs"]
+SWEEPING = ["feline", "feline-b", "feline-i", "bibfs", "grail", "feline-k"]
 
 
 class TestBudgetedSweep:
@@ -499,7 +511,7 @@ class TestInstruments:
         g = crown_graph(4)
         registry = enable_metrics()
         try:
-            index = create_index("feline", g)
+            index = create_index("bibfs", g)
             index.set_kernel("numpy")
             index.build()
             for u in range(g.num_vertices):
@@ -507,12 +519,12 @@ class TestInstruments:
                     index.query(u, v)
             counter = registry.counter(
                 "repro_kernel_dispatch_total",
-                backend="numpy", method="feline",
+                backend="numpy", method="bibfs",
             )
             assert counter.value > 0
             pages = index.enable_shared_pages()
             gauge = registry.gauge(
-                "repro_shared_pages_bytes", method="feline"
+                "repro_shared_pages_bytes", method="bibfs"
             )
             if pages is not None:
                 assert gauge.value == pages.nbytes > 0

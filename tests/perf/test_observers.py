@@ -182,6 +182,13 @@ class TestRoundTripPersistence:
         assert loaded.observers.k == index.observers.k
         pairs = all_pairs(graph)
         assert loaded.query_many(pairs) == index.query_many(pairs)
+        # The scalar chain reads the mapped pages as plain ints, even
+        # where the file leaves them unaligned.
+        for tier in ("python", None):
+            loaded.set_kernel(tier)
+            assert [loaded.query(u, v) for u, v in pairs] == [
+                index.query(u, v) for u, v in pairs
+            ]
         reloaded = ObserverLayer(
             t1=loaded.observers.t1,
             t2=loaded.observers.t2,

@@ -212,9 +212,18 @@ class TestIndexIntegration:
         assert pages.closed  # close() ran on exit
 
 
+def _rank_pointers(index):
+    """What a rank context reads: out-CSR rows, children, keys and its
+    first row's values."""
+    kernel = index._kernel
+    structs, _ = kernel._rows
+    ctx = kernel._ctx
+    return ctx.indptr, ctx.indices, ctx.keys, structs[0].left
+
+
 class TestSearchAdjacencyPages:
     """The X-sorted adjacency moves into the arena with the coordinates,
-    and the native tiers read the adopted views."""
+    and the C tier's contexts read the adopted views."""
 
     @pytest.mark.parametrize("kernel", ["numpy", "c"])
     @pytest.mark.parametrize(
@@ -245,33 +254,72 @@ class TestSearchAdjacencyPages:
         try:
             names = set(pages.names())
             assert {f"{prefix}.adj_indices", f"{prefix}.adj_keys"} <= names
-            kernel_obj = owner._kernel
-            assert np.shares_memory(
-                kernel_obj._indices_np, pages.view(f"{prefix}.adj_indices")
-            )
-            assert np.shares_memory(
-                kernel_obj._keys_np, pages.view(f"{prefix}.adj_keys")
-            )
             if kernel == "c":
-                # The C context was rebuilt over the adopted views.
-                ctx = kernel_obj._ctx
-                assert ctx.indices == kernel_obj._indices_np.ctypes.data
-                assert ctx.keys == kernel_obj._keys_np.ctypes.data
-                assert ctx.x == coords.views.x.ctypes.data
+                # The rank context was rebuilt over the adopted views.
+                assert _rank_pointers(owner) == (
+                    pages.view("csr.out_indptr").ctypes.data,
+                    pages.view(f"{prefix}.adj_indices").ctypes.data,
+                    pages.view(f"{prefix}.adj_keys").ctypes.data,
+                    coords.views.y.ctypes.data,
+                )
+                assert np.shares_memory(
+                    coords.views.y, pages.view(f"{prefix}.y")
+                )
+            else:
+                # No numpy search: the python loop reads the arrays.
+                assert owner._kernel is None
             assert index.query_many(pairs) == before
             assert index.stats.as_dict() == stats
         finally:
             index.close_shared_pages()
         assert owner.adjacency is original
-        assert owner._kernel._indices_np is original.indices_np
         if kernel == "c":
             # ...and rebuilt again over the restored arrays.
-            ctx = owner._kernel._ctx
-            assert ctx.indices == original.indices_np.ctypes.data
-            assert ctx.x == coords.views.x.ctypes.data
+            assert _rank_pointers(owner) == (
+                owner.graph.csr().out_indptr.ctypes.data,
+                original.indices_np.ctypes.data,
+                original.keys_np.ctypes.data,
+                coords.views.y.ctypes.data,
+            )
             index.stats.reset()
             assert index.query_many(pairs) == before
             assert index.stats.as_dict() == stats
+
+    def test_c_grail_reads_adopted_csr(self):
+        """GRAIL's rank context walks the graph's out-CSR: the adopted
+        pages after enable_shared_pages, the originals after restore."""
+        from tests.property.test_kernel_equivalence import require_c
+
+        require_c()
+        g = random_dag(60, avg_degree=3.0, seed=9)
+        index = create_index("grail", g)
+        index.set_kernel("c")
+        index.build()
+        pairs = [(u, v) for u in range(60) for v in range(60)]
+        before = index.query_many(pairs)
+        stats = index.stats.as_dict()
+        labels = index._cut_table.negative[0].left.ctypes.data
+        pages = index.enable_shared_pages()
+        try:
+            assert _rank_pointers(index) == (
+                pages.view("csr.out_indptr").ctypes.data,
+                pages.view("csr.out_indices").ctypes.data,
+                None,
+                labels,
+            )
+            index.stats.reset()
+            assert index.query_many(pairs) == before
+            assert index.stats.as_dict() == stats
+        finally:
+            index.close_shared_pages()
+        csr = g.csr()
+        assert _rank_pointers(index) == (
+            csr.out_indptr.ctypes.data, csr.out_indices.ctypes.data,
+            None, labels,
+        )
+        index.stats.reset()
+        assert index.query_many(pairs) == before
+        assert index.stats.as_dict() == stats
 
     def test_c_bibfs_reads_adopted_csr(self):
         from tests.property.test_kernel_equivalence import require_c

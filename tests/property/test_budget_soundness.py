@@ -27,6 +27,11 @@ from repro.perf.observers import build_observers
 from repro.resilience import UNKNOWN, QueryBudget
 
 from tests.property.test_invariants import dags
+from tests.property.test_kernel_equivalence import (
+    FILTERS,
+    RANK_CELLS,
+    require_c,
+)
 from tests.property.test_query_many_engine import SEARCHING_METHODS
 
 METHODS = ["feline", "feline-i", "feline-b", "grail", "ferrari", "bibfs"]
@@ -190,3 +195,48 @@ class TestBudgetedBatchOnTheEngine:
             assert answer is True or answer is False or answer is UNKNOWN
             if answer is not UNKNOWN:
                 assert answer == bool((closure[u] >> v) & 1)
+
+
+class TestRankRowSweeps:
+    """A step budget on the C tier's rank-row sweep — GRAIL with 1, 3
+    and 40 labellings, FELINE-K with 2 and 8 orderings, filters on and
+    off, and SCARAB over GRAIL — matches the python tier's scalar loop
+    and never contradicts the oracle."""
+
+    @staticmethod
+    def _assert_sweep_matches_python_loop(method, params, budget):
+        require_c()
+        g = random_dag(40, avg_degree=2.5, seed=13)
+        pairs = _mixed_pairs(g.num_vertices)
+        swept = create_index(method, g, **params)
+        swept.set_kernel("c")
+        swept.build()
+        looped = create_index(method, g, **params)
+        looped.set_kernel("python")
+        looped.build()
+        batch = swept.query_many(pairs, budget=budget)
+        scalar = [looped.query(u, v, budget=budget) for u, v in pairs]
+        for (u, v), got, want in zip(pairs, batch, scalar):
+            assert got is want, f"{method} r({u}, {v}): c {got}, python {want}"
+        assert swept.stats.as_dict() == looped.stats.as_dict()
+        closure = transitive_closure_bitsets(g)
+        for (u, v), answer in zip(pairs, batch):
+            if answer is not UNKNOWN:
+                assert answer == bool((closure[u] >> v) & 1)
+
+    @pytest.mark.parametrize("policy", ["unknown", "fallback"])
+    @pytest.mark.parametrize("filters", sorted(FILTERS))
+    @pytest.mark.parametrize("cell", sorted(RANK_CELLS))
+    def test_rank_row_family(self, cell, filters, policy):
+        method, params = RANK_CELLS[cell]
+        budget = QueryBudget(max_steps=2, policy=policy, fallback_nodes=6)
+        self._assert_sweep_matches_python_loop(
+            method, {**params, **FILTERS[filters]}, budget
+        )
+
+    @pytest.mark.parametrize("policy", ["unknown", "fallback"])
+    def test_scarab_over_grail(self, policy):
+        budget = QueryBudget(max_steps=2, policy=policy, fallback_nodes=6)
+        self._assert_sweep_matches_python_loop(
+            "scarab", {"base_method": "grail"}, budget
+        )

@@ -8,7 +8,9 @@ original pure-Python loops — scalar and batch paths, with and without
 observers, with and without a survivor-search pool, and under every
 budget policy (step budgets are enforced inside the kernels; a
 deadline-carrying guard routes to the python loop, so it is trivially
-identical).
+identical).  The rank-row families (FELINE, FELINE-B, FELINE-I,
+FELINE-K, GRAIL) search in C or on the python loop; under ``numpy``
+they report ``"python"``.
 
 The ``c`` cells run the compiled library; where it cannot be built (no
 compiler, the CI ``no-compiler`` job) they are skipped and the
@@ -123,14 +125,20 @@ class TestWrappedIndexes:
 
     @pytest.mark.parametrize(
         "method, params",
-        [("feline-i", {}), ("scarab", {"base_method": "feline"})],
+        [
+            ("feline-i", {}),
+            ("scarab", {"base_method": "feline"}),
+            ("scarab", {"base_method": "grail"}),
+        ],
     )
     def test_delegate_runs_the_bound_tier(self, method, params, backend):
         g = random_dag(80, avg_degree=2.5, seed=4)
         index = _build(method, g, backend, **params)
         inner = index._inner if method == "feline-i" else index.base_index
-        assert index.kernel_backend == inner.kernel_backend == backend
-        assert inner._kernel.backend == backend
+        # A rank-row family has no numpy search: it runs the python loop.
+        bound = backend if backend == "c" else "python"
+        assert index.kernel_backend == inner.kernel_backend == bound
+        assert getattr(inner._kernel, "backend", "python") == bound
         pairs = _all_pairs(g.num_vertices)
         _assert_bit_identical(method, g, pairs, backend, **params)
         python = _build(method, g, "python", **params)
@@ -139,6 +147,62 @@ class TestWrappedIndexes:
             pairs, budget=budget
         )
         assert index.stats.as_dict() == python.stats.as_dict()
+
+
+#: Rank-row tables beyond FELINE's: GRAIL with d labellings (d = 40
+#: gives 83 rows) and FELINE-K with k orderings.
+RANK_CELLS = {
+    "grail-d1": ("grail", {"num_labelings": 1}),
+    "grail-d3": ("grail", {"num_labelings": 3}),
+    "grail-d40": ("grail", {"num_labelings": 40}),
+    "feline-k2": ("feline-k", {"dimensions": 2}),
+    "feline-k8": ("feline-k", {"dimensions": 8}),
+}
+FILTERS = {
+    "filters": {},
+    "bare": {"use_level_filter": False, "use_positive_cut": False},
+}
+
+
+@pytest.mark.parametrize("filters", sorted(FILTERS))
+@pytest.mark.parametrize("cell", sorted(RANK_CELLS))
+class TestRankRowTables:
+    """GRAIL and FELINE-K search in C over their rows, filters on and
+    off, bit-identical to the python loop."""
+
+    def test_c_matches_python(self, cell, filters):
+        require_c()
+        method, params = RANK_CELLS[cell]
+        for g in (random_dag(60, avg_degree=2.5, seed=11), crown_graph(5)):
+            _assert_bit_identical(
+                method, g, _all_pairs(g.num_vertices), "c",
+                **params, **FILTERS[filters],
+            )
+
+    def test_step_budget_bit_identical(self, cell, filters):
+        require_c()
+        method, params = RANK_CELLS[cell]
+        g = crown_graph(6)
+        pairs = _all_pairs(g.num_vertices)
+        python = _build(method, g, "python", **params, **FILTERS[filters])
+        native = _build(method, g, "c", **params, **FILTERS[filters])
+        assert native._kernel is not None
+        budget = QueryBudget(max_steps=3, policy="unknown")
+        assert native.query_many(pairs, budget=budget) == python.query_many(
+            pairs, budget=budget
+        )
+        scalar = [native.query(u, v, budget=budget) for u, v in pairs]
+        assert scalar == [python.query(u, v, budget=budget) for u, v in pairs]
+        assert native.stats.as_dict() == python.stats.as_dict()
+
+
+def test_wide_table_binds_every_row():
+    # The bound scratch is sized at bind time: no row cap.
+    require_c()
+    g = random_dag(60, avg_degree=2.5, seed=11)
+    index = _build("grail", g, "c", num_labelings=40)
+    structs, _ = index._kernel._rows
+    assert len(index._cut_table.rows) == len(structs) == 83
 
 
 class TestBudgets:
