@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 
 from repro.baselines.base import ReachabilityIndex
 from repro.core.index import FelineCoordinates, build_feline_index
-from repro.core.query import FelineIndex
+from repro.core.query import FelineIndex, feline_rows
 from repro.exceptions import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import SubgraphMapping, induced_subgraph
+from repro.perf.cut_table import RankCuts
 from repro.scarab.backbone import Backbone, extract_backbone
 
 __all__ = ["ShardState", "ShardPlan", "build_shard_plan", "INDEX_TIERS"]
@@ -110,8 +111,11 @@ class ShardPlan:
         The condensed DAG (the coordinator's replica — also the
         degraded-mode fallback search target).
     coords:
-        Global FELINE coordinates: O(1) negative/positive cuts on the
-        coordinator, and the X order that defines the slabs.
+        Global FELINE coordinates: the X order that defines the slabs.
+    cuts:
+        FELINE's rank rows over ``coords`` (:func:`feline_rows`): the
+        coordinator's O(1) negative/positive cuts, one vectorized
+        ``classify`` per batch.
     owner_of:
         ``owner_of[v]`` is the shard owning condensed vertex ``v``.
     shards:
@@ -123,6 +127,7 @@ class ShardPlan:
 
     dag: DiGraph
     coords: FelineCoordinates
+    cuts: RankCuts
     owner_of: array
     shards: list[ShardState]
     backbone: Backbone
@@ -241,6 +246,7 @@ def build_shard_plan(
     return ShardPlan(
         dag=dag,
         coords=coords,
+        cuts=RankCuts(feline_rows(coords)),
         owner_of=owner_of,
         shards=shards,
         backbone=backbone,

@@ -78,7 +78,7 @@ class TestChannelProtocol:
         channel, peer = make_channel()
         serve_frames(peer, [("seq", "error", "ValueError: boom")])
         with pytest.raises(WorkerError) as excinfo:
-            channel.request("local", (0, 1, None), timeout_s=5.0)
+            channel.request("local_many", ([(0, 1)], None), timeout_s=5.0)
         assert excinfo.value.transient
 
     def test_timeout_raises_transient_worker_error(self):
@@ -158,9 +158,9 @@ class TestWorkerUnderChaos:
             for u in shard.owned[:8]:
                 for v in shard.owned[:8]:
                     answer = channel.request(
-                        "local", (u, v, None), timeout_s=5.0
+                        "local_many", ([(u, v)], None), timeout_s=5.0
                     )
-                    assert answer == oracle(u, v), (u, v)
+                    assert answer == [oracle(u, v)], (u, v)
         finally:
             channel.request("stop", None, timeout_s=1.0)
             channel.process.join(timeout=2.0)
