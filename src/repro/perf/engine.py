@@ -81,7 +81,7 @@ EQUAL, OBSERVER_POSITIVE, OBSERVER_NEGATIVE, CUT_POSITIVE, CUT_NEGATIVE, \
     SURVIVOR = range(6)
 
 #: The answer each code gives; a survivor's is its search's.
-_ANSWERS = np.array([True, True, False, True, False, False])
+ANSWERS = np.array([True, True, False, True, False, False])
 
 
 def _checked_pairs(pairs, num_vertices: int) -> array:
@@ -521,7 +521,7 @@ def vectorized_query_many(
         stats.positive_cuts += positive
     stats.searches += searches
 
-    answers = _ANSWERS[codes]
+    answers = ANSWERS[codes]
     survivors = np.flatnonzero(codes == SURVIVOR)
     if slow is not None:
         # Each cut-decided pair is offered at its share of the cut pass.

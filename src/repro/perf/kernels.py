@@ -93,6 +93,7 @@ __all__ = [
     "bind_rank_search",
     "CClassify",
     "bind_classify",
+    "bind_table_classify",
     "bibfs_kernel_for",
     "bounded_search",
     "describe_backend",
@@ -501,13 +502,23 @@ def bind_classify(index) -> CClassify | None:
     shared-page adoption and restore), so a context never outlives the
     arrays it points into.
     """
-    table = index._cut_table
     observers = index._observers
-    if (
-        table is None
-        or resolve_backend(index._kernel_choice) != "c"
-        or not (observers is None or isinstance(observers, ObserverLayer))
-    ):
+    if not (observers is None or isinstance(observers, ObserverLayer)):
+        return None
+    return bind_table_classify(
+        index._cut_table, index.graph.num_vertices, index._kernel_choice,
+        observers,
+    )
+
+
+def bind_table_classify(
+    table, n: int, kernel: str | None = None, observers=None
+) -> CClassify | None:
+    """``table``'s compiled cut pass over ``n`` vertices (``observers``,
+    an :class:`~repro.perf.observers.ObserverLayer`, in front), or
+    ``None`` for the numpy route: what :func:`bind_classify` binds for
+    an index, usable on a bare table such as the shard coordinator's."""
+    if table is None or resolve_backend(kernel) != "c":
         return None
     if isinstance(table, RankCuts):
         negative, positive = table.negative, table.positive
@@ -516,9 +527,7 @@ def bind_classify(index) -> CClassify | None:
     else:
         return None
     try:
-        return CClassify(
-            index.graph.num_vertices, observers, negative, positive
-        )
+        return CClassify(n, observers, negative, positive)
     except CUnavailable as exc:
         _count_fallback(exc.reason)
         return None
