@@ -87,22 +87,50 @@ Commands
 ``recommend GRAPH.edges [--query-heavy]``
     Print the advised index method for the graph, with the features and
     rule behind the choice.
+
+Each subcommand is declared once in :func:`_build_parser`, with only the
+option groups its ``_run_<command>`` function reads, and :func:`main`
+returns ``args.run(args)``.  ``serve`` and ``shard-serve`` share
+:func:`_serve_lifecycle`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
 import sys
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 from repro import Reachability, available_methods, obs
 from repro.bench import runner
+from repro.bench.harness import set_default_workers
+from repro.bench.validate import cross_validate
+from repro.core.advisor import describe_recommendation
+from repro.core.persistence import load_index, save_index
+from repro.core.query import FelineIndex
+from repro.datasets.queries import random_pairs
 from repro.datasets.registry import dataset_names
+from repro.exceptions import PersistenceError
 from repro.graph.io import read_edge_list
+from repro.obs.distributed import render_trace_tree, trace_to_chrome
+from repro.obs.export import write_jsonl, write_prometheus
+from repro.obs.slowlog import SlowQueryLog
+from repro.obs.spans import write_chrome_trace
+from repro.perf.kernels import resolve_backend
+from repro.resilience import UNKNOWN, QueryBudget, verify_index
+from repro.serve import ReachServer, ServeConfig
+from repro.serve.loadgen import (
+    calibrate_ms,
+    compare_serving,
+    measure_serving,
+    run_loadgen,
+)
+from repro.shard import ShardConfig, ShardService, chaos_drill
 
 __all__ = ["main"]
 
@@ -124,6 +152,147 @@ _EXPERIMENTS: dict[str, Callable[..., runner.ExperimentReport]] = {
     "ablation-filters": runner.ablation_filters,
 }
 
+_GRAPH = "edge-list file (u v per line)"
+_DAG = "edge-list file of a DAG"
+
+
+def _method_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--method", default="feline")
+
+
+def _seed_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _kernel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--kernel",
+        choices=["auto", "c", "numpy", "python"],
+        default=None,
+        help="survivor-path search-kernel backend (default auto: "
+        "c when the search library compiles and loads, else numpy; "
+        "numpy is the bidirectional BFS's, the rank-row families "
+        "search on python under it; all backends are bit-identical "
+        "— see docs/PERFORMANCE.md)",
+    )
+
+
+def _budget_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        default=None,
+        help="budget: cap the online search at this many expanded vertices",
+    )
+    p.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="budget: wall-clock deadline for the query, in milliseconds",
+    )
+    p.add_argument(
+        "--on-budget",
+        choices=["raise", "unknown", "fallback"],
+        default="unknown",
+        help="what budget exhaustion degrades to (default: unknown)",
+    )
+
+
+def _listen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(
+        "--port", type=int, default=0, help="0 (default) picks a free port"
+    )
+    p.add_argument(
+        "--once",
+        action="store_true",
+        help="scrape each endpoint once, print, and exit (smoke tests)",
+    )
+
+
+def _serve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-batch",
+        type=int,
+        default=64,
+        help="coalescer flush threshold in pairs; 1 disables "
+        "coalescing (default 64)",
+    )
+    p.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=0.0,
+        help="coalescer window: longest a request waits for batch "
+        "mates (default 0: flush on the next event-loop tick)",
+    )
+    p.add_argument(
+        "--max-inflight",
+        type=int,
+        default=1024,
+        help="admission cap on admitted-but-unanswered pairs "
+        "(default 1024)",
+    )
+    p.add_argument(
+        "--overload",
+        choices=["shed", "unknown"],
+        default="shed",
+        help="over-cap requests: shed (503 + Retry-After) or "
+        "unknown (immediate degraded verdict; default shed)",
+    )
+    p.add_argument(
+        "--observers",
+        type=int,
+        default=0,
+        help="O'Reach-style supporting vertices consulted before "
+        "the index's own cuts (default 0: none; see "
+        "docs/PERFORMANCE.md)",
+    )
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="distributed span tracing: every request gets a "
+        "trace_id (X-Trace-Id header), /trace serves stitched "
+        "trees, and per-stage latency lands in "
+        "repro_stage_seconds (see docs/OBSERVABILITY.md)",
+    )
+    _kernel_args(p)
+
+
+def _workers_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="survivor-search worker processes for batch queries "
+        "(default 0: in-process; see docs/PERFORMANCE.md)",
+    )
+
+
+def _shard_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=3,
+        help="shard worker processes (default 3)",
+    )
+    p.add_argument(
+        "--on-shard-loss",
+        choices=["fallback", "unknown"],
+        default="fallback",
+        help="unrecoverable-shard degradation: fallback (bounded "
+        "biBFS on the coordinator's DAG replica) or unknown "
+        "(default fallback)",
+    )
+
+
+def _out_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--out",
+        default=None,
+        metavar="PATH",
+        help="write the full report as JSON to PATH",
+    )
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -131,130 +300,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("methods", help="list registered reachability methods")
-    sub.add_parser("datasets", help="list dataset names")
+    def command(name, run, help, *groups, graph=_GRAPH):
+        """Subcommand ``name``: ``graph`` positional, option ``groups``."""
+        p = sub.add_parser(name, help=help)
+        if graph is not None:
+            p.add_argument("graph", help=graph)
+        for group in groups:
+            group(p)
+        p.set_defaults(run=run)
+        return p
 
-    def add_budget_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-steps",
-            type=int,
-            default=None,
-            help="budget: cap the online search at this many expanded vertices",
-        )
-        p.add_argument(
-            "--deadline-ms",
-            type=float,
-            default=None,
-            help="budget: wall-clock deadline for the query, in milliseconds",
-        )
-        p.add_argument(
-            "--on-budget",
-            choices=["raise", "unknown", "fallback"],
-            default="unknown",
-            help="what budget exhaustion degrades to (default: unknown)",
-        )
+    command(
+        "methods", _run_methods, "list registered reachability methods",
+        graph=None,
+    )
+    command("datasets", _run_datasets, "list dataset names", graph=None)
 
-    def add_kernel_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--kernel",
-            choices=["auto", "c", "numpy", "python"],
-            default=None,
-            help="survivor-path search-kernel backend (default auto: "
-            "c when the search library compiles and loads, else numpy; "
-            "numpy is the bidirectional BFS's, the rank-row families "
-            "search on python under it; all backends are bit-identical "
-            "— see docs/PERFORMANCE.md)",
-        )
-
-    query = sub.add_parser("query", help="answer one reachability query")
-    query.add_argument("graph", help="edge-list file (u v per line)")
+    query = command(
+        "query", _run_query, "answer one reachability query",
+        _method_args, _kernel_args, _budget_args,
+    )
     query.add_argument("source", type=int)
     query.add_argument("target", type=int)
-    query.add_argument("--method", default="feline")
     query.add_argument(
         "--index", default=None, help="saved FELINE index file to reuse"
     )
     query.add_argument(
         "--mmap", action="store_true", help="memory-map the saved index"
     )
-    add_kernel_arg(query)
-    add_budget_args(query)
 
-    explain = sub.add_parser(
-        "explain", help="answer one query with verdict provenance"
+    explain = command(
+        "explain", _run_explain, "answer one query with verdict provenance",
+        _method_args, _kernel_args, _budget_args,
     )
-    explain.add_argument("graph", help="edge-list file (u v per line)")
     explain.add_argument("source", type=int)
     explain.add_argument("target", type=int)
-    explain.add_argument("--method", default="feline")
     explain.add_argument(
         "--json", action="store_true", help="print the explanation as JSON"
     )
-    add_kernel_arg(explain)
-    add_budget_args(explain)
 
-    def add_serve_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-batch",
-            type=int,
-            default=64,
-            help="coalescer flush threshold in pairs; 1 disables "
-            "coalescing (default 64)",
-        )
-        p.add_argument(
-            "--max-wait-ms",
-            type=float,
-            default=0.0,
-            help="coalescer window: longest a request waits for batch "
-            "mates (default 0: flush on the next event-loop tick)",
-        )
-        p.add_argument(
-            "--max-inflight",
-            type=int,
-            default=1024,
-            help="admission cap on admitted-but-unanswered pairs "
-            "(default 1024)",
-        )
-        p.add_argument(
-            "--overload",
-            choices=["shed", "unknown"],
-            default="shed",
-            help="over-cap requests: shed (503 + Retry-After) or "
-            "unknown (immediate degraded verdict; default shed)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="survivor-search worker processes for batch queries "
-            "(default 0: in-process; see docs/PERFORMANCE.md)",
-        )
-        p.add_argument(
-            "--observers",
-            type=int,
-            default=0,
-            help="O'Reach-style supporting vertices consulted before "
-            "the index's own cuts (default 0: none; see "
-            "docs/PERFORMANCE.md)",
-        )
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            help="distributed span tracing: every request gets a "
-            "trace_id (X-Trace-Id header), /trace serves stitched "
-            "trees, and per-stage latency lands in "
-            "repro_stage_seconds (see docs/OBSERVABILITY.md)",
-        )
-        add_kernel_arg(p)
-
-    serve = sub.add_parser(
-        "serve", help="serve reachability queries (and the obs triad) over HTTP"
-    )
-    serve.add_argument("graph", help="edge-list file (u v per line)")
-    serve.add_argument("--method", default="feline")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=0, help="0 (default) picks a free port"
+    serve = command(
+        "serve", _run_serve,
+        "serve reachability queries (and the obs triad) over HTTP",
+        _method_args, _seed_args, _listen_args, _serve_args, _workers_args,
+        _budget_args,
     )
     serve.add_argument(
         "--warm",
@@ -262,26 +351,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1000,
         help="random queries answered before serving (default 1000)",
     )
-    serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--slow-ms",
         type=float,
         default=1.0,
         help="slow-query log threshold in milliseconds (default 1.0)",
     )
-    serve.add_argument(
-        "--once",
-        action="store_true",
-        help="scrape each endpoint once, print, and exit (smoke tests)",
-    )
-    add_serve_args(serve)
-    add_budget_args(serve)
 
-    loadgen = sub.add_parser(
-        "loadgen", help="drive a reachability server with load, report latency"
+    loadgen = command(
+        "loadgen", _run_loadgen,
+        "drive a reachability server with load, report latency",
+        _method_args, _seed_args, _serve_args, _workers_args, _out_args,
     )
-    loadgen.add_argument("graph", help="edge-list file (u v per line)")
-    loadgen.add_argument("--method", default="feline")
     loadgen.add_argument(
         "--mode",
         choices=["closed", "open"],
@@ -325,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=512,
         help="distinct random query pairs cycled through (default 512)",
     )
-    loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument(
         "--warm",
         type=float,
@@ -339,30 +419,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "coalesced configuration and report both",
     )
     loadgen.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the full report as JSON to PATH",
-    )
-    loadgen.add_argument(
         "--url",
         default=None,
         help="drive an already-running server at this URL instead of "
         "booting one (GRAPH still supplies the query pairs)",
     )
-    add_serve_args(loadgen)
 
-    build = sub.add_parser(
-        "build", help="build and save a FELINE index for a DAG"
+    build = command(
+        "build", _run_build, "build and save a FELINE index for a DAG",
+        graph=_DAG,
     )
-    build.add_argument("graph", help="edge-list file of a DAG")
     build.add_argument("output", help="destination .feline index file")
 
-    verify = sub.add_parser(
-        "verify-index",
-        help="check a saved index's soundness invariants against a graph",
+    verify = command(
+        "verify-index", _run_verify_index,
+        "check a saved index's soundness invariants against a graph",
+        _seed_args, graph="edge-list file of the indexed DAG",
     )
-    verify.add_argument("graph", help="edge-list file of the indexed DAG")
     verify.add_argument("index", help="saved .feline index file")
     verify.add_argument(
         "--sample",
@@ -370,19 +443,20 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="edges sampled on large graphs (default 10000)",
     )
-    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--mmap", action="store_true", help="memory-map the saved index"
     )
 
-    bench = sub.add_parser("bench", help="regenerate a paper artifact")
+    bench = command(
+        "bench", _run_bench, "regenerate a paper artifact",
+        _seed_args, _kernel_args, graph=None,
+    )
     bench.add_argument(
         "experiment", choices=sorted(_EXPERIMENTS) + ["all"]
     )
     bench.add_argument("--scale", type=float, default=None)
     bench.add_argument("--queries", type=int, default=None)
     bench.add_argument("--runs", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--datasets",
         default=None,
@@ -409,39 +483,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="survivor-search worker processes attached to every "
         "measured index (default 0: in-process)",
     )
-    add_kernel_arg(bench)
 
-    def add_shard_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=3,
-            help="shard worker processes (default 3)",
-        )
-        p.add_argument(
-            "--index-budget-bytes",
-            type=int,
-            default=None,
-            help="per-shard index byte budget: each shard builds the "
-            "richest FELINE tier that fits (default: unrestricted)",
-        )
-        p.add_argument(
-            "--on-shard-loss",
-            choices=["fallback", "unknown"],
-            default="fallback",
-            help="unrecoverable-shard degradation: fallback (bounded "
-            "biBFS on the coordinator's DAG replica) or unknown "
-            "(default fallback)",
-        )
-
-    shard_serve = sub.add_parser(
-        "shard-serve",
-        help="serve queries from supervised multi-process shard workers",
+    shard_serve = command(
+        "shard-serve", _run_shard_serve,
+        "serve queries from supervised multi-process shard workers",
+        _listen_args, _shard_args, _serve_args,
     )
-    shard_serve.add_argument("graph", help="edge-list file (u v per line)")
-    shard_serve.add_argument("--host", default="127.0.0.1")
     shard_serve.add_argument(
-        "--port", type=int, default=0, help="0 (default) picks a free port"
+        "--index-budget-bytes",
+        type=int,
+        default=None,
+        help="per-shard index byte budget: each shard builds the "
+        "richest FELINE tier that fits (default: unrestricted)",
     )
     shard_serve.add_argument(
         "--default-deadline-ms",
@@ -469,20 +522,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="slow-query log threshold in milliseconds; entries carry "
         "the trace_id and owning shard (default: no slow log)",
     )
-    shard_serve.add_argument(
-        "--once",
-        action="store_true",
-        help="scrape each endpoint once, print, and exit (smoke tests)",
-    )
-    add_shard_args(shard_serve)
-    add_serve_args(shard_serve)
 
-    drill = sub.add_parser(
-        "chaos-drill",
-        help="SIGKILL shard workers under live traffic, report the "
+    drill = command(
+        "chaos-drill", _run_chaos_drill,
+        "SIGKILL shard workers under live traffic, report the "
         "failover/degradation numbers",
+        _seed_args, _shard_args, _out_args,
     )
-    drill.add_argument("graph", help="edge-list file (u v per line)")
     drill.add_argument("--pairs", type=int, default=200)
     drill.add_argument(
         "--deadline-ms",
@@ -507,22 +553,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cadence of worker murders during the chaos phase "
         "(default 0.4)",
     )
-    drill.add_argument("--seed", type=int, default=0)
-    drill.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the full report as JSON to PATH",
-    )
-    add_shard_args(drill)
 
-    stats = sub.add_parser(
-        "stats", help="run a workload and print the query-stats breakdown"
+    stats = command(
+        "stats", _run_stats,
+        "run a workload and print the query-stats breakdown",
+        _method_args, _seed_args,
     )
-    stats.add_argument("graph", help="edge-list file (u v per line)")
-    stats.add_argument("--method", default="feline")
     stats.add_argument("--queries", type=int, default=2000)
-    stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
         "--metrics-out",
         default=None,
@@ -530,22 +567,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write JSON-lines + Prometheus exports (like bench)",
     )
 
-    validate = sub.add_parser(
-        "validate", help="cross-check index methods against DFS truth"
+    validate = command(
+        "validate", _run_validate,
+        "cross-check index methods against DFS truth",
+        _seed_args, graph=_DAG,
     )
-    validate.add_argument("graph", help="edge-list file of a DAG")
     validate.add_argument("--queries", type=int, default=500)
-    validate.add_argument("--seed", type=int, default=0)
 
-    recommend = sub.add_parser(
-        "recommend", help="advise an index method for a graph"
+    recommend = command(
+        "recommend", _run_recommend, "advise an index method for a graph",
+        graph=_DAG,
     )
-    recommend.add_argument("graph", help="edge-list file of a DAG")
     recommend.add_argument("--query-heavy", action="store_true")
 
-    trace = sub.add_parser(
-        "trace",
-        help="fetch and render a stitched trace from a running server",
+    trace = command(
+        "trace", _run_trace,
+        "fetch and render a stitched trace from a running server",
+        graph=None,
     )
     trace.add_argument(
         "url", help="base URL of a repro server started with --trace"
@@ -571,6 +609,106 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_methods(args: argparse.Namespace) -> int:
+    print("\n".join(available_methods()))
+    return 0
+
+
+def _run_datasets(args: argparse.Namespace) -> int:
+    print("\n".join(dataset_names()))
+    return 0
+
+
+def _budget_from_args(args: argparse.Namespace):
+    """A :class:`QueryBudget` from ``--max-steps``/``--deadline-ms``."""
+    if args.max_steps is None and args.deadline_ms is None:
+        return None
+    return QueryBudget(
+        max_steps=args.max_steps,
+        deadline_s=(
+            args.deadline_ms / 1000.0
+            if args.deadline_ms is not None
+            else None
+        ),
+        policy=args.on_budget,
+    )
+
+
+def _run_query(args: argparse.Namespace) -> int:
+    """The ``query`` subcommand: exit 0 reachable, 1 not, 3 unknown."""
+    budget = _budget_from_args(args)
+    graph = read_edge_list(args.graph)
+    if args.index is not None:
+        index = load_index(graph, args.index, mmap=args.mmap)
+        if args.kernel is not None:
+            index.set_kernel(args.kernel)
+        answer = index.query(args.source, args.target, budget=budget)
+    else:
+        oracle = Reachability(graph, method=args.method, kernel=args.kernel)
+        answer = oracle.reachable(args.source, args.target, budget=budget)
+    if answer is UNKNOWN:
+        print("unknown (query budget exhausted)")
+        return 3
+    print("reachable" if answer else "not reachable")
+    return 0 if answer else 1
+
+
+def _run_explain(args: argparse.Namespace) -> int:
+    """The ``explain`` subcommand: ``query``'s verdict with provenance."""
+    budget = _budget_from_args(args)
+    graph = read_edge_list(args.graph)
+    oracle = Reachability(graph, method=args.method, kernel=args.kernel)
+    explanation = oracle.explain(args.source, args.target, budget=budget)
+    if args.json:
+        print(json.dumps(explanation.as_dict(), indent=2, default=str))
+    else:
+        print(explanation.render())
+    if explanation.verdict is UNKNOWN:
+        return 3
+    return 0 if explanation.verdict else 1
+
+
+def _run_build(args: argparse.Namespace) -> int:
+    """The ``build`` subcommand: build and save a FELINE index."""
+    graph = read_edge_list(args.graph)
+    index = FelineIndex(graph).build()
+    save_index(index, args.output)
+    print(
+        f"built FELINE index for {graph.num_vertices} vertices, "
+        f"{index.index_size_bytes()} bytes -> {args.output}"
+    )
+    return 0
+
+
+def _run_verify_index(args: argparse.Namespace) -> int:
+    """The ``verify-index`` subcommand: 0 sound, 1 unsound, 2 unreadable."""
+    graph = read_edge_list(args.graph)
+    try:
+        index = load_index(graph, args.index, mmap=args.mmap)
+    except PersistenceError as exc:
+        print(f"verify-index: UNREADABLE — {exc}", file=sys.stderr)
+        return 2
+    report = verify_index(graph, index, sample=args.sample, seed=args.seed)
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+def _run_validate(args: argparse.Namespace) -> int:
+    """The ``validate`` subcommand: methods against DFS ground truth."""
+    graph = read_edge_list(args.graph)
+    pairs = random_pairs(graph, args.queries, seed=args.seed)
+    report = cross_validate(graph, pairs)
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+def _run_recommend(args: argparse.Namespace) -> int:
+    """The ``recommend`` subcommand: the advised index method."""
+    graph = read_edge_list(args.graph)
+    print(describe_recommendation(graph, expect_query_heavy=args.query_heavy))
+    return 0
+
+
 def _bench_kwargs(args: argparse.Namespace, experiment: str) -> dict:
     kwargs: dict = {"seed": args.seed}
     if args.scale is not None:
@@ -580,7 +718,7 @@ def _bench_kwargs(args: argparse.Namespace, experiment: str) -> dict:
             kwargs["num_queries"] = args.queries
         if args.runs is not None:
             kwargs["runs"] = args.runs
-    if getattr(args, "datasets", None) and experiment not in ("t1", "t2"):
+    if args.datasets and experiment not in ("t1", "t2"):
         names = args.datasets.split(",")
         kwargs["names"] = tuple(names) if experiment == "f12" else names
     if experiment in ("t2",) and "scale" not in kwargs:
@@ -588,12 +726,14 @@ def _bench_kwargs(args: argparse.Namespace, experiment: str) -> dict:
     return kwargs
 
 
+def _write_json(path: str, document, **options) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, **options)
+        handle.write("\n")
+
+
 def _write_metrics(registry, path: str) -> None:
     """Write the JSON-lines export to ``path`` and a sibling ``.prom``."""
-    from pathlib import Path
-
-    from repro.obs.export import write_jsonl, write_prometheus
-
     jsonl_path = Path(path)
     prom_path = jsonl_path.with_suffix(".prom")
     write_jsonl(registry, jsonl_path)
@@ -601,10 +741,49 @@ def _write_metrics(registry, path: str) -> None:
     print(f"metrics written: {jsonl_path} (JSON lines), {prom_path} (Prometheus)")
 
 
+def _run_bench(args: argparse.Namespace) -> int:
+    """The ``bench`` subcommand: regenerate paper artifacts."""
+    wanted = (
+        sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    )
+    kernel_env_prev = None
+    if args.kernel is not None:
+        resolve_backend(args.kernel)  # fail fast on an impossible request
+        kernel_env_prev = os.environ.get("REPRO_KERNEL")
+        os.environ["REPRO_KERNEL"] = args.kernel
+    set_default_workers(args.workers)
+    try:
+        with (
+            obs.metrics_enabled() if args.metrics_out else nullcontext()
+        ) as registry, (
+            obs.tracing_enabled() if args.trace_out else nullcontext()
+        ) as tracer:
+            for experiment in wanted:
+                report = _EXPERIMENTS[experiment](
+                    **_bench_kwargs(args, experiment)
+                )
+                print(report)
+                print()
+            if registry is not None:
+                _write_metrics(registry, args.metrics_out)
+            if tracer is not None:
+                write_chrome_trace(tracer, args.trace_out)
+                print(
+                    f"trace written: {args.trace_out} "
+                    f"({tracer.total} spans; open at https://ui.perfetto.dev)"
+                )
+    finally:
+        set_default_workers(0)
+        if args.kernel is not None:
+            if kernel_env_prev is None:
+                os.environ.pop("REPRO_KERNEL", None)
+            else:
+                os.environ["REPRO_KERNEL"] = kernel_env_prev
+    return 0
+
+
 def _run_stats(args: argparse.Namespace) -> int:
     """The ``stats`` subcommand: cut breakdown + latency percentiles."""
-    from repro.datasets.queries import random_pairs
-
     with obs.metrics_enabled() as registry:
         graph = read_edge_list(args.graph)
         oracle = Reachability(graph, method=args.method)
@@ -651,49 +830,26 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _budget_from_args(args: argparse.Namespace):
-    """A :class:`QueryBudget` from ``--max-steps``/``--deadline-ms``."""
-    from repro.resilience import QueryBudget
-
-    if args.max_steps is None and args.deadline_ms is None:
-        return None
-    return QueryBudget(
-        max_steps=args.max_steps,
-        deadline_s=(
-            args.deadline_ms / 1000.0
-            if args.deadline_ms is not None
-            else None
-        ),
-        policy=args.on_budget,
+def _serve_config(args: argparse.Namespace, **fields):
+    """The serve option group's :class:`~repro.serve.ServeConfig`."""
+    return ServeConfig(
+        max_batch=args.max_batch,
+        max_wait_ms=args.max_wait_ms,
+        max_inflight=args.max_inflight,
+        overload=args.overload,
+        **fields,
     )
 
 
-def _build_serving_oracle(args: argparse.Namespace):
-    """Build + warm the oracle a ``serve``/``loadgen`` run queries."""
-    from repro.datasets.queries import random_pairs
-
-    graph = read_edge_list(args.graph)
-    oracle = Reachability(
+def _open_oracle(args: argparse.Namespace, graph) -> Reachability:
+    """The facade ``serve`` and ``loadgen`` query (``close()`` it)."""
+    return Reachability(
         graph,
         method=args.method,
         workers=args.workers,
-        observers=getattr(args, "observers", 0),
-        kernel=getattr(args, "kernel", None),
+        observers=args.observers,
+        kernel=args.kernel,
     )
-    warm = int(getattr(args, "warm", 0)) if args.command == "serve" else 0
-    if warm > 0:
-        oracle.reachable_many(random_pairs(graph, warm, seed=args.seed))
-    return graph, oracle
-
-
-def _enable_cli_tracing(args: argparse.Namespace):
-    """``--trace``: turn the span tracer on *before* any index builds
-    (hot paths resolve their tracer handle at build time)."""
-    if not getattr(args, "trace", False):
-        return None
-    from repro.obs.spans import enable_tracing
-
-    return enable_tracing()
 
 
 @contextmanager
@@ -701,167 +857,173 @@ def _sigterm_as_interrupt():
     """Deliver SIGTERM as ``KeyboardInterrupt`` while the block runs.
 
     A server stopped with SIGTERM then drains and runs the same clean-up
-    as Ctrl-C (``server.stop()``, ``service.close()``), so no shard
+    as Ctrl-C (``server.stop()``, ``backend.close()``), so no shard
     worker or shared-memory segment outlives it.  Signal handlers can
     only be set from the main thread; elsewhere this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
         return
-
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, interrupt)
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: warm an index, serve query traffic."""
-    from repro.serve import ReachServer, ServeConfig
+def _serve_lifecycle(
+    args: argparse.Namespace, open_backend, banner, sample_params="", **fields
+) -> int:
+    """Serve the backend ``open_backend()`` yields until interrupted.
 
-    registry = obs.enable_metrics()
-    tracer = _enable_cli_tracing(args)
-    oracle = None
-    try:
-        graph, oracle = _build_serving_oracle(args)
-        # The slow log goes on after warming, so it logs served
-        # traffic only.
-        oracle.enable_slow_log(threshold_ms=args.slow_ms)
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_inflight=args.max_inflight,
-            overload=args.overload,
-            budget=_budget_from_args(args),
-        )
+    ``fields`` complete the listen and serve groups' ``ServeConfig``.
+    Metrics and tracing go on before the backend is built: hot paths
+    bind their handles at build time, and shard workers inherit both
+    when they fork.  ``banner(backend, url)`` prints the banner once the
+    server listens; ``--once`` then scrapes each endpoint (the sample
+    ``/reach`` with ``sample_params``) and exits.  Shutdown stops the
+    server, closes the backend and turns tracing and metrics off.
+    """
+    from urllib.request import urlopen
+
+    config = _serve_config(args, host=args.host, port=args.port, **fields)
+    with (
+        _sigterm_as_interrupt(),
+        obs.metrics_enabled() as registry,
+        (obs.tracing_enabled() if args.trace else nullcontext()) as tracer,
+        open_backend() as backend,
+    ):
         server = ReachServer(
-            oracle, config, registry=registry, slow_log=oracle.slow_log
+            backend, config, registry=registry, slow_log=backend.slow_log
         )
         server.start()
         try:
-            print(
-                f"serving {oracle.index.method_name} queries on "
-                f"{server.url} (/reach, /reach_many, /metrics, /healthz, "
-                f"/slow; max_batch={config.max_batch}, "
-                f"max_wait_ms={config.max_wait_ms})"
-            )
-            if args.once:
-                from urllib.request import urlopen
-
-                sample = f"/reach?u=0&v={graph.num_vertices - 1}"
-                scrapes = ["/healthz", sample, "/metrics", "/slow"]
-                if tracer is not None:
-                    scrapes.append("/trace")
-                for endpoint in scrapes:
-                    with urlopen(server.url + endpoint) as response:
-                        body = response.read().decode("utf-8")
-                    print(f"--- GET {endpoint} [{response.status}]")
-                    print(body if len(body) < 2000 else body[:2000] + "...")
+            banner(backend, server.url)
+            if not args.once:
+                try:
+                    threading.Event().wait()  # serve until interrupted
+                except KeyboardInterrupt:
+                    print("interrupted, shutting down")
                 return 0
-            try:
-                threading.Event().wait()  # serve until interrupted
-            except KeyboardInterrupt:
-                print("interrupted, shutting down")
+            sample = (
+                f"/reach?u=0&v={backend.graph.num_vertices - 1}"
+                f"{sample_params}"
+            )
+            scrapes = ["/healthz", sample, "/metrics", "/slow"]
+            if tracer is not None:
+                scrapes.append("/trace")
+            for endpoint in scrapes:
+                with urlopen(server.url + endpoint) as response:
+                    body = response.read().decode("utf-8")
+                print(f"--- GET {endpoint} [{response.status}]")
+                print(body if len(body) < 2000 else body[:2000] + "...")
             return 0
         finally:
             server.stop()
-    finally:
-        if oracle is not None:
-            oracle.close_search_pool()
-        if tracer is not None:
-            from repro.obs.spans import disable_tracing
 
-            disable_tracing()
-        obs.disable_metrics()
+
+def _run_serve(args: argparse.Namespace) -> int:
+    """The ``serve`` subcommand: warm an index, serve query traffic."""
+
+    @contextmanager
+    def open_oracle():
+        graph = read_edge_list(args.graph)
+        with _open_oracle(args, graph) as oracle:
+            if args.warm > 0:
+                oracle.reachable_many(
+                    random_pairs(graph, args.warm, seed=args.seed)
+                )
+            # The slow log goes on after warming, so it logs served
+            # traffic only.
+            oracle.enable_slow_log(threshold_ms=args.slow_ms)
+            yield oracle
+
+    def banner(oracle, url):
+        print(
+            f"serving {oracle.index.method_name} queries on "
+            f"{url} (/reach, /reach_many, /metrics, /healthz, "
+            f"/slow; max_batch={args.max_batch}, "
+            f"max_wait_ms={args.max_wait_ms})"
+        )
+
+    return _serve_lifecycle(
+        args, open_oracle, banner, budget=_budget_from_args(args)
+    )
+
+
+def _run_shard_serve(args: argparse.Namespace) -> int:
+    """The ``shard-serve`` subcommand: HTTP traffic onto shard workers."""
+
+    @contextmanager
+    def open_service():
+        graph = read_edge_list(args.graph)
+        with ShardService(
+            graph,
+            ShardConfig(
+                num_shards=args.shards,
+                index_budget_bytes=args.index_budget_bytes,
+                observers=args.observers,
+                kernel=args.kernel,
+                rpc_timeout_s=args.rpc_timeout_ms / 1000.0,
+                default_deadline_ms=args.default_deadline_ms,
+                on_shard_loss=args.on_shard_loss,
+            ),
+        ) as service:
+            if args.slow_ms is not None:
+                service.attach_slow_log(
+                    SlowQueryLog(threshold_ns=int(args.slow_ms * 1e6))
+                )
+            yield service
+
+    def banner(service, url):
+        print(
+            f"serving sharded queries on {url} "
+            f"({service.num_shards} worker processes, "
+            f"shard sizes {service.plan.shard_sizes()}, on_shard_loss="
+            f"{service.config.on_shard_loss})"
+        )
+        for entry in service.plan.index_report():
+            print(
+                f"  shard {entry['shard']}: {entry['vertices']} "
+                f"vertices, tier={entry['tier']}, "
+                f"{entry['index_bytes']} index bytes"
+            )
+
+    return _serve_lifecycle(
+        args, open_service, banner, "&deadline_ms=1000",
+        on_deadline=args.on_deadline,
+    )
 
 
 def _run_loadgen(args: argparse.Namespace) -> int:
     """The ``loadgen`` subcommand: measure a server under load."""
-    import json
-    import os
-
-    from repro.datasets.queries import random_pairs
-    from repro.serve import (
-        ServeConfig,
-        calibrate_ms,
-        compare_serving,
-        run_loadgen,
-    )
-
-    tracer = _enable_cli_tracing(args)
+    if args.url is not None and args.compare:
+        print("loadgen: --compare boots its own servers and is "
+              "incompatible with --url", file=sys.stderr)
+        return 2
     graph = read_edge_list(args.graph)
     pairs = random_pairs(graph, args.pairs, seed=args.seed)
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_inflight=args.max_inflight,
-        overload=args.overload,
+    config = _serve_config(args)
+    drive = dict(
+        mode=args.mode, concurrency=args.concurrency, rate=args.rate,
+        duration_s=args.duration, max_requests=args.requests,
+        slo_ms=args.slo_ms,
     )
-    oracle = None
-    try:
+    with obs.tracing_enabled() if args.trace else nullcontext():
         if args.url is not None:
-            if args.compare:
-                print("loadgen: --compare boots its own servers and is "
-                      "incompatible with --url", file=sys.stderr)
-                return 2
-            report = run_loadgen(
-                args.url, pairs, mode=args.mode,
-                concurrency=args.concurrency, rate=args.rate,
-                duration_s=args.duration, max_requests=args.requests,
-                slo_ms=args.slo_ms,
-            )
-            runs = [dict(report, label="remote")]
+            runs = [dict(run_loadgen(args.url, pairs, **drive), label="remote")]
         else:
-            oracle = Reachability(
-                graph,
-                method=args.method,
-                workers=args.workers,
-                observers=getattr(args, "observers", 0),
-                kernel=getattr(args, "kernel", None),
-            )
-            if args.compare:
-                runs = compare_serving(
-                    oracle, pairs, config=config, mode=args.mode,
-                    concurrency=args.concurrency, rate=args.rate,
-                    duration_s=args.duration, max_requests=args.requests,
-                    slo_ms=args.slo_ms, warmup_s=args.warm,
-                )["runs"]
-            else:
-                from repro.obs.metrics import MetricsRegistry
-                from repro.serve import ReachServer
-
-                registry = MetricsRegistry()
-                server = ReachServer(oracle, config, registry=registry)
-                server.start()
-                try:
-                    if args.warm > 0:
-                        run_loadgen(
-                            server, pairs, mode="closed",
-                            concurrency=min(args.concurrency, 4),
-                            duration_s=args.warm, slo_ms=args.slo_ms,
-                        )
-                    report = run_loadgen(
-                        server, pairs, mode=args.mode,
-                        concurrency=args.concurrency, rate=args.rate,
-                        duration_s=args.duration,
-                        max_requests=args.requests, slo_ms=args.slo_ms,
+            with _open_oracle(args, graph) as oracle:
+                if args.compare:
+                    runs = compare_serving(
+                        oracle, pairs, config=config, warmup_s=args.warm,
+                        **drive,
+                    )["runs"]
+                else:
+                    report = measure_serving(
+                        oracle, pairs, config, warmup_s=args.warm, **drive
                     )
-                finally:
-                    server.stop()
-                runs = [dict(report, label="coalesced")]
-    finally:
-        if oracle is not None:
-            oracle.close_search_pool()
-        if tracer is not None:
-            from repro.obs.spans import disable_tracing
-
-            disable_tracing()
+                    runs = [dict(report, label="coalesced")]
 
     for run in runs:
         latency = run["latency_ms"]
@@ -903,110 +1065,14 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             },
             "runs": runs,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.out, document, indent=2)
         print(f"report written: {args.out}")
     return 0
 
 
-def _run_shard_serve(args: argparse.Namespace) -> int:
-    """The ``shard-serve`` subcommand: HTTP traffic onto shard workers."""
-    from repro.serve import ReachServer, ServeConfig
-    from repro.shard import ShardConfig, ShardService
-
-    registry = obs.enable_metrics()
-    # Tracing must be on before the service forks its workers: each
-    # worker inherits the (enabled) tracer/registry and ships spans and
-    # telemetry back on RPC responses.
-    tracer = _enable_cli_tracing(args)
-    service = None
-    try:
-        graph = read_edge_list(args.graph)
-        service = ShardService(
-            graph,
-            ShardConfig(
-                num_shards=args.shards,
-                index_budget_bytes=args.index_budget_bytes,
-                observers=getattr(args, "observers", 0),
-                kernel=getattr(args, "kernel", None),
-                rpc_timeout_s=args.rpc_timeout_ms / 1000.0,
-                default_deadline_ms=args.default_deadline_ms,
-                on_shard_loss=args.on_shard_loss,
-            ),
-        )
-        slow_log = None
-        if args.slow_ms is not None:
-            from repro.obs.slowlog import SlowQueryLog
-
-            slow_log = service.attach_slow_log(
-                SlowQueryLog(threshold_ns=int(args.slow_ms * 1e6))
-            )
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_inflight=args.max_inflight,
-            overload=args.overload,
-            on_deadline=args.on_deadline,
-        )
-        server = ReachServer(
-            service, config, registry=registry, slow_log=slow_log
-        )
-        server.start()
-        try:
-            sizes = service.plan.shard_sizes()
-            print(
-                f"serving sharded queries on {server.url} "
-                f"({service.num_shards} worker processes, "
-                f"shard sizes {sizes}, on_shard_loss="
-                f"{service.config.on_shard_loss})"
-            )
-            for entry in service.plan.index_report():
-                print(
-                    f"  shard {entry['shard']}: {entry['vertices']} "
-                    f"vertices, tier={entry['tier']}, "
-                    f"{entry['index_bytes']} index bytes"
-                )
-            if args.once:
-                from urllib.request import urlopen
-
-                sample = (
-                    f"/reach?u=0&v={graph.num_vertices - 1}&deadline_ms=1000"
-                )
-                scrapes = ["/healthz", sample, "/metrics", "/slow"]
-                if tracer is not None:
-                    scrapes.append("/trace")
-                for endpoint in scrapes:
-                    with urlopen(server.url + endpoint) as response:
-                        body = response.read().decode("utf-8")
-                    print(f"--- GET {endpoint} [{response.status}]")
-                    print(body if len(body) < 2000 else body[:2000] + "...")
-                return 0
-            try:
-                threading.Event().wait()  # serve until interrupted
-            except KeyboardInterrupt:
-                print("interrupted, shutting down")
-            return 0
-        finally:
-            server.stop()
-    finally:
-        if service is not None:
-            service.close()
-        if tracer is not None:
-            from repro.obs.spans import disable_tracing
-
-            disable_tracing()
-        obs.disable_metrics()
-
-
 def _run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: fetch one stitched trace over HTTP."""
-    import json
     from urllib.request import urlopen
-
-    from repro.obs.distributed import render_trace_tree, trace_to_chrome
 
     base = args.url.rstrip("/")
 
@@ -1037,9 +1103,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         )
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_chrome(payload), handle)
-            handle.write("\n")
+        _write_json(args.out, trace_to_chrome(payload))
         print(
             f"chrome trace written: {args.out} "
             "(open at https://ui.perfetto.dev)"
@@ -1053,10 +1117,6 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 def _run_chaos_drill(args: argparse.Namespace) -> int:
     """The ``chaos-drill`` subcommand: the kill-based chaos suite."""
-    import json
-
-    from repro.shard import chaos_drill
-
     graph = read_edge_list(args.graph)
     report = chaos_drill(
         graph,
@@ -1101,9 +1161,7 @@ def _run_chaos_drill(args: argparse.Namespace) -> int:
         f"{report['service_stats']['degraded_unknown']}"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, report, indent=2, sort_keys=True)
         print(f"report written: {args.out}")
     ok = contract["wrong_answers"] == 0 and contract["deadline_violations"] == 0
     if not ok:
@@ -1118,193 +1176,7 @@ def _run_chaos_drill(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-
-    if args.command == "methods":
-        print("\n".join(available_methods()))
-        return 0
-
-    if args.command == "datasets":
-        print("\n".join(dataset_names()))
-        return 0
-
-    if args.command == "query":
-        from repro.resilience import UNKNOWN, QueryBudget
-
-        budget = None
-        if args.max_steps is not None or args.deadline_ms is not None:
-            budget = QueryBudget(
-                max_steps=args.max_steps,
-                deadline_s=(
-                    args.deadline_ms / 1000.0
-                    if args.deadline_ms is not None
-                    else None
-                ),
-                policy=args.on_budget,
-            )
-        graph = read_edge_list(args.graph)
-        if args.index is not None:
-            from repro.core.persistence import load_index
-
-            index = load_index(graph, args.index, mmap=args.mmap)
-            if args.kernel is not None:
-                index.set_kernel(args.kernel)
-            answer = index.query(args.source, args.target, budget=budget)
-        else:
-            oracle = Reachability(
-                graph, method=args.method, kernel=args.kernel
-            )
-            answer = oracle.reachable(args.source, args.target, budget=budget)
-        if answer is UNKNOWN:
-            print("unknown (query budget exhausted)")
-            return 3
-        print("reachable" if answer else "not reachable")
-        return 0 if answer else 1
-
-    if args.command == "explain":
-        import json
-
-        from repro.resilience import UNKNOWN, QueryBudget
-
-        budget = None
-        if args.max_steps is not None or args.deadline_ms is not None:
-            budget = QueryBudget(
-                max_steps=args.max_steps,
-                deadline_s=(
-                    args.deadline_ms / 1000.0
-                    if args.deadline_ms is not None
-                    else None
-                ),
-                policy=args.on_budget,
-            )
-        graph = read_edge_list(args.graph)
-        oracle = Reachability(graph, method=args.method, kernel=args.kernel)
-        explanation = oracle.explain(args.source, args.target, budget=budget)
-        if args.json:
-            print(json.dumps(explanation.as_dict(), indent=2, default=str))
-        else:
-            print(explanation.render())
-        if explanation.verdict is UNKNOWN:
-            return 3
-        return 0 if explanation.verdict else 1
-
-    if args.command == "serve":
-        with _sigterm_as_interrupt():
-            return _run_serve(args)
-
-    if args.command == "loadgen":
-        return _run_loadgen(args)
-
-    if args.command == "shard-serve":
-        with _sigterm_as_interrupt():
-            return _run_shard_serve(args)
-
-    if args.command == "trace":
-        return _run_trace(args)
-
-    if args.command == "chaos-drill":
-        return _run_chaos_drill(args)
-
-    if args.command == "build":
-        from repro.core.persistence import save_index
-        from repro.core.query import FelineIndex
-
-        graph = read_edge_list(args.graph)
-        index = FelineIndex(graph).build()
-        save_index(index, args.output)
-        print(
-            f"built FELINE index for {graph.num_vertices} vertices, "
-            f"{index.index_size_bytes()} bytes -> {args.output}"
-        )
-        return 0
-
-    if args.command == "verify-index":
-        from repro.core.persistence import load_index
-        from repro.exceptions import PersistenceError
-        from repro.resilience import verify_index
-
-        graph = read_edge_list(args.graph)
-        try:
-            index = load_index(graph, args.index, mmap=args.mmap)
-        except PersistenceError as exc:
-            print(f"verify-index: UNREADABLE — {exc}", file=sys.stderr)
-            return 2
-        report = verify_index(
-            graph, index, sample=args.sample, seed=args.seed
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.command == "validate":
-        from repro.bench.validate import cross_validate
-        from repro.datasets.queries import random_pairs
-
-        graph = read_edge_list(args.graph)
-        pairs = random_pairs(graph, args.queries, seed=args.seed)
-        report = cross_validate(graph, pairs)
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.command == "recommend":
-        from repro.core.advisor import describe_recommendation
-
-        graph = read_edge_list(args.graph)
-        print(describe_recommendation(graph, expect_query_heavy=args.query_heavy))
-        return 0
-
-    if args.command == "stats":
-        return _run_stats(args)
-
-    if args.command == "bench":
-        from repro.bench.harness import set_default_workers
-
-        wanted = (
-            sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-        )
-        set_default_workers(args.workers)
-        kernel_env_prev = None
-        if args.kernel is not None:
-            from repro.perf.kernels import resolve_backend
-
-            resolve_backend(args.kernel)  # fail fast on an impossible request
-            kernel_env_prev = os.environ.get("REPRO_KERNEL")
-            os.environ["REPRO_KERNEL"] = args.kernel
-        registry = obs.enable_metrics() if args.metrics_out else None
-        tracer = None
-        if args.trace_out:
-            from repro.obs.spans import disable_tracing, enable_tracing
-
-            tracer = enable_tracing()
-        try:
-            for experiment in wanted:
-                report = _EXPERIMENTS[experiment](
-                    **_bench_kwargs(args, experiment)
-                )
-                print(report)
-                print()
-            if registry is not None:
-                _write_metrics(registry, args.metrics_out)
-            if tracer is not None:
-                from repro.obs.spans import write_chrome_trace
-
-                write_chrome_trace(tracer, args.trace_out)
-                print(
-                    f"trace written: {args.trace_out} "
-                    f"({tracer.total} spans; open at https://ui.perfetto.dev)"
-                )
-        finally:
-            set_default_workers(0)
-            if args.kernel is not None:
-                if kernel_env_prev is None:
-                    os.environ.pop("REPRO_KERNEL", None)
-                else:
-                    os.environ["REPRO_KERNEL"] = kernel_env_prev
-            if registry is not None:
-                obs.disable_metrics()
-            if tracer is not None:
-                disable_tracing()
-        return 0
-
-    return 2  # pragma: no cover - argparse enforces the choices
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

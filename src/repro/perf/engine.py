@@ -226,29 +226,22 @@ def _search_survivors(index, sources, targets, survivors, answers) -> None:
     if pool is not None and len(survivors) >= pool.min_batch:
         rep_answers = pool.run(index, sources, targets, reps, weights=counts)
     else:
-        stats = index.stats
+        rep_us, rep_vs = sources[reps], targets[reps]
         # One native call for the whole deduplicated sweep when the
         # index carries a batch-capable kernel (stats deltas come back
-        # per pair so the multiplicity weighting below still applies;
-        # unbudgeted codes are 0 or 1).
-        batch = index._search_pairs_batch(sources[reps], targets[reps])
+        # per pair, weighted by multiplicity; unbudgeted codes are 0 or
+        # 1), else the unguarded per-pair loop in key order.
+        batch = index._search_pairs_batch(rep_us, rep_vs)
         if batch is not None:
             codes, expanded, pruned = batch
-            stats.expanded += int(expanded @ counts)
-            stats.pruned += int(pruned @ counts)
-            answers[survivors] = codes[inverse] == 1
-            return
-        search = index._search_pair
-        rep_answers = np.empty(len(reps), dtype=bool)
-        for j, i in enumerate(reps):
-            weight = int(counts[j])
-            if weight == 1:
-                rep_answers[j] = search(int(sources[i]), int(targets[i]))
-                continue
-            expanded, pruned = stats.expanded, stats.pruned
-            rep_answers[j] = search(int(sources[i]), int(targets[i]))
-            stats.expanded += (stats.expanded - expanded) * (weight - 1)
-            stats.pruned += (stats.pruned - pruned) * (weight - 1)
+            index.stats.expanded += int(expanded @ counts)
+            index.stats.pruned += int(pruned @ counts)
+            rep_answers = codes == 1
+        else:
+            rep_answers, _ = _guarded_loop(
+                index, rep_us.tolist(), rep_vs.tolist(), counts.tolist(),
+                range(len(reps)), None, None,
+            )
     answers[survivors] = rep_answers[inverse]
 
 
@@ -343,7 +336,8 @@ def _sweep_steps(index, rep_us, rep_vs, first, counts, budget):
 
 
 def _guarded_loop(index, rep_us, rep_vs, weights, order, budget, slow):
-    """:func:`_search_guarded`'s per-pair loop over the representatives
+    """The per-pair survivor loop (:func:`_search_survivors`' without a
+    batch kernel, :func:`_search_guarded`'s) over the representatives
     in ``order``, each search under a fresh guard from ``budget`` (when
     given) and each occurrence offered to ``slow`` (when given) with
     the time of one search plus one degrade.  Returns ``(found,

@@ -38,6 +38,7 @@ from repro.serve.server import ReachServer
 __all__ = [
     "run_loadgen",
     "compare_serving",
+    "measure_serving",
     "calibrate_ms",
     "percentile",
 ]
@@ -319,6 +320,44 @@ def run_loadgen(
     )
 
 
+def measure_serving(
+    oracle,
+    pairs: Sequence[tuple[int, int]],
+    config: ServeConfig,
+    *,
+    mode: str = "closed",
+    concurrency: int = 8,
+    rate: float | None = None,
+    duration_s: float = 2.0,
+    max_requests: int | None = None,
+    slo_ms: float = 50.0,
+    warmup_s: float = 0.3,
+) -> dict:
+    """Measure ``oracle`` behind one :class:`ReachServer` with ``config``.
+
+    The server gets its own fresh :class:`MetricsRegistry`, so the
+    scraped histograms describe exactly this run.  A closed-loop warmup
+    of ``warmup_s`` seconds (at most 4 connections) precedes the
+    measured :func:`run_loadgen` drive, whose report is returned.
+    """
+    server = ReachServer(oracle, config, registry=MetricsRegistry())
+    server.start()
+    try:
+        if warmup_s > 0:
+            run_loadgen(
+                server, pairs, mode="closed",
+                concurrency=min(concurrency, 4), duration_s=warmup_s,
+                slo_ms=slo_ms,
+            )
+        return run_loadgen(
+            server, pairs, mode=mode, concurrency=concurrency,
+            rate=rate, duration_s=duration_s,
+            max_requests=max_requests, slo_ms=slo_ms,
+        )
+    finally:
+        server.stop()
+
+
 def compare_serving(
     oracle,
     pairs: Sequence[tuple[int, int]],
@@ -337,8 +376,7 @@ def compare_serving(
     Boots two :class:`ReachServer` instances sequentially — ``baseline``
     with coalescing disabled (``max_batch=1``, ``max_wait_ms=0``: one
     engine call per request) and ``coalesced`` with the given config —
-    each with its own fresh :class:`MetricsRegistry` so the scraped
-    histograms describe exactly one run.  Returns ``{"runs": [...]}``
+    each measured by :func:`measure_serving`.  Returns ``{"runs": [...]}``
     with one labeled report per server.
     """
     config = config if config is not None else ServeConfig()
@@ -357,23 +395,11 @@ def compare_serving(
     ]
     runs = []
     for label, leg_config in legs:
-        registry = MetricsRegistry()
-        server = ReachServer(oracle, leg_config, registry=registry)
-        server.start()
-        try:
-            if warmup_s > 0:
-                run_loadgen(
-                    server, pairs, mode="closed",
-                    concurrency=min(concurrency, 4), duration_s=warmup_s,
-                    slo_ms=slo_ms,
-                )
-            report = run_loadgen(
-                server, pairs, mode=mode, concurrency=concurrency,
-                rate=rate, duration_s=duration_s,
-                max_requests=max_requests, slo_ms=slo_ms,
-            )
-        finally:
-            server.stop()
+        report = measure_serving(
+            oracle, pairs, leg_config, mode=mode, concurrency=concurrency,
+            rate=rate, duration_s=duration_s, max_requests=max_requests,
+            slo_ms=slo_ms, warmup_s=warmup_s,
+        )
         report["label"] = label
         report["config"] = {
             "max_batch": leg_config.max_batch,

@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.graph.generators import random_dag
 from repro.graph.io import write_edge_list
 
@@ -278,6 +282,30 @@ class TestBudgetedQueryCommand:
             "query", str(hard_dag), "1876", "460", "--deadline-ms", "5000",
         ]) == 1
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        "pair, flags, code, verdict",
+        [
+            (("460", "1876"), [], 0, "reachable"),
+            (("1876", "460"), [], 1, "not reachable"),
+            (("460", "1876"), ["--max-steps", "1", "--on-budget", "unknown"],
+             3, "UNKNOWN"),
+        ],
+    )
+    def test_explain_exits_like_query(
+        self, hard_dag, capsys, as_json, pair, flags, code, verdict
+    ):
+        argv = ["explain", str(hard_dag), *pair, *flags]
+        assert main(argv + ["--json"] if as_json else argv) == code
+        out = capsys.readouterr().out
+        if as_json:
+            doc = json.loads(out)
+            expected = {0: True, 1: False, 3: "UNKNOWN"}[code]
+            assert (doc["u"], doc["v"]) == tuple(map(int, pair))
+            assert doc["verdict"] == expected
+        else:
+            assert out.startswith(f"r({pair[0]}, {pair[1]}) on feline: {verdict}\n")
+
 
 class TestValidateAndRecommend:
     @pytest.fixture
@@ -334,3 +362,112 @@ class TestWorkersFlag:
         assert "serving feline queries" in out
         assert "GET /healthz [200]" in out
         assert "GET /reach?u=0" in out
+
+
+def _surface(parser) -> dict:
+    """Each subcommand's actions as rows ``[dest, option_strings,
+    default, type name, choices, action class, nargs, required]``;
+    help text is left out.  Positionals keep their order, options are
+    sorted by their flags."""
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    surface = {}
+    for name, command in commands.items():
+        rows = [
+            [
+                action.dest,
+                list(action.option_strings),
+                action.default,
+                getattr(action.type, "__name__", None),
+                None if action.choices is None else list(action.choices),
+                type(action).__name__,
+                action.nargs,
+                action.required,
+            ]
+            for action in command._actions
+        ]
+        surface[name] = [row for row in rows if not row[1]] + sorted(
+            (row for row in rows if row[1]), key=lambda row: row[1]
+        )
+    return surface
+
+
+class TestParserSurface:
+    """The command table's surface: every option's flags, dest, default,
+    type, choices, action and arity, against ``tests/cli_surface.json``."""
+
+    GOLDEN = Path(__file__).with_name("cli_surface.json")
+
+    def test_matches_golden(self):
+        surface = json.loads(json.dumps(_surface(_build_parser())))
+        assert surface == json.loads(self.GOLDEN.read_text())
+
+    @pytest.mark.parametrize(
+        "command", list(json.loads(GOLDEN.read_text()))
+    )
+    def test_help_renders(self, command, capsys):
+        # argparse formats help strings only when it renders them.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shard-serve", "g.edges", "--workers", "2"],
+            ["chaos-drill", "g.edges", "--index-budget-bytes", "4096"],
+        ],
+    )
+    def test_unread_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
+class TestServingCommands:
+    @pytest.fixture
+    def dag_file(self, tmp_path):
+        g = random_dag(60, avg_degree=2.0, seed=9)
+        path = tmp_path / "dag.edges"
+        write_edge_list(g, path)
+        return path
+
+    def test_loadgen_writes_report(self, dag_file, tmp_path, capsys):
+        out = tmp_path / "loadgen.json"
+        assert main([
+            "loadgen", str(dag_file), "--duration", "0.5",
+            "--requests", "50", "--warm", "0", "--out", str(out),
+        ]) == 0
+        assert "coalesced" in capsys.readouterr().out
+        runs = json.loads(out.read_text())["runs"]
+        assert runs[0]["label"] == "coalesced"
+        assert runs[0]["requests"] > 0
+
+    def test_shard_serve_once_leaves_no_worker(
+        self, dag_file, capsys, monkeypatch
+    ):
+        from repro.obs.metrics import get_registry
+        from repro.shard import ShardService
+
+        workers = []
+        init = ShardService.__init__
+
+        def recording_init(service, *args, **kwargs):
+            init(service, *args, **kwargs)
+            workers.extend(channel.process for channel in service._channels)
+
+        monkeypatch.setattr(ShardService, "__init__", recording_init)
+        assert main([
+            "shard-serve", str(dag_file), "--shards", "2", "--once",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "serving sharded queries on http://" in out
+        assert "--- GET /healthz [200]" in out
+        assert "--- GET /reach?u=0&v=59&deadline_ms=1000 [200]" in out
+        assert len(workers) == 2
+        assert all(process.exitcode is not None for process in workers)
+        assert not get_registry().enabled
