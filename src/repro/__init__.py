@@ -215,13 +215,14 @@ class Reachability:
         """Answer a batch of ``(u, v)`` pairs; aligned list of answers.
 
         ``pairs`` is a sequence or iterable of integer pairs, or an
-        ``(n, 2)`` signed or unsigned integer ndarray — an int64 array
-        skips the list conversion, the largest cost left on this path.
-        The batch is validated once into an int64 array
-        (:func:`repro.perf.engine.as_pair_array`), mapped through the
-        SCC condensation with one gather and routed to the index's batch
-        path (:meth:`ReachabilityIndex.query_many`), so FELINE's numpy
-        cuts answer the whole batch without per-pair Python dispatch.
+        ``(n, 2)`` signed or unsigned integer ndarray (an int64 array
+        passes without a copy).  The batch is validated once into an
+        int64 array (:func:`repro.perf.engine.as_pair_array`; a list or
+        tuple of plain-int pairs in one compiled call where the C list
+        edge builds), mapped through the SCC condensation with one
+        gather and routed to the index's batch path
+        (:meth:`ReachabilityIndex.query_many`): one cut pass classifies
+        the whole batch, and only the survivors are searched.
         Equivalent to ``[self.reachable(u, v) for u, v in pairs]``; the
         optional ``budget`` applies per query, as in :meth:`reachable`.
 

@@ -53,7 +53,9 @@ pairs with their share of the cut pass.
 facade, :meth:`~repro.baselines.base.ReachabilityIndex.query_many` and
 the shard tier turn each batch into one validated ``(n, 2)`` int64
 array with it, so no per-pair Python loop runs between the caller and
-the cuts.
+the cuts.  Where the list edge ``_edge.c`` builds
+(:func:`repro.perf.kernels.edge_library`), a list batch is flattened,
+and the answer list built, in one compiled call each.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from repro.exceptions import InvalidVertexError, QueryBudgetExceeded
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span, get_tracer
 from repro.obs.timing import elapsed_ns, now_ns
+from repro.perf.kernels import _ref, edge_library
 from repro.resilience.budget import UNKNOWN
 
 __all__ = ["as_pair_array", "classify_codes", "mask_codes",
@@ -122,11 +125,29 @@ def as_pair_array(pairs, num_vertices: int) -> np.ndarray:
       are not pairs.
 
     An empty batch, in any form, gives an empty ``(0, 2)`` array.
+
+    A list or tuple whose rows are tuples or lists of two plain ``int``
+    ids in range is flattened in one compiled call where ``_edge.c``
+    loads (:func:`repro.perf.kernels.edge_library`).  Any other batch,
+    and any batch that call declines, takes the python route
+    (:func:`_python_pairs`), which raises every error above.
     """
     if isinstance(pairs, np.ndarray):
         return _ndarray_pairs(pairs, num_vertices)
     if not isinstance(pairs, Sequence):
         pairs = list(pairs)
+    edge = edge_library()
+    if edge is not None:
+        m = len(pairs)
+        arr = np.empty((m, 2), dtype=np.int64)
+        if edge.flatten_pairs(pairs, m, num_vertices, _ref(arr)) < 0:
+            return arr
+    return _python_pairs(pairs, num_vertices)
+
+
+def _python_pairs(pairs: Sequence, num_vertices: int) -> np.ndarray:
+    """:func:`as_pair_array` for a sequence, in python: the reference
+    route, and the one that raises."""
     try:
         # array("q") rejects non-integers and int64 overflow; rows all
         # at least two long plus a flat length of 2n means every row is
@@ -541,7 +562,11 @@ def vectorized_query_many(
                 )
     if index._observers is not None:
         _observe_layer(index, obs_positive, obs_negative, num, searches)
-    result = answers.tolist()
+    edge = edge_library()
+    if edge is None:
+        result = answers.tolist()
+    else:
+        result = edge.answer_list(_ref(answers), num)
     for position in unknown:
         result[position] = UNKNOWN
     return result

@@ -23,6 +23,11 @@ hardware speed over the flat CSR arrays exported once per graph by
   families), the always-correct last resort (and an explicit choice for
   debugging).
 
+A second source, ``_edge.c``, holds the list edges of a batch
+(:func:`edge_library`): it includes ``Python.h``, so it builds apart
+from ``_search.c`` and a box without the interpreter's headers keeps
+the search tier.
+
 Selection is automatic (``c`` when its library builds and loads, see
 :func:`build_search_library`; else ``numpy``, and
 :func:`c_fallback_reason` says why), overridable per index via
@@ -68,6 +73,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from array import array
 from pathlib import Path
@@ -87,6 +93,8 @@ __all__ = [
     "CUnavailable",
     "build_search_library",
     "c_fallback_reason",
+    "edge_fallback_reason",
+    "edge_library",
     "numba_version",
     "resolve_backend",
     "CRankSearch",
@@ -127,18 +135,23 @@ class CUnavailable(ReproError):
         self.reason = reason
 
 
-def build_search_library(cache_dir=None, source: Path = SOURCE) -> Path:
+def build_search_library(
+    cache_dir=None, source: Path = SOURCE, python_api: bool = False
+) -> Path:
     """The shared object compiled from ``source``, built unless cached.
 
     ``$CC`` (else ``cc``) compiles at ``-O2 -shared -fPIC`` into
     ``cache_dir`` (default ``$XDG_CACHE_HOME/repro``, else
     ``~/.cache/repro``, else under the temp dir), naming the object by
     the SHA-256 of the source: an edited source builds anew, an
-    unchanged one is reused.  The compiler reads exactly the hashed
-    bytes from stdin and writes a temporary file that ``os.replace``
-    moves into place, so concurrent builders never load a partial
-    object.  Raises :class:`CUnavailable` (``no-compiler``,
-    ``cache-unwritable``, ``compile-failed``).
+    unchanged one is reused.  A ``python_api`` source (``_edge.c``)
+    compiles against this interpreter's headers, and its object's name
+    also carries the interpreter's ``SOABI``, since a C-API object loads
+    only into the ABI it was built for.  The compiler reads exactly the
+    hashed bytes from stdin and writes a temporary file that
+    ``os.replace`` moves into place, so concurrent builders never load
+    a partial object.  Raises :class:`CUnavailable` (``no-compiler``,
+    ``no-headers``, ``cache-unwritable``, ``compile-failed``).
     """
     code = source.read_bytes()
     if cache_dir is None:
@@ -148,9 +161,18 @@ def build_search_library(cache_dir=None, source: Path = SOURCE) -> Path:
         except RuntimeError:  # no resolvable home directory
             base = Path(tempfile.gettempdir())
         cache_dir = base / "repro"
-    target = Path(cache_dir) / f"_search-{hashlib.sha256(code).hexdigest()}.so"
+    key = hashlib.sha256(code).hexdigest()
+    if python_api:
+        key = f"{sysconfig.get_config_var('SOABI')}-{key}"
+    target = Path(cache_dir) / f"{source.stem}-{key}.so"
     if target.exists():
         return target
+    flags = []
+    if python_api:
+        include = sysconfig.get_path("include") or ""
+        if not os.path.isfile(os.path.join(include, "Python.h")):
+            raise CUnavailable("no-headers", f"no Python.h in {include!r}")
+        flags = [f"-I{include}"]
     compiler = shlex.split(os.environ.get("CC") or "cc")
     if not compiler or shutil.which(compiler[0]) is None:
         raise CUnavailable("no-compiler", " ".join(compiler))
@@ -162,7 +184,8 @@ def build_search_library(cache_dir=None, source: Path = SOURCE) -> Path:
         raise CUnavailable("cache-unwritable", str(exc)) from None
     try:
         proc = subprocess.run(
-            [*compiler, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+            [*compiler, "-O2", "-shared", "-fPIC", *flags,
+             "-x", "c", "-", "-o", tmp],
             input=code, capture_output=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -175,6 +198,16 @@ def build_search_library(cache_dir=None, source: Path = SOURCE) -> Path:
         if os.path.exists(tmp):
             os.unlink(tmp)
     return target
+
+
+def _open_library(source: Path, python_api: bool = False):
+    """``source``'s object, built unless cached, loaded through
+    ``PyDLL``, which keeps the GIL across every call."""
+    path = build_search_library(source=source, python_api=python_api)
+    try:
+        return ctypes.PyDLL(str(path))
+    except OSError as exc:
+        raise CUnavailable("load-failed", str(exc)) from None
 
 
 # The process-wide outcome: (library, None) or (None, fallback reason).
@@ -192,11 +225,7 @@ def _c_library():
         try:
             if array("l").itemsize != 8:
                 raise CUnavailable("abi", "the platform long is not 64-bit")
-            path = build_search_library()
-            try:
-                lib = ctypes.PyDLL(str(path))
-            except OSError as exc:
-                raise CUnavailable("load-failed", str(exc)) from None
+            lib = _open_library(SOURCE)
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             lib.rank_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
             lib.rank_dfs.restype = i64
@@ -220,6 +249,43 @@ def c_fallback_reason() -> str | None:
     """Why the C tier is unavailable in this process (``None``: it loads)."""
     _c_library()
     return _c_state[1]
+
+
+EDGE_SOURCE = Path(__file__).with_name("_edge.c")
+
+# The list edge's outcome, like _c_state: (library, None) or (None, reason).
+_edge_state: tuple | None = None
+
+
+def edge_library():
+    """The loaded list-edge library (``None`` when unavailable).
+
+    Built from ``_edge.c`` against this interpreter's headers and loaded
+    through ``PyDLL`` on the first batch that needs it, not at import or
+    index build, so a cold compile never lands in set-up.  Its
+    ``flatten_pairs`` backs :func:`repro.perf.engine.as_pair_array` for
+    lists and tuples, and ``answer_list`` the engine's answer list;
+    without it both take their python routes, which stay the reference.
+    """
+    global _edge_state
+    if _edge_state is None:
+        try:
+            lib = _open_library(EDGE_SOURCE, python_api=True)
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            lib.flatten_pairs.argtypes = [ctypes.py_object, i64, i64, ptr]
+            lib.flatten_pairs.restype = i64
+            lib.answer_list.argtypes = [ptr, i64]
+            lib.answer_list.restype = ctypes.py_object
+            _edge_state = (lib, None)
+        except CUnavailable as exc:
+            _edge_state = (None, exc.reason)
+    return _edge_state[0]
+
+
+def edge_fallback_reason() -> str | None:
+    """Why the list edge runs on python here (``None``: ``_edge.c`` loads)."""
+    edge_library()
+    return _edge_state[1]
 
 
 def numba_version() -> None:
@@ -286,10 +352,12 @@ def _count_fallback(reason: str) -> None:
 
 
 def describe_backend(backend: str | None = None) -> dict:
-    """A report stanza: the active backend and why ``c`` is not, if so."""
+    """A report stanza: the active backend, why ``c`` is not (if so),
+    and why the list edge runs on python (if so)."""
     return {
         "kernel_backend": backend or resolve_backend(),
         "c_fallback_reason": c_fallback_reason(),
+        "edge_fallback_reason": edge_fallback_reason(),
         "available_backends": list(available_backends()),
     }
 
