@@ -15,7 +15,8 @@ paths in the Uniprot stand-ins — do not hit Python's recursion limit.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,17 +101,32 @@ class Condensation:
         ``v`` — the function ``scc : V -> V'`` from the paper.
     members:
         ``members[c]`` lists the original vertices folded into
-        condensation vertex ``c``.
+        condensation vertex ``c``.  Tarjan's lists on a cyclic input
+        (``tarjan_members``); on a DAG each vertex sits alone, and the
+        lists are built from ``scc_of`` on first read.
     """
 
     dag: DiGraph
     scc_of: array
-    members: list[list[int]]
+    tarjan_members: list[list[int]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def members(self) -> list[list[int]]:
+        if self.tarjan_members is not None:
+            return self.tarjan_members
+        n = len(self.scc_of)
+        order = np.empty(n, dtype=np.int64)
+        order[np.asarray(self.scc_of, dtype=np.int64)] = np.arange(
+            n, dtype=np.int64
+        )
+        return [[v] for v in order.tolist()]
 
     @property
     def num_components(self) -> int:
         """Number of strongly connected components."""
-        return len(self.members)
+        return self.dag.num_vertices
 
     def is_trivial(self) -> bool:
         """True when the input was already a DAG with no self loops."""
@@ -137,21 +153,20 @@ def condense(graph: DiGraph) -> Condensation:
     n = graph.num_vertices
     post = dag_post_order_ranks(graph)
     if post is not None:
+        components = None
+        num_components = n
         scc = n - 1 - np.asarray(post, dtype=np.int64)
-        order = np.empty(n, dtype=np.int64)
-        order[scc] = np.arange(n, dtype=np.int64)
-        components = [[v] for v in order.tolist()]
         scc_of = long_array(scc)
     else:
         components = strongly_connected_components(graph)
         # Tarjan emits components in reverse topological order; flip them.
         components.reverse()
+        num_components = len(components)
         scc_of = array("l", [0] * n)
         for cid, component in enumerate(components):
             for v in component:
                 scc_of[v] = cid
         scc = np.asarray(scc_of, dtype=np.int64)
-    num_components = len(components)
 
     sources, targets = graph.edge_arrays()
     cu, cv = scc[sources], scc[targets]
@@ -166,28 +181,13 @@ def condense(graph: DiGraph) -> Condensation:
 
     name = f"{graph.name}-condensed" if graph.name else "condensed"
     dag = DiGraph.from_arrays(num_components, cu[first], cv[first], name=name)
-    return Condensation(dag=dag, scc_of=scc_of, members=components)
+    return Condensation(dag=dag, scc_of=scc_of, tarjan_members=components)
 
 
 def is_dag(graph: DiGraph) -> bool:
     """Whether ``graph`` is acyclic (no directed cycle, no self loop).
 
-    Runs Kahn's peeling in O(|V| + |E|): a graph is a DAG iff repeatedly
-    removing in-degree-0 vertices consumes every vertex.
+    The DFS of :func:`dag_post_order_ranks` stops at the first edge back
+    into its own path, which a cycle or a self loop always gives.
     """
-    n = graph.num_vertices
-    indegree = array("l", [0] * n)
-    for v in range(n):
-        indegree[v] = graph.in_indptr[v + 1] - graph.in_indptr[v]
-    queue = [v for v in range(n) if indegree[v] == 0]
-    removed = 0
-    indptr, indices = graph.out_indptr, graph.out_indices
-    while queue:
-        u = queue.pop()
-        removed += 1
-        for k in range(indptr[u], indptr[u + 1]):
-            w = indices[k]
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    return removed == n
+    return dag_post_order_ranks(graph) is not None

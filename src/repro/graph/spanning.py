@@ -24,6 +24,7 @@ from random import Random
 import numpy as np
 
 from repro.graph.digraph import DiGraph, long_array
+from repro.graph.toposort import checked_roots
 
 __all__ = [
     "SpanningForest",
@@ -105,8 +106,30 @@ def extract_spanning_forest(
     A popped vertex claims its unclaimed children, pushed last edge
     first so they pop in edge order.  The traversal records only
     ``parent`` and the visit order; the children follow from ``parent``
-    in numpy.
+    in numpy.  The traversal is compiled where the C library loads
+    (:func:`repro.perf.kernels.c_spanning_forest`).  A root outside
+    ``0 .. n-1`` raises :class:`~repro.exceptions.InvalidVertexError`
+    before any work.
     """
+    from repro.perf.kernels import c_spanning_forest
+
+    if root_order is not None:
+        root_order = checked_roots(root_order, graph.num_vertices)
+    traversed = c_spanning_forest(graph, root_order)
+    if traversed is None:
+        if isinstance(root_order, np.ndarray):
+            root_order = root_order.tolist()
+        traversed = _python_traversal(graph, root_order)
+    parent, order = traversed
+    child_indptr, child_indices = _tree_children(graph, parent)
+    return SpanningForest(parent, order, child_indptr, child_indices)
+
+
+def _python_traversal(
+    graph: DiGraph, root_order: Sequence[int] | None
+) -> tuple[array, list[int]]:
+    """The traversal of :func:`extract_spanning_forest` in python:
+    ``parent`` and the visit order."""
     n = graph.num_vertices
     indptr, indices = graph.out_indptr, graph.out_indices
     m = len(indices)
@@ -130,8 +153,7 @@ def extract_spanning_forest(
                     visited[w] = 1
                     parent[w] = u
                     push(w)
-    child_indptr, child_indices = _tree_children(graph, parent)
-    return SpanningForest(parent, order, child_indptr, child_indices)
+    return parent, order
 
 
 def _tree_children(graph: DiGraph, parent: array):
@@ -165,15 +187,24 @@ def minpost_intervals_tree(forest: SpanningForest) -> IntervalLabels:
     subtree: its parent's ``base`` plus the sizes of its earlier
     siblings (earlier roots, for a root).  One pass up ``order`` sums
     subtree sizes, one cumsum gives the sibling offsets and one pass
-    down ``order`` the bases.  O(|V|).
+    down ``order`` the bases.  O(|V|).  The two passes are compiled
+    where the C library loads (:func:`repro.perf.kernels.c_subtree_pass`).
     """
+    from repro.perf.kernels import _i64_run, c_subtree_pass
+
     n = forest.num_vertices
     order = forest.order
-    parent = forest.parent.tolist()
+    order_i64 = _i64_run(order)
     # Slot n (reached as index -1) absorbs what the roots pass up.
-    size = [1] * (n + 1)
-    for v in reversed(order):
-        size[parent[v]] += size[v]
+    size = c_subtree_pass(
+        "subtree_sizes", order_i64, forest.parent,
+        np.ones(n + 1, dtype=np.int64),
+    )
+    if size is None:
+        parent = forest.parent.tolist()
+        size = [1] * (n + 1)
+        for v in reversed(order):
+            size[parent[v]] += size[v]
     size = np.array(size[:n], dtype=np.int64)
 
     # Offsets within each sibling run: an exclusive cumsum of the sizes,
@@ -187,9 +218,12 @@ def minpost_intervals_tree(forest: SpanningForest) -> IntervalLabels:
     roots = np.flatnonzero(np.asarray(forest.parent) < 0)
     offset[roots] = np.cumsum(size[roots]) - size[roots]
 
-    base = offset.tolist()
-    for v in order:
-        base[v] += base[parent[v]]
+    base = c_subtree_pass("subtree_bases", order_i64, forest.parent, offset)
+    if base is None:
+        parent = forest.parent.tolist()
+        base = offset.tolist()
+        for v in order:
+            base[v] += base[parent[v]]
     start = np.array(base[:n], dtype=np.int64)
     return IntervalLabels(
         start=long_array(start), post=long_array(start + size - 1)

@@ -34,6 +34,10 @@ are computed once per graph and cached on it (:meth:`DiGraph.artifact`):
 FELINE, the observer layer, GRAIL, FERRARI and the condensation all ask
 for them.  Every call returns a fresh copy, so callers may mutate it; a
 call with an explicit ``root_order`` is computed afresh.
+
+The DFS post-order and the LIFO Kahn peel run in C where the search
+library of :mod:`repro.perf.kernels` loads, step for step the python
+loops here, which stay the reference and run wherever it does not.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from repro.exceptions import NotADAGError
+from repro.exceptions import InvalidVertexError, NotADAGError
 from repro.graph.digraph import DiGraph, long_array
 
 __all__ = [
@@ -111,9 +115,27 @@ def lifo_kahn_order(
     ``root_order`` (vertex ids, default ascending), so the last of them
     pops first.  With rows and roots sorted by a topological rank ``X``
     the result is the max-``X`` priority order (see the module notes).
-    Raises :class:`NotADAGError` naming the lowest stuck vertex.
+    Raises :class:`NotADAGError` naming the lowest stuck vertex.  The
+    peel is compiled where the C library loads
+    (:func:`repro.perf.kernels.c_lifo_kahn`); rows or roots it declines
+    take the python loop.
     """
-    n = graph.num_vertices
+    from repro.perf.kernels import c_lifo_kahn
+
+    peeled = c_lifo_kahn(graph, indices, root_order)
+    if peeled is None:
+        peeled = _python_lifo_kahn(graph, indices, root_order)
+    order, indegree = peeled
+    if len(order) != graph.num_vertices:
+        _raise_stuck(indegree)
+    return order
+
+
+def _python_lifo_kahn(
+    graph: DiGraph, indices: array, root_order: np.ndarray | None
+) -> tuple[list[int], list[int]]:
+    """The peel of :func:`lifo_kahn_order` in python: the order and the
+    indegrees it left (some positive when stuck on a cycle)."""
     indptr = graph.out_indptr
     indegree = np.diff(graph.csr().in_indptr)
     if root_order is None:
@@ -130,9 +152,7 @@ def lifo_kahn_order(
             indegree[w] -= 1
             if not indegree[w]:
                 push(w)
-    if len(order) != n:
-        _raise_stuck(indegree)
-    return order
+    return order, indegree
 
 
 def fifo_kahn_order(graph: DiGraph) -> list[int]:
@@ -194,8 +214,10 @@ def dfs_post_order_ranks(
     :func:`dfs_topological_order`.
 
     ``root_order`` optionally fixes the order in which DFS roots are tried
-    (GRAIL's randomized labellings shuffle it; FELINE uses the default).
-    The default-root ranks are cached on ``graph``; the result is a copy.
+    (GRAIL's randomized labellings shuffle it; FELINE uses the default);
+    a root outside ``0 .. n-1`` raises :class:`InvalidVertexError`
+    before any work.  The default-root ranks are cached on ``graph``;
+    the result is a copy.
     """
     if root_order is not None:
         return _dfs_post_order(graph, root_order)
@@ -229,11 +251,51 @@ def _default_post_order(graph: DiGraph) -> array:
     )
 
 
+def checked_roots(root_order: Sequence[int], n: int):
+    """``root_order`` as an ``int64`` array once every id in it lies in
+    ``0 .. n-1``; :class:`InvalidVertexError` names the first that does
+    not.  A sequence of anything but integers comes back as given."""
+    roots = np.asarray(root_order)
+    if roots.ndim != 1:
+        return root_order
+    if roots.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if roots.dtype.kind not in "iu":
+        return root_order
+    outside = (roots < 0) | (roots >= n)
+    if outside.any():
+        raise InvalidVertexError(int(roots[outside.argmax()]), n)
+    return np.ascontiguousarray(roots, dtype=np.int64)
+
+
 def _dfs_post_order(
     graph: DiGraph,
     root_order: Sequence[int] | None,
     stop_at_cycle: bool = False,
 ) -> array | None:
+    """The DFS post-order ranks, or ``None`` when ``stop_at_cycle`` and
+    an edge leads back into the DFS path.  Compiled where the C library
+    loads (:func:`repro.perf.kernels.c_post_order`), else the python
+    loop."""
+    from repro.perf.kernels import c_post_order
+
+    if root_order is not None:
+        root_order = checked_roots(root_order, graph.num_vertices)
+    done = c_post_order(graph, root_order, stop_at_cycle)
+    if done is None:
+        if isinstance(root_order, np.ndarray):
+            root_order = root_order.tolist()
+        return _python_post_order(graph, root_order, stop_at_cycle)
+    ranks, cyclic = done
+    return None if cyclic else ranks
+
+
+def _python_post_order(
+    graph: DiGraph,
+    root_order: Sequence[int] | None,
+    stop_at_cycle: bool,
+) -> array | None:
+    """:func:`_dfs_post_order` in python: the reference loop."""
     n = graph.num_vertices
     indptr, indices = graph.out_indptr, graph.out_indices
     cursor = array("l", indptr)  # cursor[v]: v's next edge to try

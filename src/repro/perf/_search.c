@@ -10,6 +10,13 @@
  * reachable, 1 = reachable, 2 = step budget exhausted at the vertex just
  * expanded (budget < 0: none), 3 = a vertex outside 0..n-1 (nothing
  * touched).
+ *
+ * The set-up passes at the end of the file are the sequential loops of
+ * repro.graph.toposort and repro.graph.spanning, step for step: the
+ * DFS post-order, the LIFO Kahn order, the spanning forest traversal
+ * and the min-post labels' two passes over its visit order.  Each
+ * checks every vertex it reads and returns -2 at the first one outside
+ * 0..n-1, after which its python wrapper runs the python loop instead.
  */
 #include <stdint.h>
 
@@ -316,4 +323,174 @@ i64 rank_batch(const rank_ctx *c, i64 stamp0, i64 m, const i64 *us,
         pruned[i] = out[1];
     }
     return -1;
+}
+
+/* ---- set-up passes ------------------------------------------------ */
+
+#define BAD_VERTEX(x, n) ((uint64_t)(x) >= (uint64_t)(n))
+
+/* toposort._dfs_post_order: ranks[v] = v's rank in the post-order of
+ * the DFS that tries roots[0..num_roots) in turn (roots NULL: 0..n-1)
+ * and each out-row in edge order.  state (zeroed, n bytes) is 0 unseen,
+ * 1 on the path, 2 finished; path holds n.  Returns 0, 1 when
+ * stop_at_cycle and an edge leads back into the path (ranks partial),
+ * or -2. */
+i64 dfs_post_order(i64 n, const i64 *indptr, const i64 *indices,
+                   const i64 *roots, i64 num_roots, i64 stop_at_cycle,
+                   i64 *cursor, uint8_t *state, i64 *path, i64 *ranks)
+{
+    const uint8_t entered = stop_at_cycle ? 1 : 2;
+    i64 counter = 0;
+    if (!roots)
+        num_roots = n;
+    for (i64 v = 0; v < n; v++)
+        cursor[v] = indptr[v];
+    for (i64 r = 0; r < num_roots; r++) {
+        i64 v = roots ? roots[r] : r, top = 0;
+        if (BAD_VERTEX(v, n))
+            return -2;
+        if (state[v])
+            continue;
+        state[v] = entered;
+        for (;;) {
+            i64 pos = cursor[v], child = -1;
+            for (const i64 end = indptr[v + 1]; pos < end;) {
+                const i64 w = indices[pos++];
+                if (BAD_VERTEX(w, n))
+                    return -2;
+                if (state[w] != 2) {
+                    if (state[w])
+                        return 1;
+                    child = w;
+                    break;
+                }
+            }
+            if (child >= 0) {
+                cursor[v] = pos;
+                state[child] = entered;
+                path[top++] = v;
+                v = child;
+                continue;
+            }
+            state[v] = 2;
+            ranks[v] = counter++;
+            if (top == 0)
+                break;
+            v = path[--top];
+        }
+    }
+    return 0;
+}
+
+/* toposort.lifo_kahn_order: the roots (roots NULL: 0..n-1) whose
+ * indegree is 0 are pushed in order; each pop is emitted to order and
+ * frees its children in row order.  indegree is consumed; worklist and
+ * order hold num_roots + n, so a repeated root cannot overrun them.
+ * Returns the count emitted (n unless stuck on a cycle), or -2. */
+i64 lifo_kahn(i64 n, const i64 *indptr, const i64 *indices,
+              const i64 *roots, i64 num_roots, i64 *indegree,
+              i64 *worklist, i64 *order)
+{
+    i64 top = 0, count = 0;
+    if (!roots)
+        num_roots = n;
+    for (i64 r = 0; r < num_roots; r++) {
+        const i64 v = roots ? roots[r] : r;
+        if (BAD_VERTEX(v, n))
+            return -2;
+        if (indegree[v] == 0)
+            worklist[top++] = v;
+    }
+    while (top > 0) {
+        const i64 u = worklist[--top];
+        order[count++] = u;
+        for (i64 k = indptr[u]; k < indptr[u + 1]; k++) {
+            const i64 w = indices[k];
+            if (BAD_VERTEX(w, n))
+                return -2;
+            if (--indegree[w] == 0)
+                worklist[top++] = w;
+        }
+    }
+    return count;
+}
+
+/* spanning.extract_spanning_forest's traversal: from each unvisited
+ * root in turn (roots NULL: 0..n-1), a popped vertex is appended to
+ * order and claims its unvisited children, pushed last edge first.
+ * parent (preset to -1) gets each claimed child's claimer; visited
+ * (zeroed, n bytes); stack holds n.  Returns the count visited, or
+ * -2. */
+i64 spanning_forest(i64 n, const i64 *indptr, const i64 *indices,
+                    const i64 *roots, i64 num_roots, i64 *parent,
+                    uint8_t *visited, i64 *stack, i64 *order)
+{
+    i64 count = 0;
+    if (!roots)
+        num_roots = n;
+    for (i64 r = 0; r < num_roots; r++) {
+        const i64 root = roots ? roots[r] : r;
+        if (BAD_VERTEX(root, n))
+            return -2;
+        if (visited[root])
+            continue;
+        visited[root] = 1;
+        i64 top = 0;
+        stack[top++] = root;
+        while (top > 0) {
+            const i64 u = stack[--top];
+            order[count++] = u;
+            for (i64 k = indptr[u + 1] - 1; k >= indptr[u]; k--) {
+                const i64 w = indices[k];
+                if (BAD_VERTEX(w, n))
+                    return -2;
+                if (!visited[w]) {
+                    visited[w] = 1;
+                    parent[w] = u;
+                    stack[top++] = w;
+                }
+            }
+        }
+    }
+    return count;
+}
+
+/* Slot of v's parent in a size or base array of n + 1 (slot n stands
+ * for a root's parent, -1), or -1 when v or its parent is out of
+ * range. */
+ALWAYS_INLINE i64 parent_slot(i64 n, const i64 *parent, i64 v)
+{
+    if (BAD_VERTEX(v, n))
+        return -1;
+    const i64 p = parent[v];
+    return p == -1 ? n : BAD_VERTEX(p, n) ? -1 : p;
+}
+
+/* spanning.minpost_intervals_tree's pass up the visit order: size[v]
+ * becomes 1 plus the sizes of v's tree children (size holds n + 1, all
+ * 1 on entry).  Returns 0, or -2. */
+i64 subtree_sizes(i64 n, i64 count, const i64 *order, const i64 *parent,
+                  i64 *size)
+{
+    for (i64 i = count - 1; i >= 0; i--) {
+        const i64 v = order[i], slot = parent_slot(n, parent, v);
+        if (slot < 0)
+            return -2;
+        size[slot] += size[v];
+    }
+    return 0;
+}
+
+/* Its pass down the visit order: base[v] += base[parent slot of v]
+ * (base holds n + 1, slot n 0).  Returns 0, or -2 with base untouched:
+ * the caller's python loop then reads the same base. */
+i64 subtree_bases(i64 n, i64 count, const i64 *order, const i64 *parent,
+                  i64 *base)
+{
+    for (i64 i = 0; i < count; i++)
+        if (parent_slot(n, parent, order[i]) < 0)
+            return -2;
+    for (i64 i = 0; i < count; i++)
+        base[order[i]] += base[parent_slot(n, parent, order[i])];
+    return 0;
 }

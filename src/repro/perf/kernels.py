@@ -28,6 +28,15 @@ A second source, ``_edge.c``, holds the list edges of a batch
 from ``_search.c`` and a box without the interpreter's headers keeps
 the search tier.
 
+``_search.c`` also holds the sequential set-up passes of
+:mod:`repro.graph.toposort` and :mod:`repro.graph.spanning` — the DFS
+post-order, the LIFO Kahn peel, the spanning forest traversal and the
+min-post passes (:func:`c_post_order`, :func:`c_lifo_kahn`,
+:func:`c_spanning_forest`, :func:`c_subtree_pass`).  They run wherever
+the library loads, whatever backend an index picks, and return exactly
+what the python loops return; where it does not load, or an input is
+not an int64 run C can read, those loops run instead.
+
 Selection is automatic (``c`` when its library builds and loads, see
 :func:`build_search_library`; else ``numpy``, and
 :func:`c_fallback_reason` says why), overridable per index via
@@ -104,6 +113,10 @@ __all__ = [
     "bind_table_classify",
     "bibfs_kernel_for",
     "bounded_search",
+    "c_post_order",
+    "c_lifo_kahn",
+    "c_spanning_forest",
+    "c_subtree_pass",
     "describe_backend",
     "VECTOR_MIN_DEGREE",
 ]
@@ -239,6 +252,16 @@ def _c_library():
             lib.bibfs_batch.restype = i64
             lib.classify_batch.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
             lib.classify_batch.restype = i64
+            # The set-up passes: ``n``, the CSR, the roots, then buffers.
+            csr = [i64, ptr, ptr, ptr, i64]
+            lib.dfs_post_order.argtypes = csr + [i64, ptr, ptr, ptr, ptr]
+            lib.lifo_kahn.argtypes = csr + [ptr, ptr, ptr]
+            lib.spanning_forest.argtypes = csr + [ptr, ptr, ptr, ptr]
+            lib.subtree_sizes.argtypes = [i64, i64, ptr, ptr, ptr]
+            lib.subtree_bases.argtypes = [i64, i64, ptr, ptr, ptr]
+            for fn in (lib.dfs_post_order, lib.lifo_kahn, lib.spanning_forest,
+                       lib.subtree_sizes, lib.subtree_bases):
+                fn.restype = i64
             _c_state = (lib, None)
         except CUnavailable as exc:
             _c_state = (None, exc.reason)
@@ -1050,3 +1073,133 @@ def bounded_search(graph, source, target, max_nodes, backend=None):
     return bibfs_kernel_for(graph, backend).run_bounded(
         source, target, max_nodes
     )
+
+
+# ---------------------------------------------------------------------------
+# the set-up passes
+# ---------------------------------------------------------------------------
+#
+# Each wrapper runs one sequential set-up pass of repro.graph in C and
+# returns what its python loop would, or ``None`` when that loop must
+# run instead: the library does not load, an input is not an int64,
+# C-contiguous run of the right length, or C met a vertex outside
+# ``0..n-1``.  Roots arrive range-checked from repro.graph; every
+# worklist holds ``len(roots) + n``, so repeated roots stay in bounds.
+
+
+def _i64_run(values, length: int | None = None) -> np.ndarray | None:
+    """``values`` as a flat ``int64`` C-contiguous array (``length``
+    long, when given), or ``None``.  An ``array('l')`` comes through
+    as a writable view."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (arr.dtype != np.int64 or arr.ndim != 1
+            or not arr.flags.c_contiguous
+            or (length is not None and len(arr) != length)):
+        return None
+    return arr
+
+
+def _call(fn, *args) -> int:
+    """``fn(*args)``, each ndarray passed as its data's address (the
+    arguments hold the arrays alive through the call)."""
+    return fn(*[_ref(a) if isinstance(a, np.ndarray) else a for a in args])
+
+
+def _pass_args(graph, roots, indices=None):
+    """``(lib, room, csr)`` for a pass over ``graph``'s out-rows
+    (``indices``: the caller's reordering of them) from ``roots``
+    (``None``: every vertex in id order): ``csr`` is the pass's leading
+    arguments ``(n, indptr, indices, roots, len(roots))`` and ``room``
+    a worklist's length.  ``None`` when the pass cannot run in C."""
+    lib = _c_library()
+    if lib is None:
+        return None
+    n = graph.num_vertices
+    csr = graph.csr()
+    indptr = _i64_run(csr.out_indptr, n + 1)
+    if indptr is None:
+        return None
+    indices = _i64_run(
+        csr.out_indices if indices is None else indices, int(indptr[n])
+    )
+    if indices is None:
+        return None
+    num_roots = 0
+    if roots is not None:
+        roots = _i64_run(roots)
+        if roots is None:
+            return None
+        num_roots = len(roots)
+    return lib, n + num_roots, (n, indptr, indices, roots, num_roots)
+
+
+def c_post_order(graph, roots, stop_at_cycle: bool):
+    """:func:`repro.graph.toposort._dfs_post_order` in C:
+    ``(ranks, cyclic)``, ``ranks`` an ``array('l')``, or ``None``."""
+    bound = _pass_args(graph, roots)
+    if bound is None:
+        return None
+    lib, room, csr = bound
+    n = csr[0]
+    ranks = array("l", bytes(8 * n))
+    code = _call(
+        lib.dfs_post_order, *csr, int(stop_at_cycle),
+        np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.uint8),
+        np.empty(room, dtype=np.int64), np.asarray(ranks),
+    )
+    return None if code < 0 else (ranks, code == 1)
+
+
+def c_lifo_kahn(graph, indices, roots):
+    """:func:`repro.graph.toposort.lifo_kahn_order`'s peel in C:
+    ``(order, indegree)``, ``order`` a list (shorter than ``n`` when the
+    graph has a cycle) and ``indegree`` what the peel left, or
+    ``None``."""
+    bound = _pass_args(graph, roots, indices)
+    if bound is None:
+        return None
+    lib, room, csr = bound
+    indegree = np.diff(graph.csr().in_indptr)
+    order = np.empty(room, dtype=np.int64)
+    count = _call(
+        lib.lifo_kahn, *csr, indegree, np.empty(room, dtype=np.int64), order
+    )
+    return None if count < 0 else (order[:count].tolist(), indegree)
+
+
+def c_spanning_forest(graph, roots):
+    """:func:`repro.graph.spanning.extract_spanning_forest`'s traversal
+    in C: ``(parent, order)``, an ``array('l')`` and a list, or
+    ``None``."""
+    bound = _pass_args(graph, roots)
+    if bound is None:
+        return None
+    lib, room, csr = bound
+    n = csr[0]
+    parent = array("l", [-1]) * n
+    order = np.empty(room, dtype=np.int64)
+    count = _call(
+        lib.spanning_forest, *csr, np.asarray(parent),
+        np.zeros(n, dtype=np.uint8), np.empty(room, dtype=np.int64), order,
+    )
+    return None if count < 0 else (parent, order[:count].tolist())
+
+
+def c_subtree_pass(name: str, order, parent, values: np.ndarray):
+    """One of :func:`repro.graph.spanning.minpost_intervals_tree`'s
+    passes over a forest's visit ``order`` in C, in place on ``values``
+    (``n + 1`` int64 slots, slot ``n`` standing for a root's parent):
+    ``"subtree_sizes"`` up the order, ``"subtree_bases"`` down it.
+    Returns ``values``, or ``None`` (``subtree_bases`` then leaves
+    ``values`` untouched)."""
+    lib = _c_library()
+    n = len(parent)
+    order, parent = _i64_run(order), _i64_run(parent, n)
+    if (lib is None or order is None or parent is None
+            or _i64_run(values, n + 1) is None):
+        return None
+    code = _call(getattr(lib, name), n, len(order), order, parent, values)
+    return None if code < 0 else values
