@@ -39,7 +39,7 @@ from repro.baselines.base import (
 from repro.exceptions import InvalidVertexError, ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
-from repro.perf.engine import as_pair_array
+from repro.perf.engine import as_pair_array, compiled_query_many
 from repro.resilience import UNKNOWN, QueryBudget
 
 # Importing these modules registers every built-in method in the factory.
@@ -232,8 +232,15 @@ class Reachability:
         a pair or an array of the wrong shape.  A rejected batch leaves
         :attr:`stats` untouched.
         """
-        pairs = as_pair_array(pairs, self.graph.num_vertices)
-        return self.index.query_many(self._scc_view[pairs], budget=budget)
+        answers = compiled_query_many(
+            self.index, pairs, budget, self._scc_view
+        )
+        if answers is None:
+            pairs = as_pair_array(pairs, self.graph.num_vertices)
+            answers = self.index.query_many(
+                self._scc_view[pairs], budget=budget
+            )
+        return answers
 
     def explain(self, u: int, v: int, budget: QueryBudget | None = None):
         """Answer ``r(u, v)`` with full provenance — why this verdict?

@@ -35,7 +35,11 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import get_tracer
 from repro.obs.timing import elapsed_ns, elapsed_s, now_ns
 from repro.perf.cut_table import SearchOnlyCutTable
-from repro.perf.engine import as_pair_array, vectorized_query_many
+from repro.perf.engine import (
+    as_pair_array,
+    compiled_query_many,
+    vectorized_query_many,
+)
 from repro.perf.pool import SearchPool
 from repro.resilience import chaos
 from repro.resilience.budget import UNKNOWN, QueryBudget, bounded_fallback
@@ -194,9 +198,11 @@ class ReachabilityIndex(ABC):
         self._kernel_choice = None
         self._kernel_backend = "python"
         # The batch engine's compiled cut pass (kernels.bind_classify;
-        # None = the numpy route), rebound with the table, the kernel
-        # and the observer layer.
+        # None = the numpy route) and the one-call batch over it and the
+        # C sweep (kernels.bind_batch; None = the engine's route),
+        # rebound with the table, the kernel and the observer layer.
         self._classify = None
+        self._batch = None
         # Shared-memory index pages (repro.perf.shm): the owned arena
         # and the original arrays it displaced (restored on close).
         self._shared_pages = None
@@ -602,11 +608,19 @@ class ReachabilityIndex(ABC):
         :data:`~repro.resilience.budget.UNKNOWN` depending on policy.
         An attached slow log is offered every pair (survivor searches
         timed individually); a tracer gets one ``query_many`` span.
+
+        Where the index binds a compiled cut pass and a C sweep, a list,
+        tuple or int64 array batch is answered in one compiled call
+        (:func:`~repro.perf.engine.compiled_query_many`) with the same
+        answers, statistics and errors.
         """
         if not self._built:
             raise IndexNotBuiltError(
                 f"{self.method_name}: call build() before query_many()"
             )
+        answers = compiled_query_many(self, pairs, budget)
+        if answers is not None:
+            return answers
         pairs = as_pair_array(pairs, self.graph.num_vertices)
         chaos.fire(
             "index.query_many", method=self.method_name, pairs=len(pairs)
@@ -666,6 +680,12 @@ class ReachabilityIndex(ABC):
             f"{type(self).__name__} leaves pairs to search but defines "
             "no _search_pair"
         )
+
+    def _searcher(self):
+        """Hook: ``(index, swapped)`` — the index whose kernel searches
+        this one's survivors, and whether it answers ``(u, v)`` as
+        ``(v, u)``.  The default is this index, unswapped."""
+        return self, False
 
     def _search_pairs_batch(self, us, vs, max_steps: int = -1):
         """Hook: answer many engine survivors in one native call.
@@ -741,7 +761,9 @@ class ReachabilityIndex(ABC):
     def _bind_classify(self) -> None:
         """Bind the batch engine's compiled cut pass over the current
         cut table and observer layer
-        (:func:`repro.perf.kernels.bind_classify`).
+        (:func:`repro.perf.kernels.bind_classify`), and the one-call
+        batch over it and the bound kernel
+        (:func:`repro.perf.kernels.bind_batch`).
 
         Called wherever either changes or the kernel is rebound:
         :meth:`build`, :meth:`set_kernel`, :meth:`attach_observers`,
@@ -750,6 +772,7 @@ class ReachabilityIndex(ABC):
         from repro.perf import kernels
 
         self._classify = kernels.bind_classify(self)
+        self._batch = kernels.bind_batch(self)
 
     def _arm_kernel(self, kernel) -> None:
         """Install a bound kernel, arming its dispatch counter when live."""

@@ -83,6 +83,9 @@ class FelineIIndex(ReachabilityIndex):
         inner._bind_kernel()
         self._kernel_backend = inner._kernel_backend
 
+    def _searcher(self):
+        return self._inner, True
+
     def _search_pairs_batch(self, us, vs, max_steps: int = -1):
         return self._inner._search_pairs_batch(vs, us, max_steps)
 

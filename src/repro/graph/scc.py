@@ -128,10 +128,6 @@ class Condensation:
         """Number of strongly connected components."""
         return self.dag.num_vertices
 
-    def is_trivial(self) -> bool:
-        """True when the input was already a DAG with no self loops."""
-        return self.dag.num_vertices == len(self.scc_of)
-
 
 def condense(graph: DiGraph) -> Condensation:
     """Fold every SCC of ``graph`` into a single vertex.

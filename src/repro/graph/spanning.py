@@ -106,7 +106,7 @@ def extract_spanning_forest(
     A popped vertex claims its unclaimed children, pushed last edge
     first so they pop in edge order.  The traversal records only
     ``parent`` and the visit order; the children follow from ``parent``
-    in numpy.  The traversal is compiled where the C library loads
+    in numpy.  The traversal is compiled where the C module loads
     (:func:`repro.perf.kernels.c_spanning_forest`).  A root outside
     ``0 .. n-1`` raises :class:`~repro.exceptions.InvalidVertexError`
     before any work.
@@ -188,7 +188,7 @@ def minpost_intervals_tree(forest: SpanningForest) -> IntervalLabels:
     siblings (earlier roots, for a root).  One pass up ``order`` sums
     subtree sizes, one cumsum gives the sibling offsets and one pass
     down ``order`` the bases.  O(|V|).  The two passes are compiled
-    where the C library loads (:func:`repro.perf.kernels.c_subtree_pass`).
+    where the C module loads (:func:`repro.perf.kernels.c_subtree_pass`).
     """
     from repro.perf.kernels import _i64_run, c_subtree_pass
 

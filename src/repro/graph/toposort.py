@@ -35,8 +35,8 @@ FELINE, the observer layer, GRAIL, FERRARI and the condensation all ask
 for them.  Every call returns a fresh copy, so callers may mutate it; a
 call with an explicit ``root_order`` is computed afresh.
 
-The DFS post-order and the LIFO Kahn peel run in C where the search
-library of :mod:`repro.perf.kernels` loads, step for step the python
+The DFS post-order and the LIFO Kahn peel run in C where the C module
+of :mod:`repro.perf.kernels` loads, step for step the python
 loops here, which stay the reference and run wherever it does not.
 """
 
@@ -112,11 +112,12 @@ def lifo_kahn_order(
     ``indices`` holds ``graph``'s out-rows, each permuted in place (row
     ``u`` spans ``out_indptr[u] : out_indptr[u + 1]``); a popped vertex
     frees its children in that order.  The initial roots are pushed in
-    ``root_order`` (vertex ids, default ascending), so the last of them
-    pops first.  With rows and roots sorted by a topological rank ``X``
-    the result is the max-``X`` priority order (see the module notes).
-    Raises :class:`NotADAGError` naming the lowest stuck vertex.  The
-    peel is compiled where the C library loads
+    ``root_order`` (vertex ids, default ascending; a repeated root is
+    pushed once, at its first place), so the last of them pops first.
+    With rows and roots sorted by a topological rank ``X`` the result
+    is the max-``X`` priority order (see the module notes).  Raises
+    :class:`NotADAGError` naming the lowest stuck vertex.  The peel is
+    compiled where the C module loads
     (:func:`repro.perf.kernels.c_lifo_kahn`); rows or roots it declines
     take the python loop.
     """
@@ -141,7 +142,10 @@ def _python_lifo_kahn(
     if root_order is None:
         worklist = np.flatnonzero(indegree == 0).tolist()
     else:
-        worklist = root_order[indegree[root_order] == 0].tolist()
+        # Each root is pushed once, at its first place in root_order.
+        roots = root_order[indegree[root_order] == 0]
+        _, first = np.unique(roots, return_index=True)
+        worklist = roots[np.sort(first)].tolist()
     indegree = indegree.tolist()
     order: list[int] = []
     pop, push, emit = worklist.pop, worklist.append, order.append
@@ -274,7 +278,7 @@ def _dfs_post_order(
     stop_at_cycle: bool = False,
 ) -> array | None:
     """The DFS post-order ranks, or ``None`` when ``stop_at_cycle`` and
-    an edge leads back into the DFS path.  Compiled where the C library
+    an edge leads back into the DFS path.  Compiled where the C module
     loads (:func:`repro.perf.kernels.c_post_order`), else the python
     loop."""
     from repro.perf.kernels import c_post_order

@@ -30,8 +30,8 @@ family:
   platforms without ``fork``;
 * :mod:`repro.perf.kernels` — CSR-native search kernels for the
   survivor path (pruned DFS, bidirectional BFS, the batch survivor
-  sweep) with a three-tier backend: a C library compiled on first use
-  and loaded through ``ctypes``, a vectorized numpy fallback, pure
+  sweep) with a three-tier backend: a C extension module compiled on
+  first use, a vectorized numpy fallback, pure
   Python last — every tier bit-identical in answers *and*
   ``QueryStats``;
 * :mod:`repro.perf.shm` — :class:`SharedIndexPages`, a

@@ -1,15 +1,20 @@
-/* The compiled search tier of repro.perf.kernels, loaded through ctypes.
+/* The compiled tier of repro.perf.kernels, with _edge.c one CPython
+ * extension module: the two sources are compiled as one translation
+ * unit, this file first (repro.perf.kernels.build_search_library), and
+ * every entry point is a METH_FASTCALL function.
  *
  * rank_dfs is repro.perf.cut_table.RankCuts.search, the pruned DFS of
  * every rank-row family, and rank_batch its survivor sweep; bibfs is
  * repro.graph.traversal's bidirectional BFS and bibfs_batch the bibfs
  * family's sweep.  classify_batch is the batch engine's cut pass: the
  * reflexive cut, the observer layer and a rank-row table in the scalar
- * chain's order.  Arrays are int64 and C-contiguous (checked at bind
- * time); NULL marks a structure the index lacks.  Returns 0 = not
+ * chain's order.  A search or cut pass reads a context struct that the
+ * caller built once per bind (its address is the first argument);
+ * arrays are int64 and C-contiguous (checked at bind time) and NULL
+ * marks a structure the index lacks.  A search returns 0 = not
  * reachable, 1 = reachable, 2 = step budget exhausted at the vertex just
  * expanded (budget < 0: none), 3 = a vertex outside 0..n-1 (nothing
- * touched).
+ * touched), which the module's calls raise as IndexError.
  *
  * The set-up passes at the end of the file are the sequential loops of
  * repro.graph.toposort and repro.graph.spanning, step for step: the
@@ -18,6 +23,10 @@
  * checks every vertex it reads and returns -2 at the first one outside
  * 0..n-1, after which its python wrapper runs the python loop instead.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdarg.h>
+#include <string.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -40,7 +49,7 @@ typedef struct {
 
 /* Expands the smaller frontier (forward on ties); out = {expanded}.
  * Requires source != target. */
-i64 bibfs(const bibfs_ctx *c, i64 stamp, i64 source, i64 target,
+static i64 bibfs(const bibfs_ctx *c, i64 stamp, i64 source, i64 target,
           i64 budget, i64 *out)
 {
     if (OUT_OF_RANGE(c, source, target))
@@ -85,7 +94,7 @@ done:
 /* bibfs over m pairs (u == v answers 1 unsearched), search i with
  * stamp0 + i + 1 under its own step budget; codes as rank_batch.
  * Returns -1, or the first pair out of range. */
-i64 bibfs_batch(const bibfs_ctx *c, i64 stamp0, i64 m, const i64 *us,
+static i64 bibfs_batch(const bibfs_ctx *c, i64 stamp0, i64 m, const i64 *us,
                 const i64 *vs, i64 budget, uint8_t *codes)
 {
     i64 out[1];
@@ -163,7 +172,7 @@ static int classify_pair(const classify_ctx *c, i64 u, i64 v)
 
 /* codes[i] = pair i's code; counts[code] = its pairs in the batch.
  * Returns -1, or the first pair out of range (counts untouched). */
-i64 classify_batch(const classify_ctx *c, i64 m, const i64 *us,
+static i64 classify_batch(const classify_ctx *c, i64 m, const i64 *us,
                    const i64 *vs, uint8_t *codes, i64 *counts)
 {
     i64 tally[NUM_CODES] = {0};
@@ -285,7 +294,7 @@ done:
 }
 
 /* One pruned DFS from u towards v; out = {expanded, pruned}. */
-i64 rank_dfs(const rank_ctx *c, i64 stamp, i64 u, i64 v, i64 budget,
+static i64 rank_dfs(const rank_ctx *c, i64 stamp, i64 u, i64 v, i64 budget,
              i64 *out)
 {
     if (OUT_OF_RANGE(c, u, v))
@@ -308,7 +317,7 @@ i64 rank_dfs(const rank_ctx *c, i64 stamp, i64 u, i64 v, i64 budget,
 /* Survivor i searches with stamp0 + i + 1 (one bump per search, as the
  * scalar path does) under its own step budget, and its code (0, 1 or
  * 2) lands in codes[i].  Returns -1, or the first pair out of range. */
-i64 rank_batch(const rank_ctx *c, i64 stamp0, i64 m, const i64 *us,
+static i64 rank_batch(const rank_ctx *c, i64 stamp0, i64 m, const i64 *us,
                const i64 *vs, i64 budget, uint8_t *codes, i64 *expanded,
                i64 *pruned)
 {
@@ -335,7 +344,7 @@ i64 rank_batch(const rank_ctx *c, i64 stamp0, i64 m, const i64 *us,
  * 1 on the path, 2 finished; path holds n.  Returns 0, 1 when
  * stop_at_cycle and an edge leads back into the path (ranks partial),
  * or -2. */
-i64 dfs_post_order(i64 n, const i64 *indptr, const i64 *indices,
+static i64 dfs_post_order(i64 n, const i64 *indptr, const i64 *indices,
                    const i64 *roots, i64 num_roots, i64 stop_at_cycle,
                    i64 *cursor, uint8_t *state, i64 *path, i64 *ranks)
 {
@@ -383,11 +392,12 @@ i64 dfs_post_order(i64 n, const i64 *indptr, const i64 *indices,
 }
 
 /* toposort.lifo_kahn_order: the roots (roots NULL: 0..n-1) whose
- * indegree is 0 are pushed in order; each pop is emitted to order and
+ * indegree is 0 are pushed in order, each once (a repeat is skipped, so
+ * the order is the one without it); each pop is emitted to order and
  * frees its children in row order.  indegree is consumed; worklist and
- * order hold num_roots + n, so a repeated root cannot overrun them.
- * Returns the count emitted (n unless stuck on a cycle), or -2. */
-i64 lifo_kahn(i64 n, const i64 *indptr, const i64 *indices,
+ * order hold num_roots + n.  Returns the count emitted (n unless stuck
+ * on a cycle), or -2. */
+static i64 lifo_kahn(i64 n, const i64 *indptr, const i64 *indices,
               const i64 *roots, i64 num_roots, i64 *indegree,
               i64 *worklist, i64 *order)
 {
@@ -398,9 +408,13 @@ i64 lifo_kahn(i64 n, const i64 *indptr, const i64 *indices,
         const i64 v = roots ? roots[r] : r;
         if (BAD_VERTEX(v, n))
             return -2;
-        if (indegree[v] == 0)
+        if (indegree[v] == 0) {
+            indegree[v] = -1;         /* pushed: a repeat is skipped */
             worklist[top++] = v;
+        }
     }
+    for (i64 t = 0; t < top; t++)
+        indegree[worklist[t]] = 0;
     while (top > 0) {
         const i64 u = worklist[--top];
         order[count++] = u;
@@ -421,7 +435,7 @@ i64 lifo_kahn(i64 n, const i64 *indptr, const i64 *indices,
  * parent (preset to -1) gets each claimed child's claimer; visited
  * (zeroed, n bytes); stack holds n.  Returns the count visited, or
  * -2. */
-i64 spanning_forest(i64 n, const i64 *indptr, const i64 *indices,
+static i64 spanning_forest(i64 n, const i64 *indptr, const i64 *indices,
                     const i64 *roots, i64 num_roots, i64 *parent,
                     uint8_t *visited, i64 *stack, i64 *order)
 {
@@ -469,7 +483,7 @@ ALWAYS_INLINE i64 parent_slot(i64 n, const i64 *parent, i64 v)
 /* spanning.minpost_intervals_tree's pass up the visit order: size[v]
  * becomes 1 plus the sizes of v's tree children (size holds n + 1, all
  * 1 on entry).  Returns 0, or -2. */
-i64 subtree_sizes(i64 n, i64 count, const i64 *order, const i64 *parent,
+static i64 subtree_sizes(i64 n, i64 count, const i64 *order, const i64 *parent,
                   i64 *size)
 {
     for (i64 i = count - 1; i >= 0; i--) {
@@ -484,7 +498,7 @@ i64 subtree_sizes(i64 n, i64 count, const i64 *order, const i64 *parent,
 /* Its pass down the visit order: base[v] += base[parent slot of v]
  * (base holds n + 1, slot n 0).  Returns 0, or -2 with base untouched:
  * the caller's python loop then reads the same base. */
-i64 subtree_bases(i64 n, i64 count, const i64 *order, const i64 *parent,
+static i64 subtree_bases(i64 n, i64 count, const i64 *order, const i64 *parent,
                   i64 *base)
 {
     for (i64 i = 0; i < count; i++)
@@ -493,4 +507,322 @@ i64 subtree_bases(i64 n, i64 count, const i64 *order, const i64 *parent,
     for (i64 i = 0; i < count; i++)
         base[order[i]] += base[parent_slot(n, parent, order[i])];
     return 0;
+}
+
+/* ---- the module's calls ------------------------------------------- */
+
+/* A buffer argument: its data and its length in items. */
+typedef struct {
+    void *data;
+    Py_ssize_t len;
+} buf;
+
+/* Reads a call's arguments by fmt, one letter each, into the pointers
+ * that follow: 'O' any object (PyObject **, borrowed), 'i' an int
+ * (i64 *), 'p' a context address (void **),
+ * 'q' a C-contiguous buffer of 8-byte items and 'b' one of 1-byte items
+ * (buf *), and 'Q'/'B' the same or None (data NULL, len 0); a capital
+ * 'W' before a buffer letter asks for a writable one.  The caller's
+ * arguments keep every exporter alive through the call, and no Python
+ * code runs while C reads the data.  Returns -1 with an error set. */
+static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                 const char *fmt, ...)
+{
+    va_list out;
+    Py_ssize_t k = 0, want = 0;
+    int writable = 0, ok = 1;
+    for (const char *f = fmt; *f; f++)
+        want += *f != 'W';
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return -1;
+    }
+    va_start(out, fmt);
+    for (const char *f = fmt; *f && ok; f++) {
+        const char letter = *f;
+        if (letter == 'W') {
+            writable = 1;
+            continue;
+        }
+        PyObject *arg = args[k++];
+        if (letter == 'O') {
+            *va_arg(out, PyObject **) = arg;
+        } else if (letter == 'i') {
+            i64 *slot = va_arg(out, i64 *);
+            *slot = PyLong_AsLongLong(arg);
+            ok = !(*slot == -1 && PyErr_Occurred());
+        } else if (letter == 'p') {
+            void **slot = va_arg(out, void **);
+            *slot = PyLong_AsVoidPtr(arg);
+            ok = !(*slot == NULL && PyErr_Occurred());
+        } else {
+            buf *slot = va_arg(out, buf *);
+            const Py_ssize_t itemsize = (letter == 'q' || letter == 'Q') ? 8 : 1;
+            slot->data = NULL;
+            slot->len = 0;
+            if (arg != Py_None || !(letter == 'Q' || letter == 'B')) {
+                Py_buffer view;
+                const int flags = PyBUF_C_CONTIGUOUS
+                    | (writable ? PyBUF_WRITABLE : 0);
+                if (PyObject_GetBuffer(arg, &view, flags) < 0) {
+                    ok = 0;
+                } else {
+                    ok = view.itemsize == itemsize;
+                    slot->data = view.buf;
+                    slot->len = ok ? view.len / itemsize : 0;
+                    PyBuffer_Release(&view);
+                    if (!ok)
+                        PyErr_Format(PyExc_TypeError,
+                                     "%s: argument %zd has %zd-byte items, "
+                                     "not %zd", name, k, view.itemsize,
+                                     itemsize);
+                }
+            }
+            writable = 0;
+        }
+    }
+    va_end(out);
+    return ok ? 0 : -1;
+}
+
+/* -1 with a ValueError unless every buffer length in lens[0..count)
+ * reaches its minimum in need[]. */
+static int check_lengths(const char *name, int count, const Py_ssize_t *lens,
+                         const i64 *need)
+{
+    for (int k = 0; k < count; k++)
+        if (need[k] < 0 || lens[k] < need[k]) {
+            PyErr_Format(PyExc_ValueError, "%s: buffer %d holds %zd items, "
+                         "needs %lld", name, k, lens[k], (long long)need[k]);
+            return -1;
+        }
+    return 0;
+}
+
+static PyObject *out_of_range(const char *where, i64 u, i64 v)
+{
+    PyErr_Format(PyExc_IndexError, "vertex out of range in %s %lld -> %lld",
+                 where, (long long)u, (long long)v);
+    return NULL;
+}
+
+/* A new tuple of count ints. */
+static PyObject *int_tuple(int count, const i64 *values)
+{
+    PyObject *tuple = PyTuple_New(count);
+    for (int k = 0; tuple != NULL && k < count; k++) {
+        PyObject *item = PyLong_FromLongLong(values[k]);
+        if (item == NULL) {
+            Py_CLEAR(tuple);
+            break;
+        }
+        PyTuple_SET_ITEM(tuple, k, item);
+    }
+    return tuple;
+}
+
+/* rank_dfs(ctx, stamp, u, v, budget) -> (code, expanded, pruned) */
+static PyObject *py_rank_dfs(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    void *c;
+    i64 stamp, u, v, budget, out[3];
+    if (parse("rank_dfs", args, nargs, "piiii", &c, &stamp, &u, &v, &budget))
+        return NULL;
+    out[0] = rank_dfs(c, stamp, u, v, budget, out + 1);
+    if (out[0] == 3)
+        return out_of_range("search", u, v);
+    return int_tuple(3, out);
+}
+
+/* bibfs(ctx, stamp, source, target, budget) -> (code, expanded) */
+static PyObject *py_bibfs(PyObject *module, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    void *c;
+    i64 stamp, u, v, budget, out[2];
+    if (parse("bibfs", args, nargs, "piiii", &c, &stamp, &u, &v, &budget))
+        return NULL;
+    out[0] = bibfs(c, stamp, u, v, budget, out + 1);
+    if (out[0] == 3)
+        return out_of_range("search", u, v);
+    return int_tuple(2, out);
+}
+
+/* rank_batch(ctx, stamp0, us, vs, budget, codes, expanded, pruned) and
+ * bibfs_batch(ctx, stamp0, us, vs, budget, codes): the sweeps over
+ * len(us) pairs; None, or IndexError naming the first pair out of
+ * range. */
+static PyObject *py_rank_batch(PyObject *module, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    void *c;
+    i64 stamp0, budget;
+    buf us, vs, codes, expanded, pruned;
+    if (parse("rank_batch", args, nargs, "piqqiWbWqWq", &c, &stamp0, &us,
+              &vs, &budget, &codes, &expanded, &pruned))
+        return NULL;
+    const i64 m = us.len, need[] = {m, m, m, m};
+    const Py_ssize_t lens[] = {vs.len, codes.len, expanded.len, pruned.len};
+    if (check_lengths("rank_batch", 4, lens, need))
+        return NULL;
+    const i64 bad = rank_batch(c, stamp0, m, us.data, vs.data, budget,
+                               codes.data, expanded.data, pruned.data);
+    if (bad >= 0)
+        return out_of_range("search", ((i64 *)us.data)[bad],
+                            ((i64 *)vs.data)[bad]);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_bibfs_batch(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    void *c;
+    i64 stamp0, budget;
+    buf us, vs, codes;
+    if (parse("bibfs_batch", args, nargs, "piqqiWb", &c, &stamp0, &us, &vs,
+              &budget, &codes))
+        return NULL;
+    const i64 m = us.len, need[] = {m, m};
+    const Py_ssize_t lens[] = {vs.len, codes.len};
+    if (check_lengths("bibfs_batch", 2, lens, need))
+        return NULL;
+    const i64 bad = bibfs_batch(c, stamp0, m, us.data, vs.data, budget,
+                                codes.data);
+    if (bad >= 0)
+        return out_of_range("search", ((i64 *)us.data)[bad],
+                            ((i64 *)vs.data)[bad]);
+    Py_RETURN_NONE;
+}
+
+/* classify_batch(ctx, us, vs, codes) -> the six code counts as a list;
+ * IndexError naming the first pair out of range. */
+static PyObject *py_classify_batch(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    void *c;
+    buf us, vs, codes;
+    i64 counts[NUM_CODES];
+    if (parse("classify_batch", args, nargs, "pqqWb", &c, &us, &vs, &codes))
+        return NULL;
+    const i64 m = us.len, need[] = {m, m};
+    const Py_ssize_t lens[] = {vs.len, codes.len};
+    if (check_lengths("classify_batch", 2, lens, need))
+        return NULL;
+    const i64 bad = classify_batch(c, m, us.data, vs.data, codes.data,
+                                   counts);
+    if (bad >= 0)
+        return out_of_range("classify", ((i64 *)us.data)[bad],
+                            ((i64 *)vs.data)[bad]);
+    PyObject *list = PyList_New(NUM_CODES);
+    for (int k = 0; list != NULL && k < NUM_CODES; k++) {
+        PyObject *item = PyLong_FromLongLong(counts[k]);
+        if (item == NULL) {
+            Py_CLEAR(list);
+            break;
+        }
+        PyList_SET_ITEM(list, k, item);
+    }
+    return list;
+}
+
+/* The set-up passes: n, the CSR's indptr and indices, the roots (None:
+ * 0..n-1), then their buffers; each returns the pass's result as an
+ * int.  Lengths are checked against n and the roots; the rows' contents
+ * are the caller's CSR. */
+#define SETUP_PASS_HEAD(name, fmt, ...)                                   \
+    i64 n;                                                                \
+    buf indptr, indices, roots;                                           \
+    if (parse(name, args, nargs, fmt, &n, &indptr, &indices, &roots,      \
+              __VA_ARGS__))                                               \
+        return NULL;                                                      \
+    if (n < 0 || indptr.len < n + 1) {                                    \
+        PyErr_Format(PyExc_ValueError, "%s: indptr too short", name);     \
+        return NULL;                                                      \
+    }                                                                     \
+    const i64 edges = ((i64 *)indptr.data)[n], room = n + roots.len;      \
+    if (indices.len < edges) {                                            \
+        PyErr_Format(PyExc_ValueError, "%s: indices too short", name);    \
+        return NULL;                                                      \
+    }
+
+/* dfs_post_order(n, indptr, indices, roots, stop_at_cycle, cursor,
+ * state, path, ranks) */
+static PyObject *py_dfs_post_order(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    i64 stop;
+    buf cursor, state, path, ranks;
+    SETUP_PASS_HEAD("dfs_post_order", "iqqQiWqWbWqWq", &stop, &cursor,
+                    &state, &path, &ranks)
+    const i64 need[] = {n, n, room, n};
+    const Py_ssize_t lens[] = {cursor.len, state.len, path.len, ranks.len};
+    if (check_lengths("dfs_post_order", 4, lens, need))
+        return NULL;
+    return PyLong_FromLongLong(dfs_post_order(
+        n, indptr.data, indices.data, roots.data, roots.len, stop,
+        cursor.data, state.data, path.data, ranks.data));
+}
+
+/* lifo_kahn(n, indptr, indices, roots, indegree, worklist, order) */
+static PyObject *py_lifo_kahn(PyObject *module, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    buf indegree, worklist, order;
+    SETUP_PASS_HEAD("lifo_kahn", "iqqQWqWqWq", &indegree, &worklist, &order)
+    const i64 need[] = {n, room, room};
+    const Py_ssize_t lens[] = {indegree.len, worklist.len, order.len};
+    if (check_lengths("lifo_kahn", 3, lens, need))
+        return NULL;
+    return PyLong_FromLongLong(lifo_kahn(
+        n, indptr.data, indices.data, roots.data, roots.len, indegree.data,
+        worklist.data, order.data));
+}
+
+/* spanning_forest(n, indptr, indices, roots, parent, visited, stack,
+ * order) */
+static PyObject *py_spanning_forest(PyObject *module, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    buf parent, visited, stack, order;
+    SETUP_PASS_HEAD("spanning_forest", "iqqQWqWbWqWq", &parent, &visited,
+                    &stack, &order)
+    const i64 need[] = {n, n, room, room};
+    const Py_ssize_t lens[] = {parent.len, visited.len, stack.len, order.len};
+    if (check_lengths("spanning_forest", 4, lens, need))
+        return NULL;
+    return PyLong_FromLongLong(spanning_forest(
+        n, indptr.data, indices.data, roots.data, roots.len, parent.data,
+        visited.data, stack.data, order.data));
+}
+
+/* subtree_sizes(n, order, parent, values) and subtree_bases(...): the
+ * min-post passes over the visit order, values holding n + 1. */
+static PyObject *subtree_pass(const char *name, PyObject *const *args,
+                              Py_ssize_t nargs, int sizes)
+{
+    i64 n;
+    buf order, parent, values;
+    if (parse(name, args, nargs, "iqqWq", &n, &order, &parent, &values))
+        return NULL;
+    const i64 need[] = {n, n + 1};
+    const Py_ssize_t lens[] = {parent.len, values.len};
+    if (check_lengths(name, 2, lens, need))
+        return NULL;
+    return PyLong_FromLongLong(
+        (sizes ? subtree_sizes : subtree_bases)(
+            n, order.len, order.data, parent.data, values.data));
+}
+
+static PyObject *py_subtree_sizes(PyObject *module, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    return subtree_pass("subtree_sizes", args, nargs, 1);
+}
+
+static PyObject *py_subtree_bases(PyObject *module, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    return subtree_pass("subtree_bases", args, nargs, 0);
 }

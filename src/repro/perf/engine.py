@@ -53,9 +53,15 @@ pairs with their share of the cut pass.
 facade, :meth:`~repro.baselines.base.ReachabilityIndex.query_many` and
 the shard tier turn each batch into one validated ``(n, 2)`` int64
 array with it, so no per-pair Python loop runs between the caller and
-the cuts.  Where the list edge ``_edge.c`` builds
-(:func:`repro.perf.kernels.edge_library`), a list batch is flattened,
-and the answer list built, in one compiled call each.
+the cuts.  Where the C module loads, a list batch is flattened, and the
+answer list built, in one compiled call each.
+
+:func:`compiled_query_many` goes further: where an index binds a
+compiled cut pass and a C sweep (:class:`~repro.perf.kernels.CBatch`),
+the facade and ``query_many`` hand it the raw batch, and one call does
+the boundary, the cuts, the deduplicated sweep and the answer list.
+This module's route stays the reference, and answers every batch that
+call declines or is not offered.
 """
 
 from __future__ import annotations
@@ -72,11 +78,12 @@ from repro.exceptions import InvalidVertexError, QueryBudgetExceeded
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span, get_tracer
 from repro.obs.timing import elapsed_ns, now_ns
-from repro.perf.kernels import _ref, edge_library
+from repro.perf.kernels import _c_module
+from repro.resilience import chaos
 from repro.resilience.budget import UNKNOWN
 
-__all__ = ["as_pair_array", "classify_codes", "mask_codes",
-           "vectorized_query_many"]
+__all__ = ["as_pair_array", "classify_codes", "compiled_query_many",
+           "mask_codes", "vectorized_query_many"]
 
 #: How a batch pair was decided, one ``uint8`` per pair (``classify_batch``
 #: in ``_search.c`` writes the same numbers).
@@ -127,20 +134,19 @@ def as_pair_array(pairs, num_vertices: int) -> np.ndarray:
     An empty batch, in any form, gives an empty ``(0, 2)`` array.
 
     A list or tuple whose rows are tuples or lists of two plain ``int``
-    ids in range is flattened in one compiled call where ``_edge.c``
-    loads (:func:`repro.perf.kernels.edge_library`).  Any other batch,
-    and any batch that call declines, takes the python route
+    ids in range is flattened in one compiled call where the C module
+    loads (``flatten_pairs`` in ``_edge.c``).  Any other batch, and any
+    batch that call declines, takes the python route
     (:func:`_python_pairs`), which raises every error above.
     """
     if isinstance(pairs, np.ndarray):
         return _ndarray_pairs(pairs, num_vertices)
     if not isinstance(pairs, Sequence):
         pairs = list(pairs)
-    edge = edge_library()
-    if edge is not None:
-        m = len(pairs)
-        arr = np.empty((m, 2), dtype=np.int64)
-        if edge.flatten_pairs(pairs, m, num_vertices, _ref(arr)) < 0:
+    module = _c_module()
+    if module is not None:
+        arr = np.empty((len(pairs), 2), dtype=np.int64)
+        if module.flatten_pairs(pairs, num_vertices, arr) < 0:
             return arr
     return _python_pairs(pairs, num_vertices)
 
@@ -316,9 +322,8 @@ def _sweep_steps(index, rep_us, rep_vs, first, counts, budget):
     unknown)`` as :func:`_guarded_loop` does, or ``None`` (nothing
     touched) when the index has no batch kernel.
     """
-    max_steps = budget.max_steps
     start = perf_counter()
-    batch = index._search_pairs_batch(rep_us, rep_vs, max_steps)
+    batch = index._search_pairs_batch(rep_us, rep_vs, budget.max_steps)
     if batch is None:
         return None
     codes, expanded, pruned = batch
@@ -337,23 +342,35 @@ def _sweep_steps(index, rep_us, rep_vs, first, counts, budget):
     stats.pruned += int(pruned @ weights)
     unknown = []
     for j in exhausted.tolist():
-        u, v = int(rep_us[j]), int(rep_vs[j])
-        exc = QueryBudgetExceeded(
-            f"query exceeded its step budget of {max_steps}",
-            resource="steps",
-            steps=max_steps + 1,
-            elapsed_s=elapsed,
+        answer = _degrade_steps(
+            index, int(rep_us[j]), int(rep_vs[j]), int(counts[j]), budget,
+            elapsed,
         )
-        answer, outcome = index._degrade(u, v, budget, exc)
-        if outcome == "raised":
-            raise exc
-        for _ in range(int(counts[j]) - 1):
-            index._degrade(u, v, budget, exc)
         if answer is UNKNOWN:
             unknown.append(j)
         else:
             found[j] = answer
     return found, unknown
+
+
+def _degrade_steps(index, u, v, times: int, budget, elapsed: float):
+    """Degrade a pair whose search exhausted its step budget, seen
+    ``times`` times in the batch: ``index._degrade`` once per occurrence
+    with the :class:`QueryBudgetExceeded` a guard raises at step
+    ``max_steps + 1``, which is raised under ``"raise"``.  Returns the
+    degraded answer."""
+    exc = QueryBudgetExceeded(
+        f"query exceeded its step budget of {budget.max_steps}",
+        resource="steps",
+        steps=budget.max_steps + 1,
+        elapsed_s=elapsed,
+    )
+    answer, outcome = index._degrade(u, v, budget, exc)
+    if outcome == "raised":
+        raise exc
+    for _ in range(times - 1):
+        index._degrade(u, v, budget, exc)
+    return answer
 
 
 def _guarded_loop(index, rep_us, rep_vs, weights, order, budget, slow):
@@ -519,22 +536,12 @@ def vectorized_query_many(
         return []
     slow = index._slow_log
     start = now_ns() if slow is not None else 0
-    stats = index.stats
     tracer = get_tracer()
 
     # One contiguous row per side: the compiled pass reads them as is.
     sources, targets = np.asarray(pairs, dtype=np.int64).T.copy()
     codes, counts = classify_codes(index, sources, targets)
-    equal, obs_positive, obs_negative, positive, negative, searches = counts
-
-    stats.queries += num
-    stats.equal_cuts += equal
-    stats.observer_positive += obs_positive
-    stats.observer_negative += obs_negative
-    if index._cut_table.counts_cuts:
-        stats.negative_cuts += negative
-        stats.positive_cuts += positive
-    stats.searches += searches
+    _count(index, num, counts)
 
     answers = ANSWERS[codes]
     survivors = np.flatnonzero(codes == SURVIVOR)
@@ -561,12 +568,95 @@ def vectorized_query_many(
                     index, sources, targets, survivors, answers, budget, slow
                 )
     if index._observers is not None:
-        _observe_layer(index, obs_positive, obs_negative, num, searches)
-    edge = edge_library()
-    if edge is None:
+        _observe_layer(index, counts[1], counts[2], num, counts[5])
+    module = _c_module()
+    if module is None:
         result = answers.tolist()
     else:
-        result = edge.answer_list(_ref(answers), num)
+        result = module.answer_list(answers)
     for position in unknown:
         result[position] = UNKNOWN
     return result
+
+
+def _count(index, num: int, counts) -> None:
+    """Fold a classified batch of ``num`` pairs, its six code ``counts``,
+    into the index's stats as the scalar loop counts them."""
+    equal, obs_positive, obs_negative, positive, negative, searches = counts
+    stats = index.stats
+    stats.queries += num
+    stats.equal_cuts += equal
+    stats.observer_positive += obs_positive
+    stats.observer_negative += obs_negative
+    if index._cut_table.counts_cuts:
+        stats.negative_cuts += negative
+        stats.positive_cuts += positive
+    stats.searches += searches
+
+
+def compiled_query_many(index, pairs, budget=None, scc_of=None):
+    """Answer the raw batch ``pairs`` on ``index`` in one compiled call,
+    or return ``None`` for :func:`vectorized_query_many`'s route.
+
+    The call (:class:`~repro.perf.kernels.CBatch`, bound where the index
+    has a compiled cut pass and a C sweep) takes an exact list or tuple
+    of int pairs, or a C-contiguous ``(n, 2)`` int64 array, whose ids lie
+    in ``0 .. n-1`` — ``n`` the index's vertex count, or the length of
+    ``scc_of`` (the facade's SCC map, through which every id is then
+    mapped).  It declines every other batch, empty ones included,
+    touching nothing, so the caller's route raises that batch's exact
+    error with the stats untouched.  Each distinct survivor pair is
+    searched once, its ``expanded``/``pruned`` weighted by multiplicity
+    (see module doc), under a step ``budget``'s ``max_steps``; the
+    exhausted pairs are degraded in first-occurrence order, once per
+    occurrence, as :func:`_sweep_steps` degrades them.
+
+    Not offered — ``None`` at once — while anything the route does not
+    run is armed on the index: a survivor pool, a slow log, a latency or
+    batch histogram, a query tracer or the global tracer (their spans
+    and histograms stay on ``query_many``), a search guard, an
+    instance-level ``_search`` wrapper, or a deadline budget.  The
+    ``index.query_many`` chaos point fires once the call has answered,
+    before any statistic moves.
+    """
+    batch = index._batch
+    if (
+        batch is None
+        or index._hot_obs is not None
+        or index._batch_hist is not None
+        or index._search_pool is not None
+        or index._guard is not None
+        or batch.searcher._kernel is not batch.kernel
+        or "_search" in batch.searcher.__dict__
+        or get_tracer().enabled
+    ):
+        return None
+    stop = False
+    if budget is None:
+        max_steps = -1
+    elif budget.deadline_s is not None:
+        return None
+    else:
+        max_steps, stop = budget.max_steps, budget.policy == "raise"
+    start = perf_counter()
+    result = batch.run(pairs, scc_of, max_steps, stop)
+    if result is None:
+        return None
+    elapsed = perf_counter() - start
+    num = len(pairs)
+    chaos.fire("index.query_many", method=index.method_name, pairs=num)
+    counts, expanded, pruned, answers, exhausted = result
+    _count(index, num, counts)
+    stats = index.stats
+    stats.expanded += expanded
+    stats.pruned += pruned
+    if exhausted is not None:
+        for u, v, positions in exhausted:
+            answer = _degrade_steps(
+                index, u, v, len(positions), budget, elapsed
+            )
+            for position in positions:
+                answers[position] = answer
+    if index._observers is not None:
+        _observe_layer(index, counts[1], counts[2], num, counts[5])
+    return answers

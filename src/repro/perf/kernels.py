@@ -7,8 +7,9 @@ inner loop used to be pure Python.  This module makes that loop run at
 hardware speed over the flat CSR arrays exported once per graph by
 :meth:`repro.graph.digraph.DiGraph.csr`, with three backends:
 
-* ``c`` — one C source shipped with the package (``_search.c``),
-  compiled on first use and loaded through ``ctypes``: the pruned DFS of
+* ``c`` — one CPython extension module built from the two C sources
+  shipped with the package (``_search.c`` and ``_edge.c``), compiled on
+  first use and loaded by :func:`_c_module`: the pruned DFS of
   every rank-row family — FELINE, FELINE-B, FELINE-I, FELINE-K and
   GRAIL (:class:`CRankSearch`, bound by :func:`bind_rank_search`) — with
   its batch survivor sweep, the bidirectional BFS, and the batch
@@ -23,21 +24,22 @@ hardware speed over the flat CSR arrays exported once per graph by
   families), the always-correct last resort (and an explicit choice for
   debugging).
 
-A second source, ``_edge.c``, holds the list edges of a batch
-(:func:`edge_library`): it includes ``Python.h``, so it builds apart
-from ``_search.c`` and a box without the interpreter's headers keeps
-the search tier.
+``_edge.c`` holds the edges of a batch: the list flattener and the
+answer list of :mod:`repro.perf.engine`, and :class:`CBatch`, a whole
+facade or ``query_many`` batch in one call.  The module is built against
+this interpreter's headers, so a box with a compiler but no
+``Python.h`` has no C tier at all (``no-headers``).
 
 ``_search.c`` also holds the sequential set-up passes of
 :mod:`repro.graph.toposort` and :mod:`repro.graph.spanning` — the DFS
 post-order, the LIFO Kahn peel, the spanning forest traversal and the
 min-post passes (:func:`c_post_order`, :func:`c_lifo_kahn`,
 :func:`c_spanning_forest`, :func:`c_subtree_pass`).  They run wherever
-the library loads, whatever backend an index picks, and return exactly
+the module loads, whatever backend an index picks, and return exactly
 what the python loops return; where it does not load, or an input is
 not an int64 run C can read, those loops run instead.
 
-Selection is automatic (``c`` when its library builds and loads, see
+Selection is automatic (``c`` when the module builds and loads, see
 :func:`build_search_library`; else ``numpy``, and
 :func:`c_fallback_reason` says why), overridable per index via
 ``Reachability(kernel=...)`` / ``index.set_kernel(...)`` / the CLI
@@ -78,6 +80,8 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shlex
 import shutil
@@ -85,6 +89,7 @@ import subprocess
 import sysconfig
 import tempfile
 from array import array
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from weakref import WeakKeyDictionary
@@ -102,8 +107,6 @@ __all__ = [
     "CUnavailable",
     "build_search_library",
     "c_fallback_reason",
-    "edge_fallback_reason",
-    "edge_library",
     "numba_version",
     "resolve_backend",
     "CRankSearch",
@@ -111,6 +114,8 @@ __all__ = [
     "CClassify",
     "bind_classify",
     "bind_table_classify",
+    "CBatch",
+    "bind_batch",
     "bibfs_kernel_for",
     "bounded_search",
     "c_post_order",
@@ -134,9 +139,13 @@ VECTOR_MIN_DEGREE = 32
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 SOURCE = Path(__file__).with_name("_search.c")
+EDGE_SOURCE = Path(__file__).with_name("_edge.c")
+
+#: The module's sources, compiled in this order as one translation unit.
+SOURCES = (SOURCE, EDGE_SOURCE)
 
 # ---------------------------------------------------------------------------
-# the C tier's library: build, cache, load
+# the C tier's module: build, cache, load
 # ---------------------------------------------------------------------------
 
 
@@ -144,29 +153,27 @@ class CUnavailable(ReproError):
     """The C tier cannot run here; ``reason`` labels the fallback."""
 
     def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"C search library unavailable ({reason}): {detail}")
+        super().__init__(f"C search module unavailable ({reason}): {detail}")
         self.reason = reason
 
 
-def build_search_library(
-    cache_dir=None, source: Path = SOURCE, python_api: bool = False
-) -> Path:
-    """The shared object compiled from ``source``, built unless cached.
+def build_search_library(cache_dir=None, sources=SOURCES) -> Path:
+    """The extension module compiled from ``sources``, built unless cached.
 
-    ``$CC`` (else ``cc``) compiles at ``-O2 -shared -fPIC`` into
+    ``$CC`` (else ``cc``) compiles the sources, concatenated in order, at
+    ``-O2 -shared -fPIC`` against this interpreter's headers into
     ``cache_dir`` (default ``$XDG_CACHE_HOME/repro``, else
-    ``~/.cache/repro``, else under the temp dir), naming the object by
-    the SHA-256 of the source: an edited source builds anew, an
-    unchanged one is reused.  A ``python_api`` source (``_edge.c``)
-    compiles against this interpreter's headers, and its object's name
-    also carries the interpreter's ``SOABI``, since a C-API object loads
-    only into the ABI it was built for.  The compiler reads exactly the
-    hashed bytes from stdin and writes a temporary file that
-    ``os.replace`` moves into place, so concurrent builders never load
-    a partial object.  Raises :class:`CUnavailable` (``no-compiler``,
-    ``no-headers``, ``cache-unwritable``, ``compile-failed``).
+    ``~/.cache/repro``, else under the temp dir).  The object's name
+    carries the interpreter's ``SOABI``, since a C-API object loads only
+    into the ABI it was built for, and the SHA-256 of the sources: an
+    edited source builds anew, an unchanged one is reused.  The compiler
+    reads exactly the hashed bytes from stdin and writes a temporary file
+    that ``os.replace`` moves into place, so concurrent builders never
+    load a partial object.  Raises :class:`CUnavailable` (``no-headers``,
+    ``no-compiler``, ``cache-unwritable``, ``compile-failed``).
     """
-    code = source.read_bytes()
+    sources = tuple(sources)
+    code = b"".join(Path(source).read_bytes() for source in sources)
     if cache_dir is None:
         xdg = os.environ.get("XDG_CACHE_HOME")
         try:
@@ -175,17 +182,13 @@ def build_search_library(
             base = Path(tempfile.gettempdir())
         cache_dir = base / "repro"
     key = hashlib.sha256(code).hexdigest()
-    if python_api:
-        key = f"{sysconfig.get_config_var('SOABI')}-{key}"
-    target = Path(cache_dir) / f"{source.stem}-{key}.so"
+    soabi = sysconfig.get_config_var("SOABI")
+    target = Path(cache_dir) / f"{Path(sources[0]).stem}-{soabi}-{key}.so"
     if target.exists():
         return target
-    flags = []
-    if python_api:
-        include = sysconfig.get_path("include") or ""
-        if not os.path.isfile(os.path.join(include, "Python.h")):
-            raise CUnavailable("no-headers", f"no Python.h in {include!r}")
-        flags = [f"-I{include}"]
+    include = sysconfig.get_path("include") or ""
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise CUnavailable("no-headers", f"no Python.h in {include!r}")
     compiler = shlex.split(os.environ.get("CC") or "cc")
     if not compiler or shutil.which(compiler[0]) is None:
         raise CUnavailable("no-compiler", " ".join(compiler))
@@ -197,7 +200,7 @@ def build_search_library(
         raise CUnavailable("cache-unwritable", str(exc)) from None
     try:
         proc = subprocess.run(
-            [*compiler, "-O2", "-shared", "-fPIC", *flags,
+            [*compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
              "-x", "c", "-", "-o", tmp],
             input=code, capture_output=True, timeout=300,
         )
@@ -213,56 +216,38 @@ def build_search_library(
     return target
 
 
-def _open_library(source: Path, python_api: bool = False):
-    """``source``'s object, built unless cached, loaded through
-    ``PyDLL``, which keeps the GIL across every call."""
-    path = build_search_library(source=source, python_api=python_api)
+def _load_module(path: Path):
+    """The extension module at ``path``, loaded by
+    ``importlib.machinery.ExtensionFileLoader`` (not entered in
+    ``sys.modules``)."""
+    loader = importlib.machinery.ExtensionFileLoader(
+        "repro.perf._search", str(path)
+    )
     try:
-        return ctypes.PyDLL(str(path))
-    except OSError as exc:
+        spec = importlib.util.spec_from_loader(loader.name, loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except (ImportError, OSError) as exc:
         raise CUnavailable("load-failed", str(exc)) from None
+    return module
 
 
-# The process-wide outcome: (library, None) or (None, fallback reason).
+# The process-wide outcome: (module, None) or (None, fallback reason).
 _c_state: tuple | None = None
 
 
-def _c_library():
-    """The loaded library (``None`` when unavailable), loaded once.
+def _c_module():
+    """The loaded module (``None`` when unavailable), loaded once.
 
-    ``PyDLL`` keeps the GIL across a call, so threads sharing an index
-    never interleave inside its visited buffer and stack.
+    Its calls hold the GIL throughout, so threads sharing an index never
+    interleave inside its visited buffer and stack.
     """
     global _c_state
     if _c_state is None:
         try:
             if array("l").itemsize != 8:
                 raise CUnavailable("abi", "the platform long is not 64-bit")
-            lib = _open_library(SOURCE)
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.rank_dfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
-            lib.rank_dfs.restype = i64
-            lib.rank_batch.argtypes = [
-                ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr
-            ]
-            lib.rank_batch.restype = i64
-            lib.bibfs.argtypes = [ptr, i64, i64, i64, i64, ptr]
-            lib.bibfs.restype = i64
-            lib.bibfs_batch.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr]
-            lib.bibfs_batch.restype = i64
-            lib.classify_batch.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
-            lib.classify_batch.restype = i64
-            # The set-up passes: ``n``, the CSR, the roots, then buffers.
-            csr = [i64, ptr, ptr, ptr, i64]
-            lib.dfs_post_order.argtypes = csr + [i64, ptr, ptr, ptr, ptr]
-            lib.lifo_kahn.argtypes = csr + [ptr, ptr, ptr]
-            lib.spanning_forest.argtypes = csr + [ptr, ptr, ptr, ptr]
-            lib.subtree_sizes.argtypes = [i64, i64, ptr, ptr, ptr]
-            lib.subtree_bases.argtypes = [i64, i64, ptr, ptr, ptr]
-            for fn in (lib.dfs_post_order, lib.lifo_kahn, lib.spanning_forest,
-                       lib.subtree_sizes, lib.subtree_bases):
-                fn.restype = i64
-            _c_state = (lib, None)
+            _c_state = (_load_module(build_search_library()), None)
         except CUnavailable as exc:
             _c_state = (None, exc.reason)
     return _c_state[0]
@@ -270,45 +255,8 @@ def _c_library():
 
 def c_fallback_reason() -> str | None:
     """Why the C tier is unavailable in this process (``None``: it loads)."""
-    _c_library()
+    _c_module()
     return _c_state[1]
-
-
-EDGE_SOURCE = Path(__file__).with_name("_edge.c")
-
-# The list edge's outcome, like _c_state: (library, None) or (None, reason).
-_edge_state: tuple | None = None
-
-
-def edge_library():
-    """The loaded list-edge library (``None`` when unavailable).
-
-    Built from ``_edge.c`` against this interpreter's headers and loaded
-    through ``PyDLL`` on the first batch that needs it, not at import or
-    index build, so a cold compile never lands in set-up.  Its
-    ``flatten_pairs`` backs :func:`repro.perf.engine.as_pair_array` for
-    lists and tuples, and ``answer_list`` the engine's answer list;
-    without it both take their python routes, which stay the reference.
-    """
-    global _edge_state
-    if _edge_state is None:
-        try:
-            lib = _open_library(EDGE_SOURCE, python_api=True)
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.flatten_pairs.argtypes = [ctypes.py_object, i64, i64, ptr]
-            lib.flatten_pairs.restype = i64
-            lib.answer_list.argtypes = [ptr, i64]
-            lib.answer_list.restype = ctypes.py_object
-            _edge_state = (lib, None)
-        except CUnavailable as exc:
-            _edge_state = (None, exc.reason)
-    return _edge_state[0]
-
-
-def edge_fallback_reason() -> str | None:
-    """Why the list edge runs on python here (``None``: ``_edge.c`` loads)."""
-    edge_library()
-    return _edge_state[1]
 
 
 def numba_version() -> None:
@@ -324,7 +272,7 @@ def numba_version() -> None:
 
 def available_backends() -> tuple[str, ...]:
     """The kernel backends usable in this process, strongest first."""
-    return KERNEL_BACKENDS[0 if _c_library() is not None else 1:]
+    return KERNEL_BACKENDS[0 if _c_module() is not None else 1:]
 
 
 def resolve_backend(
@@ -334,7 +282,7 @@ def resolve_backend(
 
     ``None``/``"auto"`` defers to the ``REPRO_KERNEL`` environment
     variable, then picks the strongest available tier.  An explicit
-    ``"c"`` without a usable C library raises — a silent downgrade would
+    ``"c"`` without a usable C module raises — a silent downgrade would
     invalidate a benchmark that believes it measured the compiled tier.
     Kernel binds pass ``count_fallback`` so an ``auto`` that fell back
     counts in ``repro_kernel_fallback_total{reason}``.
@@ -357,7 +305,7 @@ def resolve_backend(
         )
     if choice == "c" and c_fallback_reason() is not None:
         raise ReproError(
-            "kernel backend 'c' requested but the C search library is "
+            "kernel backend 'c' requested but the C search module is "
             f"unavailable ({c_fallback_reason()}); use kernel='numpy' / "
             "'python'"
         )
@@ -375,12 +323,10 @@ def _count_fallback(reason: str) -> None:
 
 
 def describe_backend(backend: str | None = None) -> dict:
-    """A report stanza: the active backend, why ``c`` is not (if so),
-    and why the list edge runs on python (if so)."""
+    """A report stanza: the active backend and why ``c`` is not (if so)."""
     return {
         "kernel_backend": backend or resolve_backend(),
         "c_fallback_reason": c_fallback_reason(),
-        "edge_fallback_reason": edge_fallback_reason(),
         "available_backends": list(available_backends()),
     }
 
@@ -408,15 +354,14 @@ def _c_context(kernel, ctx, **arrays) -> None:
     re-deriving a dozen — and the kernel keeps ``arrays`` alive as long
     as the struct.  ``None`` is NULL.  Arrays must be ``int64`` and
     C-contiguous (C reads 8-byte words), else :class:`CUnavailable`
-    (``layout``); C refuses vertices outside ``0..n-1`` (code 3).
+    (``layout``); C refuses vertices outside ``0..n-1`` (code 3, raised
+    as ``IndexError``).
     """
     for name, arr in arrays.items():
         if arr is not None:
             setattr(ctx, name, _address(name, arr))
     kernel._arrays, kernel._ctx = arrays, ctx
     kernel._ctx_addr = ctypes.addressof(ctx)
-    kernel._out = (ctypes.c_int64 * 2)()
-    kernel._out_addr = ctypes.addressof(kernel._out)
 
 
 def _address(name: str, arr: np.ndarray, dtype=np.int64) -> int:
@@ -426,16 +371,6 @@ def _address(name: str, arr: np.ndarray, dtype=np.int64) -> int:
     if arr.dtype != dtype or not arr.flags.c_contiguous:
         raise CUnavailable("layout", f"{name} is {arr.dtype}")
     return arr.ctypes.data
-
-
-def _ref(arr: np.ndarray):
-    """A per-call ctypes argument for a C-contiguous array's data: a
-    reference into its buffer, a quarter of ``arr.ctypes.data``'s cost
-    (read-only and empty arrays pass that address)."""
-    try:
-        return ctypes.byref(ctypes.c_char.from_buffer(arr))
-    except (TypeError, ValueError):
-        return arr.ctypes.data
 
 
 def _step_budget(guard) -> int | None:
@@ -464,14 +399,7 @@ def _sweep(fn, ctx_addr, owner, us, vs, max_steps: int, *outs) -> np.ndarray:
     codes = np.empty(m, dtype=np.uint8)
     stamp0 = owner._stamp
     owner._stamp = stamp0 + m
-    bad = fn(
-        ctx_addr, stamp0, m, _ref(us), _ref(vs), max_steps, _ref(codes),
-        *outs,
-    )
-    if bad >= 0:
-        raise IndexError(
-            f"vertex out of range in search {us[bad]} -> {vs[bad]}"
-        )
+    fn(ctx_addr, stamp0, us, vs, max_steps, codes, *outs)
     return codes
 
 
@@ -509,10 +437,6 @@ class _ClassifyCtx(ctypes.Structure):
         ("num_negative", ctypes.c_int64), ("num_positive", ctypes.c_int64),
         ("rows", ctypes.c_void_p),
     ]
-
-
-#: Codes ``classify_batch`` counts (see :mod:`repro.perf.engine`).
-_NUM_CODES = 6
 
 
 def _row_structs(rows):
@@ -554,31 +478,21 @@ class CClassify:
             ctx.width = fwd.shape[1]
             ctx.fwd_bits = _address("fwd_bits", fwd, np.uint8)
             ctx.bwd_bits = _address("bwd_bits", bwd, np.uint8)
-        self._fn = _c_library().classify_batch
+        self._fn = _c_module().classify_batch
         self._arrays, self._rows = (rows, observers), structs
         self._ctx = ctx
         self._ctx_addr = ctypes.addressof(ctx)
+        self.n = n
 
     def __call__(self, sources: np.ndarray, targets: np.ndarray):
         """``(codes, counts)`` for the pairs ``(sources[i], targets[i])``:
         a ``uint8`` code per pair and the six code counts as ints.  A
         vertex outside the graph raises ``IndexError`` naming its pair,
         and nothing is counted."""
-        m = len(sources)
         sources = np.ascontiguousarray(sources, dtype=np.int64)
         targets = np.ascontiguousarray(targets, dtype=np.int64)
-        codes = np.empty(m, dtype=np.uint8)
-        counts = (ctypes.c_int64 * _NUM_CODES)()
-        bad = self._fn(
-            self._ctx_addr, m, _ref(sources), _ref(targets), _ref(codes),
-            counts,
-        )
-        if bad >= 0:
-            raise IndexError(
-                f"vertex out of range in classify {sources[bad]} -> "
-                f"{targets[bad]}"
-            )
-        return codes, counts[:]
+        codes = np.empty(len(sources), dtype=np.uint8)
+        return codes, self._fn(self._ctx_addr, sources, targets, codes)
 
 
 def bind_classify(index) -> CClassify | None:
@@ -694,8 +608,8 @@ class CRankSearch:
         self._table = table = index._cut_table
         self._adjacency = adjacency
         self.dispatch_counter = None
-        lib = _c_library()
-        self._dfs, self._batch = lib.rank_dfs, lib.rank_batch
+        module = _c_module()
+        self._dfs, self._batch = module.rank_dfs, module.rank_batch
         n = index.graph.num_vertices
         csr = index.graph.csr()
         keyed = table.key is not None and adjacency is not None
@@ -732,12 +646,9 @@ class CRankSearch:
         if budget is None:
             return self._table.search(index, u, v, self._adjacency)
         index._stamp += 1
-        code = self._dfs(
-            self._ctx_addr, index._stamp, u, v, budget, self._out_addr
+        code, expanded, pruned = self._dfs(
+            self._ctx_addr, index._stamp, u, v, budget
         )
-        if code == 3:
-            raise IndexError(f"vertex out of range in search {u} -> {v}")
-        expanded, pruned = self._out
         stats = index.stats
         stats.expanded += expanded
         stats.pruned += pruned
@@ -763,7 +674,7 @@ class CRankSearch:
         pruned = np.empty(m, dtype=np.int64)
         codes = _sweep(
             self._batch, self._ctx_addr, self._index, us, vs, max_steps,
-            _ref(expanded), _ref(pruned),
+            expanded, pruned,
         )
         return codes, expanded, pruned
 
@@ -946,8 +857,8 @@ class CBiBFSKernel(_BiBFSKernelBase):
 
     def __init__(self, graph) -> None:
         super().__init__(graph)
-        lib = _c_library()
-        self._bibfs, self._batch = lib.bibfs, lib.bibfs_batch
+        module = _c_module()
+        self._bibfs, self._batch = module.bibfs, module.bibfs_batch
         csr, n = self._csr, graph.num_vertices
         _c_context(
             self, _BIBFS_CTX(n=n),
@@ -959,13 +870,7 @@ class CBiBFSKernel(_BiBFSKernelBase):
 
     def _run_native(self, source, target, budget: int):
         self._stamp += 1
-        code = self._bibfs(
-            self._ctx_addr, self._stamp, source, target, budget,
-            self._out_addr,
-        )
-        if code == 3:
-            raise IndexError(f"vertex out of range in {source} -> {target}")
-        return code, self._out[0]
+        return self._bibfs(self._ctx_addr, self._stamp, source, target, budget)
 
     def run(self, source, target, guard=None) -> bool:
         counter = self.dispatch_counter
@@ -1076,12 +981,63 @@ def bounded_search(graph, source, target, max_nodes, backend=None):
 
 
 # ---------------------------------------------------------------------------
+# one batch in one call
+# ---------------------------------------------------------------------------
+
+
+class CBatch:
+    """A whole facade or ``query_many`` batch in one compiled call.
+
+    ``batch`` in ``_edge.c`` reads the raw batch (an exact list or tuple
+    of int pairs, or a C-contiguous ``(n, 2)`` int64 array), range-checks
+    and maps its ids, runs the cut pass of ``classify`` (a
+    :class:`CClassify`), searches each distinct survivor pair once with
+    ``kernel`` (a :class:`CRankSearch` or :class:`CBiBFSKernel`) and
+    builds the answer list.  ``searcher`` is the index ``kernel``
+    searches for and ``swapped`` whether it answers ``(u, v)`` as
+    ``(v, u)`` (FELINE-I's delegate).
+    :func:`repro.perf.engine.compiled_query_many` makes the call and
+    folds its result into the index's stats.
+    """
+
+    def __init__(self, classify: CClassify, kernel, searcher, swapped: bool):
+        rank = isinstance(kernel, CRankSearch)
+        self.kernel, self.searcher = kernel, searcher
+        # Holds the classify context alive: ``run`` passes its address.
+        self._classify = classify
+        #: ``run(pairs, scc_of, max_steps, stop)``: the call, see
+        #: ``batch`` in ``_edge.c``.
+        self.run = partial(
+            _c_module().batch, classify._ctx_addr, 0 if rank else 1,
+            kernel._ctx_addr, kernel._index if rank else kernel,
+            int(swapped),
+        )
+
+
+def bind_batch(index) -> CBatch | None:
+    """The index's one-call batch, or ``None`` (today's route answers).
+
+    Bound where the index has a compiled cut pass (``index._classify``)
+    and its survivors are searched by a C sweep (``index._searcher()``'s
+    kernel); rebound with :func:`bind_classify`.
+    """
+    classify = index._classify
+    searcher, swapped = index._searcher()
+    kernel = searcher._kernel
+    if (classify is None
+            or not isinstance(kernel, (CRankSearch, CBiBFSKernel))
+            or kernel._ctx.n != classify.n):
+        return None
+    return CBatch(classify, kernel, searcher, swapped)
+
+
+# ---------------------------------------------------------------------------
 # the set-up passes
 # ---------------------------------------------------------------------------
 #
 # Each wrapper runs one sequential set-up pass of repro.graph in C and
 # returns what its python loop would, or ``None`` when that loop must
-# run instead: the library does not load, an input is not an int64,
+# run instead: the module does not load, an input is not an int64,
 # C-contiguous run of the right length, or C met a vertex outside
 # ``0..n-1``.  Roots arrive range-checked from repro.graph; every
 # worklist holds ``len(roots) + n``, so repeated roots stay in bounds.
@@ -1102,20 +1058,14 @@ def _i64_run(values, length: int | None = None) -> np.ndarray | None:
     return arr
 
 
-def _call(fn, *args) -> int:
-    """``fn(*args)``, each ndarray passed as its data's address (the
-    arguments hold the arrays alive through the call)."""
-    return fn(*[_ref(a) if isinstance(a, np.ndarray) else a for a in args])
-
-
 def _pass_args(graph, roots, indices=None):
-    """``(lib, room, csr)`` for a pass over ``graph``'s out-rows
+    """``(module, room, csr)`` for a pass over ``graph``'s out-rows
     (``indices``: the caller's reordering of them) from ``roots``
     (``None``: every vertex in id order): ``csr`` is the pass's leading
-    arguments ``(n, indptr, indices, roots, len(roots))`` and ``room``
-    a worklist's length.  ``None`` when the pass cannot run in C."""
-    lib = _c_library()
-    if lib is None:
+    arguments ``(n, indptr, indices, roots)`` and ``room`` a worklist's
+    length.  ``None`` when the pass cannot run in C."""
+    module = _c_module()
+    if module is None:
         return None
     n = graph.num_vertices
     csr = graph.csr()
@@ -1133,7 +1083,7 @@ def _pass_args(graph, roots, indices=None):
         if roots is None:
             return None
         num_roots = len(roots)
-    return lib, n + num_roots, (n, indptr, indices, roots, num_roots)
+    return module, n + num_roots, (n, indptr, indices, roots)
 
 
 def c_post_order(graph, roots, stop_at_cycle: bool):
@@ -1142,13 +1092,12 @@ def c_post_order(graph, roots, stop_at_cycle: bool):
     bound = _pass_args(graph, roots)
     if bound is None:
         return None
-    lib, room, csr = bound
+    module, room, csr = bound
     n = csr[0]
     ranks = array("l", bytes(8 * n))
-    code = _call(
-        lib.dfs_post_order, *csr, int(stop_at_cycle),
-        np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.uint8),
-        np.empty(room, dtype=np.int64), np.asarray(ranks),
+    code = module.dfs_post_order(
+        *csr, int(stop_at_cycle), np.empty(n, dtype=np.int64),
+        np.zeros(n, dtype=np.uint8), np.empty(room, dtype=np.int64), ranks,
     )
     return None if code < 0 else (ranks, code == 1)
 
@@ -1161,11 +1110,11 @@ def c_lifo_kahn(graph, indices, roots):
     bound = _pass_args(graph, roots, indices)
     if bound is None:
         return None
-    lib, room, csr = bound
+    module, room, csr = bound
     indegree = np.diff(graph.csr().in_indptr)
     order = np.empty(room, dtype=np.int64)
-    count = _call(
-        lib.lifo_kahn, *csr, indegree, np.empty(room, dtype=np.int64), order
+    count = module.lifo_kahn(
+        *csr, indegree, np.empty(room, dtype=np.int64), order
     )
     return None if count < 0 else (order[:count].tolist(), indegree)
 
@@ -1177,13 +1126,13 @@ def c_spanning_forest(graph, roots):
     bound = _pass_args(graph, roots)
     if bound is None:
         return None
-    lib, room, csr = bound
+    module, room, csr = bound
     n = csr[0]
     parent = array("l", [-1]) * n
     order = np.empty(room, dtype=np.int64)
-    count = _call(
-        lib.spanning_forest, *csr, np.asarray(parent),
-        np.zeros(n, dtype=np.uint8), np.empty(room, dtype=np.int64), order,
+    count = module.spanning_forest(
+        *csr, parent, np.zeros(n, dtype=np.uint8),
+        np.empty(room, dtype=np.int64), order,
     )
     return None if count < 0 else (parent, order[:count].tolist())
 
@@ -1195,11 +1144,11 @@ def c_subtree_pass(name: str, order, parent, values: np.ndarray):
     ``"subtree_sizes"`` up the order, ``"subtree_bases"`` down it.
     Returns ``values``, or ``None`` (``subtree_bases`` then leaves
     ``values`` untouched)."""
-    lib = _c_library()
+    module = _c_module()
     n = len(parent)
     order, parent = _i64_run(order), _i64_run(parent, n)
-    if (lib is None or order is None or parent is None
+    if (module is None or order is None or parent is None
             or _i64_run(values, n + 1) is None):
         return None
-    code = _call(getattr(lib, name), n, len(order), order, parent, values)
+    code = getattr(module, name)(n, order, parent, values)
     return None if code < 0 else values

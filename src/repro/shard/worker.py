@@ -61,8 +61,15 @@ from repro.shard.plan import ShardState
 __all__ = ["PER_PAIR_FRAME", "worker_main"]
 
 #: A ``local_many`` frame of at most this many pairs is answered pair by
-#: pair with ``index.query``: below it, the batch engine's fixed per-call
-#: cost (tens of µs) outweighs its per-pair saving.  A scalar
+#: pair with ``index.query``.  A ``budget_ms`` frame needs it: its
+#: deadline keeps ``query_many`` on the engine's guarded loop, whose fixed
+#: cost (FELINE on ``random_dag(4000, avg_degree=3.0, seed=1)``, one
+#: pinned CPU) is 26-41 µs for one pair against 5 µs pair by pair, and
+#: 43-329 against 23-272 µs at 8 pairs; at 64 pairs ``query_many`` is
+#: level or ahead (400-1,011 against 413-1,711 µs).  Without a deadline
+#: the C tier's one-call batch is level at one pair (1.9 against
+#: 1.7-2.1 µs) and 3-7× ahead at 8 (2.2-5.2 against 15-28 µs), but an
+#: index with metrics on keeps the engine's route.  A scalar
 #: ``ShardService.query`` sends one-pair frames.
 PER_PAIR_FRAME = 8
 

@@ -247,6 +247,21 @@ def test_roots_out_of_range_raise_before_any_work(roots):
         assert outcome[3] == expected
 
 
+def test_a_repeated_kahn_root_is_pushed_once():
+    # A repeated root is pushed at its first place only, so the order is
+    # the one without the repeat, on both routes (it used to be emitted
+    # twice and end in a bare StopIteration).
+    def kahn(roots):
+        return lambda g: lifo_kahn_order(g, g.out_indices, np.array(roots))
+
+    assert both_routes(2, [(0, 1)], kahn([0, 0])) == ("ok", [0, 1])
+    edges = [(0, 1), (2, 3)]
+    for repeated, once in (([0, 2, 0], [0, 2]), ([3, 2, 0, 2], [3, 2, 0])):
+        assert both_routes(4, edges, kahn(repeated)) == both_routes(
+            4, edges, kahn(once)
+        )
+
+
 @needs_c
 def test_the_passes_run_in_c_where_the_library_loads():
     graph = DiGraph(*DIAMOND)

@@ -3,7 +3,7 @@
 The bit-identity contract itself lives in
 ``tests/property/test_kernel_equivalence.py``; this file covers the
 machinery around it — backend discovery and the environment knob, the
-C library's build cache and its fallbacks (no compiler, failed compile,
+C module's build cache and its fallbacks (no compiler, failed compile,
 unwritable cache, wrong array layout), the numpy BFS's vectorized
 frontiers, the one-call batch survivor sweep (step budgets included),
 the range check of the compiled searches, forked pool
@@ -124,13 +124,15 @@ class TestBuildCache:
 
     def test_edited_source_rebuilds(self, tmp_path):
         require_c()
-        source = tmp_path / "search.c"
+        source = tmp_path / "_search.c"
         source.write_bytes(kernels.SOURCE.read_bytes())
-        first = build_search_library(tmp_path / "cache", source)
+        sources = (source, kernels.EDGE_SOURCE)
+        first = build_search_library(tmp_path / "cache", sources)
         source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
-        second = build_search_library(tmp_path / "cache", source)
+        second = build_search_library(tmp_path / "cache", sources)
         assert first != second
         assert first.exists() and second.exists()
+        assert callable(kernels._load_module(second).rank_dfs)
 
     def test_concurrent_builders_both_load(self, tmp_path):
         # Two processes race to build into one empty cache: each
@@ -291,6 +293,16 @@ def _python_twin(g, method="feline"):
     return python.build()
 
 
+def _engine_many(index, pairs, budget=None):
+    """``query_many`` on the engine's route, which sweeps survivors
+    through the kernel's ``search_batch``: the reference and fallback of
+    the one-call batch (``tests/perf/test_batch_call.py``), which a
+    ``query_many`` on the C tier takes instead."""
+    return engine.vectorized_query_many(
+        index, engine.as_pair_array(pairs, index.graph.num_vertices), budget
+    )
+
+
 class TestBatchSweep:
     def test_survivors_answered_in_one_native_call(self, monkeypatch):
         require_c()
@@ -308,7 +320,7 @@ class TestBatchSweep:
 
         monkeypatch.setattr(kernel, "search_batch", spy)
         pairs = _all_pairs(g)
-        answers = index.query_many(pairs)
+        answers = _engine_many(index, pairs)
         assert calls, "batch engine never dispatched the native sweep"
         assert sum(calls) <= len(pairs)
         python = _python_twin(g)
@@ -381,7 +393,7 @@ class TestBudgetedSweep:
         pairs = _all_pairs(g)
         budget = QueryBudget(max_steps=2, policy="unknown")
         for _ in range(2):
-            index.query_many(pairs, budget=budget)
+            _engine_many(index, pairs, budget)
         assert [steps for _, steps in calls] == [2, 2]
         python = _python_twin(g, method)
         for _ in range(2):
@@ -424,8 +436,7 @@ class TestBudgetedSweep:
             _spy_degrades(monkeypatch, index) for index in (swept, looped)
         ]
         answers = [
-            index.query_many(pairs, budget=budget)
-            for index in (swept, looped)
+            _engine_many(index, pairs, budget) for index in (swept, looped)
         ]
         assert len(sweeps) == 1
         assert answers[0] == answers[1]
@@ -453,7 +464,7 @@ class TestBudgetedSweep:
         raised = []
         for index in (swept, looped):
             with pytest.raises(QueryBudgetExceeded) as info:
-                index.query_many(pairs, budget=budget)
+                _engine_many(index, pairs, budget)
             raised.append(info.value)
         assert len(sweeps) == 1
         for exc in raised:

@@ -6,13 +6,15 @@ python route (:func:`~repro.perf.engine._python_pairs`) for any batch
 that call declines; the engine builds its answer list with
 ``answer_list`` instead of ``ndarray.tolist``.  The differential below
 holds the compiled route to the python one, array for array and error
-for error; the build and fallback tests cover the SOABI-keyed cache and
-the ``compile-failed`` and ``no-headers`` fallbacks, under which the
-python routes answer.
+for error.  ``_edge.c`` is compiled with ``_search.c`` into one
+extension module: the build and fallback tests cover its SOABI- and
+hash-keyed cache, its load at set-up, and the ``compile-failed`` and
+``no-headers`` fallbacks, under which the python routes answer.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import sysconfig
 import tracemalloc
@@ -27,12 +29,12 @@ from repro.baselines.base import create_index
 from repro.graph.generators import random_dag
 from repro.perf import engine, kernels
 from repro.perf.kernels import (
-    EDGE_SOURCE,
-    _ref,
+    SOURCES,
+    _c_module,
+    _load_module,
     build_search_library,
+    c_fallback_reason,
     describe_backend,
-    edge_fallback_reason,
-    edge_library,
 )
 from repro.resilience import UNKNOWN, QueryBudget
 
@@ -40,18 +42,17 @@ from tests.batch_cases import MALFORMED, N, PAIRS
 
 
 def require_edge():
-    """The loaded list-edge library; skips where it cannot load."""
-    reason = edge_fallback_reason()
+    """The loaded C module; skips where it cannot load."""
+    reason = c_fallback_reason()
     if reason is not None:
-        pytest.skip(f"list edge unavailable ({reason})")
-    return edge_library()
+        pytest.skip(f"C module unavailable ({reason})")
+    return _c_module()
 
 
 @pytest.fixture
 def fresh_edge(monkeypatch, tmp_path):
-    """Forget both libraries' load outcomes and cache into ``tmp_path``,
-    so the next use builds (or fails to build) from scratch."""
-    monkeypatch.setattr(kernels, "_edge_state", None)
+    """Forget the module's load outcome and cache into ``tmp_path``, so
+    the next use builds (or fails to build) from scratch."""
     monkeypatch.setattr(kernels, "_c_state", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
@@ -121,7 +122,7 @@ class TestFlattenDifferential:
         batch, odd_at = case
         out = np.empty((len(batch), 2), dtype=np.int64)
         # C takes every plain batch and declines exactly at the odd row.
-        assert edge.flatten_pairs(batch, len(batch), N, _ref(out)) == odd_at
+        assert edge.flatten_pairs(batch, N, out) == odd_at
         _assert_same_outcome(batch)
 
     @pytest.mark.parametrize("odd", ODD_IDS, ids=repr)
@@ -142,8 +143,8 @@ class TestFlattenDifferential:
     def test_size_mismatch_declines(self):
         edge = require_edge()
         out = np.empty((2, 2), dtype=np.int64)
-        assert edge.flatten_pairs([(0, 1)], 2, N, _ref(out)) == 0
-        assert edge.flatten_pairs(iter([(0, 1)]), 1, N, _ref(out)) == 0
+        assert edge.flatten_pairs([(0, 1)], N, out) == 0
+        assert edge.flatten_pairs(iter([(0, 1)]), N, out[:1]) == 0
 
 
 class TestAnswerList:
@@ -152,7 +153,7 @@ class TestAnswerList:
         rng = np.random.default_rng(7)
         for m in (0, 1, 7, 1000):
             answers = rng.random(m) < 0.5
-            got = edge.answer_list(_ref(answers), m)
+            got = edge.answer_list(answers)
             assert type(got) is list and got == answers.tolist()
             assert all(a is b for a, b in zip(got, answers.tolist()))
 
@@ -160,13 +161,13 @@ class TestAnswerList:
         edge = require_edge()
         answers = np.random.default_rng(3).random(1000) < 0.5
         for _ in range(100):
-            edge.answer_list(_ref(answers), len(answers))
+            edge.answer_list(answers)
         refs = sys.getrefcount(True), sys.getrefcount(False)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(10_000):
-                result = edge.answer_list(_ref(answers), len(answers))
+                result = edge.answer_list(answers)
             del result
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -189,7 +190,7 @@ class TestAnswerList:
             return index.query_many(pairs, budget=budget), index.stats.as_dict()
 
         compiled = run()
-        monkeypatch.setattr(kernels, "_edge_state", (None, "test"))
+        monkeypatch.setattr(kernels, "_c_state", (None, "test"))
         python = run()
         assert UNKNOWN in compiled[0]
         assert compiled == python
@@ -199,54 +200,74 @@ class TestAnswerList:
 class TestBuild:
     def test_object_name_carries_soabi(self, tmp_path):
         require_edge()
-        path = build_search_library(tmp_path, EDGE_SOURCE, python_api=True)
-        assert path.name.startswith(
-            f"_edge-{sysconfig.get_config_var('SOABI')}-"
-        )
-        assert build_search_library(tmp_path) != path
+        path = build_search_library(tmp_path)
+        digest = hashlib.sha256(
+            b"".join(source.read_bytes() for source in SOURCES)
+        ).hexdigest()
+        soabi = sysconfig.get_config_var("SOABI")
+        assert path.name == f"_search-{soabi}-{digest}.so"
 
     def test_edited_source_rebuilds(self, tmp_path):
+        # Editing the second source changes the one object's hash.
         require_edge()
-        source = tmp_path / "_edge.c"
-        source.write_bytes(EDGE_SOURCE.read_bytes())
-        first = build_search_library(tmp_path / "cache", source, python_api=True)
-        source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
-        second = build_search_library(tmp_path / "cache", source, python_api=True)
+        sources = [tmp_path / source.name for source in SOURCES]
+        for copy, source in zip(sources, SOURCES):
+            copy.write_bytes(source.read_bytes())
+        first = build_search_library(tmp_path / "cache", sources)
+        sources[1].write_bytes(sources[1].read_bytes() + b"\n/* edited */\n")
+        second = build_search_library(tmp_path / "cache", sources)
         assert first != second
         assert first.exists() and second.exists()
+        assert _load_module(second).answer_list(np.ones(2, dtype=bool)) == [
+            True, True,
+        ]
 
-    def test_loads_on_the_first_batch_not_at_build(self, fresh_edge):
+    def test_loads_once_at_setup_not_per_batch(self, fresh_edge, monkeypatch):
+        # The one module loads with set-up's first compiled pass; a batch
+        # loads nothing more.
         r = repro.Reachability(random_dag(40, avg_degree=2.0, seed=3))
-        assert kernels._edge_state is None
-        r.reachable_many(PAIRS)
-        assert kernels._edge_state is not None
+        assert kernels._c_state is not None
+        loaded = kernels._c_state
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a batch must not load the module again")
+
+        monkeypatch.setattr(kernels, "_load_module", no_load)
+        monkeypatch.setattr(kernels, "build_search_library", no_load)
+        assert r.reachable_many(PAIRS) == [r.reachable(u, v) for u, v in PAIRS]
+        assert kernels._c_state is loaded
 
 
 def _python_route_answers() -> None:
-    """The facade answers list batches, and rejects malformed ones, on
-    the python route exactly as the scalar loop would."""
+    """The facade and the index answer batches, and reject malformed
+    ones, on the python route exactly as the scalar loop would."""
     g = random_dag(N, avg_degree=2.0, seed=4)
     r = repro.Reachability(g)
-    assert r.reachable_many(PAIRS) == [r.reachable(u, v) for u, v in PAIRS]
-    assert r.reachable_many(tuple(map(list, PAIRS))) == r.reachable_many(PAIRS)
+    assert r.kernel_backend != "c" and r.index._batch is None
+    expected = [r.reachable(u, v) for u, v in PAIRS]
+    assert r.reachable_many(PAIRS) == expected
+    assert r.reachable_many(tuple(map(list, PAIRS))) == expected
+    assert r.index.query_many(np.asarray(PAIRS)) == [
+        r.index.query(u, v) for u, v in PAIRS
+    ]
     for _, make, error, vertex in MALFORMED:
-        batch = make()
-        if isinstance(batch, np.ndarray):
-            continue
-        with pytest.raises(error) as raised:
-            r.reachable_many(batch)
-        if vertex is not None:
-            assert raised.value.vertex == vertex
+        for answer in (r.reachable_many, r.index.query_many):
+            before = r.stats.as_dict()
+            with pytest.raises(error) as raised:
+                answer(make())
+            if vertex is not None:
+                assert raised.value.vertex == vertex
+            assert r.stats.as_dict() == before
 
 
 class TestFallback:
     def test_failed_compile_answers_on_python(self, fresh_edge, monkeypatch):
         monkeypatch.setenv("CC", "false")
         _python_route_answers()
-        assert edge_fallback_reason() == "compile-failed"
+        assert c_fallback_reason() == "compile-failed"
         doc = describe_backend()
         assert doc["c_fallback_reason"] == "compile-failed"
-        assert doc["edge_fallback_reason"] == "compile-failed"
+        assert "c" not in doc["available_backends"]
         assert not list(fresh_edge.rglob("*.tmp"))
 
     def test_missing_headers_answer_on_python(self, fresh_edge, monkeypatch):
@@ -259,8 +280,9 @@ class TestFallback:
             else get_path(name, *a, **k),
         )
         _python_route_answers()
-        assert edge_fallback_reason() == "no-headers"
+        # The one module is built against the headers: without them the
+        # whole C tier falls back, not just the list edge.
+        assert c_fallback_reason() == "no-headers"
         doc = describe_backend()
-        assert doc["edge_fallback_reason"] == "no-headers"
-        # The search tier needs no Python headers.
-        assert doc["c_fallback_reason"] in (None, "no-compiler", "compile-failed")
+        assert doc["c_fallback_reason"] == "no-headers"
+        assert "c" not in doc["available_backends"]
