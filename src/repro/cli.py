@@ -52,8 +52,8 @@ Commands
     arrivals/s), reporting throughput, p50/p95/p99 latency, SLO
     attainment and the server's coalescing histograms.  ``--compare``
     measures an uncoalesced baseline (``max_batch=1``) against the
-    coalesced configuration and reports both — ``--out`` writes the JSON
-    artifact committed as ``benchmarks/BENCH_pr6.json``.
+    coalesced configuration and reports both; ``--out`` writes them as
+    one JSON report.
 ``shard-serve GRAPH.edges [--shards N] [--port P] [--on-shard-loss POLICY]``
     Serve query traffic from the real multi-process shard deployment
     (:class:`repro.shard.ShardService`): forked workers each own an
@@ -74,8 +74,8 @@ Commands
     random shard workers under live deadline-bounded traffic, assert
     every answer is correct-or-unknown and on time, then halt a shard
     permanently and measure degraded-mode throughput.  ``--out`` writes
-    the JSON report committed as ``benchmarks/BENCH_pr7.json``; exits
-    non-zero if the fault-tolerance contract is violated.
+    the JSON report; exits non-zero if the fault-tolerance contract is
+    violated.
 ``stats GRAPH.edges [--method M] [--queries N] [--seed S] [--metrics-out P]``
     Build an index, answer a random workload, and print the query-stats
     breakdown (which cut answered how many queries), build-phase
@@ -124,12 +124,7 @@ from repro.obs.spans import write_chrome_trace
 from repro.perf.kernels import resolve_backend
 from repro.resilience import UNKNOWN, QueryBudget, verify_index
 from repro.serve import ReachServer, ServeConfig
-from repro.serve.loadgen import (
-    calibrate_ms,
-    compare_serving,
-    measure_serving,
-    run_loadgen,
-)
+from repro.serve.loadgen import compare_serving, measure_serving, run_loadgen
 from repro.shard import ShardConfig, ShardService, chaos_drill
 
 __all__ = ["main"]
@@ -1049,7 +1044,6 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             "python": "%d.%d.%d" % sys.version_info[:3],
             "seed": args.seed,
             "cpus": os.cpu_count(),
-            "calibration_ms": calibrate_ms(),
             "graph": {
                 "vertices": graph.num_vertices,
                 "edges": graph.num_edges,

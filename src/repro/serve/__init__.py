@@ -24,7 +24,7 @@ See ``docs/SERVING.md`` for the operational guide.
 
 from repro.serve.coalescer import Coalescer, CoalescerClosed
 from repro.serve.config import OVERLOAD_POLICIES, ServeConfig
-from repro.serve.loadgen import calibrate_ms, compare_serving, run_loadgen
+from repro.serve.loadgen import compare_serving, run_loadgen
 from repro.serve.results import ReachResult, verdict_of
 from repro.serve.server import ReachServer
 
@@ -38,5 +38,4 @@ __all__ = [
     "verdict_of",
     "run_loadgen",
     "compare_serving",
-    "calibrate_ms",
 ]

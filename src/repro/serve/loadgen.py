@@ -20,8 +20,9 @@ attainment against ``slo_ms``, per-status counts, and — scraped from
 queue-wait histograms, so the coalescing win is visible in the same
 JSON document.  :func:`compare_serving` boots the same oracle behind a
 baseline (``max_batch=1``) and a coalesced server and measures both;
-the CLI's ``repro loadgen --compare`` and the committed
-``benchmarks/BENCH_pr6.json`` artifact are that comparison.
+the CLI's ``repro loadgen --compare`` is that comparison, and
+``tests/serve/test_loadgen.py`` holds coalescing to a throughput floor
+over the baseline leg.
 """
 
 from __future__ import annotations
@@ -39,26 +40,8 @@ __all__ = [
     "run_loadgen",
     "compare_serving",
     "measure_serving",
-    "calibrate_ms",
     "percentile",
 ]
-
-
-def calibrate_ms(rounds: int = 3, n: int = 2_000_000) -> float:
-    """Milliseconds for a fixed pure-Python busy loop (best of rounds).
-
-    The machine-speed yardstick shared with the bench smoke: committed
-    artifacts carry it so CI can compare normalized throughput across
-    differently-sized runners (``benchmarks/check_serving.py``).
-    """
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        acc = 0
-        for i in range(n):
-            acc += i
-        best = min(best, time.perf_counter() - start)
-    return 1000 * best
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:

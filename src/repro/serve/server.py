@@ -87,6 +87,18 @@ def slow_log_payload(log: SlowQueryLog | None) -> dict:
     }
 
 
+def _query_vertex(params: dict, name: str):
+    """Query parameter ``name`` as an ``int`` when it is 1 to 18 ASCII
+    decimal digits (more can name no int64 vertex id), else as sent
+    (``None`` when absent), for :meth:`ReachServer._check_vertex` to
+    refuse: ``int()`` alone reads ``1_0`` as 10 and also takes signs,
+    spaces and non-ASCII digits."""
+    raw = params.get(name, [None])[0]
+    if raw is not None and raw.isascii() and raw.isdigit() and len(raw) <= 18:
+        return int(raw)
+    return raw
+
+
 class _HTTPError(Exception):
     """Internal: abort request processing with a structured response."""
 
@@ -537,19 +549,20 @@ class ReachServer:
         raise _HTTPError(404, "not-found", path=path)
 
     def _check_vertex(self, value, name: str) -> int:
-        try:
-            vertex = int(value)
-        except (TypeError, ValueError):
+        """``value`` as a vertex id: an ``int`` (a JSON integer, never a
+        bool, float or string: ``1.0`` and ``2.9`` are not truncated)
+        inside the graph."""
+        if type(value) is not int:
             raise _HTTPError(
                 400, "bad-request",
                 detail=f"parameter {name!r} must be an integer",
             )
-        if not 0 <= vertex < self._num_vertices:
+        if not 0 <= value < self._num_vertices:
             raise _HTTPError(
                 400, "invalid-vertex",
-                vertex=vertex, num_vertices=self._num_vertices,
+                vertex=value, num_vertices=self._num_vertices,
             )
-        return vertex
+        return value
 
     def _admit(self, pairs: int):
         """Admission control; returns ``None`` or an overload response."""
@@ -604,8 +617,8 @@ class ReachServer:
 
     async def _route_reach(self, query: str):
         params = parse_qs(query)
-        u = self._check_vertex(params.get("u", [None])[0], "u")
-        v = self._check_vertex(params.get("v", [None])[0], "v")
+        u = self._check_vertex(_query_vertex(params, "u"), "u")
+        v = self._check_vertex(_query_vertex(params, "v"), "v")
         deadline_ms = self._parse_deadline(
             params.get("deadline_ms", [None])[0]
         )
@@ -636,7 +649,7 @@ class ReachServer:
     async def _route_reach_many(self, body: bytes):
         try:
             doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except ValueError:  # bad UTF-8, bad JSON, an over-long integer
             raise _HTTPError(400, "bad-request", detail="body is not JSON")
         pairs_in = doc.get("pairs") if isinstance(doc, dict) else None
         deadline_ms = self._parse_deadline(

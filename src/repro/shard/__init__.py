@@ -18,7 +18,7 @@ Layout
 * :mod:`repro.shard.service` — :class:`ShardService`: supervision,
   failover, degradation, the budget-compatible query surface.
 * :mod:`repro.shard.drill` — :func:`chaos_drill`, the kill-based suite
-  behind ``repro chaos-drill`` and ``BENCH_pr7.json``.
+  behind ``repro chaos-drill``.
 """
 
 from repro.shard.drill import chaos_drill

@@ -1,8 +1,8 @@
 """The kill-based chaos drill: murder workers, measure the contract.
 
 :func:`chaos_drill` runs the shard service through three phases against
-a ground-truth oracle and returns a JSON-safe report (the committed
-``BENCH_pr7.json``):
+a ground-truth oracle and returns a JSON-safe report (what
+``repro chaos-drill --out`` writes):
 
 1. **baseline** — no faults; establishes throughput and checks that the
    shard protocol answers exactly.
@@ -151,7 +151,7 @@ def chaos_drill(
     seed: int = 0,
     config: ShardConfig | None = None,
 ) -> dict:
-    """Run the three-phase drill; returns the ``BENCH_pr7`` report dict.
+    """Run the three-phase drill; returns the report dict.
 
     ``config`` overrides the derived :class:`ShardConfig` wholesale when
     given (the drill still needs ``supervise=True`` to recover from the

@@ -7,8 +7,9 @@ C module's build cache and its fallbacks (no compiler, failed compile,
 unwritable cache, wrong array layout), the numpy BFS's vectorized
 frontiers, the one-call batch survivor sweep (step budgets included),
 the range check of the compiled searches, forked pool
-workers on the C tier, the dispatch/shared-bytes instruments, and the
-:func:`~repro.perf.kernels.bounded_search` degradation engine.
+workers on the C tier, the dispatch/shared-bytes instruments, the
+:func:`~repro.perf.kernels.bounded_search` degradation engine, and the
+C tier's speed over the python reference on cut survivors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -563,3 +565,48 @@ class TestBoundedSearch:
                     f"cap={cap} ({u}->{v}): {backend} said {got}, "
                     f"python said {expected}"
                 )
+
+
+class TestCSpeed:
+    """The C tier pays for itself: on cut survivors its search is at
+    least 10x the python reference's per survivor, with the same
+    answers, ``searches``, ``expanded`` and ``pruned``.  The timing
+    covers the engine's search stage alone (``_search_survivors``), best
+    of interleaved rounds, so validation, the cut pass and dedup do not
+    dilute it."""
+
+    ROUNDS = 5
+
+    @pytest.mark.parametrize(
+        "method", ["feline", "feline-b", "grail", "feline-k"]
+    )
+    def test_c_search_is_ten_times_python(self, search_heavy, method):
+        require_c()
+        graph, pairs = search_heavy
+        tiers = []
+        for backend in ("python", "c"):
+            index = create_index(method, graph)
+            index.set_kernel(backend)
+            tiers.append(index.build())
+        python, c = tiers
+        assert c.query_many(pairs) == python.query_many(pairs)
+        for field in ("searches", "expanded", "pruned"):
+            assert getattr(c.stats, field) == getattr(python.stats, field)
+
+        arr = np.asarray(pairs, dtype=np.int64)
+        sources, targets = arr[:, 0], arr[:, 1]
+        positive, negative = python._cut_table.classify(sources, targets)
+        survivors = np.flatnonzero(~(positive | negative))
+        best = [float("inf")] * len(tiers)
+        for _ in range(self.ROUNDS):
+            for tier, index in enumerate(tiers):
+                answers = np.zeros(len(arr), dtype=bool)
+                start = time.perf_counter()
+                engine._search_survivors(
+                    index, sources, targets, survivors, answers
+                )
+                best[tier] = min(best[tier], time.perf_counter() - start)
+        python_s, c_s = best
+        assert python_s >= 10 * c_s, (
+            f"{method}: C {python_s / c_s:.1f}x python per survivor"
+        )

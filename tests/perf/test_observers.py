@@ -1,4 +1,7 @@
-"""ObserverLayer: soundness, scalar/batch agreement, selection, attach."""
+"""ObserverLayer: soundness, scalar/batch agreement, selection, attach,
+and its survivor cut and cost on search-heavy traffic."""
+
+import time
 
 import numpy as np
 import pytest
@@ -210,3 +213,41 @@ class TestRoundTripPersistence:
         index.attach_observers(build_observers(graph, k=2))
         with pytest.raises(PersistenceError):
             save_index(index, tmp_path / "v1.bin", version=1)
+
+
+class TestSearchHeavyContract:
+    """On cut survivors, 16 observers decide a real share of the batch
+    (O'Reach's claim) and their pre-pass never costs more than the
+    searches it saves.  The survivor rates are deterministic; the
+    throughput floor is a best-of-rounds timing, legs interleaved."""
+
+    K = 16
+    ROUNDS = 5
+
+    def _pair(self, graph, method):
+        off = create_index(method, graph).build()
+        on = create_index(method, graph).build()
+        on.attach_observers(build_observers(graph, k=self.K))
+        return off, on
+
+    @pytest.mark.parametrize("method", ["feline", "feline-b"])
+    def test_survivor_rate_drops_by_a_tenth(self, search_heavy, method):
+        graph, pairs = search_heavy
+        off, on = self._pair(graph, method)
+        assert on.query_many(pairs) == off.query_many(pairs)
+        rate_off = off.stats.searches / len(pairs)
+        rate_on = on.stats.searches / len(pairs)
+        assert 1 - rate_on / rate_off >= 0.10, (rate_off, rate_on)
+
+    @pytest.mark.parametrize("method", ["feline", "feline-b"])
+    def test_throughput_holds_three_tenths(self, search_heavy, method):
+        graph, pairs = search_heavy
+        legs = self._pair(graph, method)
+        best = [float("inf")] * len(legs)
+        for _ in range(self.ROUNDS):
+            for leg, index in enumerate(legs):
+                start = time.perf_counter()
+                index.query_many(pairs)
+                best[leg] = min(best[leg], time.perf_counter() - start)
+        off_s, on_s = best
+        assert off_s / on_s >= 0.3, (off_s, on_s)

@@ -3,12 +3,16 @@
 A traced HTTP request earns an ``X-Trace-Id`` header, its stitched tree
 is queryable at ``/trace?trace_id=``, slow-log entries join the same
 trace, and ``/healthz`` reports the shard topology when the oracle is a
-:class:`~repro.shard.ShardService`.  With tracing off (the default),
+:class:`~repro.shard.ShardService`, whose workers' telemetry reaches
+``/metrics`` under ``shard=`` labels and whose stitched trace
+``repro trace --out`` exports for Perfetto.  With tracing off (the default),
 none of this exists on the wire.
 """
 
 import json
 import multiprocessing
+import re
+import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -16,11 +20,12 @@ import pytest
 
 from repro import Reachability
 from repro.graph.digraph import DiGraph
+from repro.cli import main
 from repro.graph.generators import crown_graph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metrics_enabled
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import parse_trace_id, tracing_enabled
-from repro.serve import ReachServer, ServeConfig
+from repro.serve import ReachServer, ServeConfig, run_loadgen
 from repro.shard import ShardConfig, ShardService
 
 EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -151,28 +156,32 @@ class TestSlowLogJoinsTheTrace:
     reason="shard workers need the fork start method",
 )
 class TestShardBackedServer:
-    def test_healthz_reports_topology_and_trace_spans_processes(self):
+    def test_healthz_reports_topology_and_trace_spans_processes(
+        self, tmp_path
+    ):
         graph = crown_graph(6)
-        with tracing_enabled():
-            config = ShardConfig(num_shards=2, supervise=False)
+        n = graph.num_vertices
+        pairs = [[u, v] for u in range(n) for v in range(n)]
+        # Metrics and tracing go live before the fork, so the workers
+        # ship telemetry home and their spans join the request's trace.
+        with metrics_enabled() as registry, tracing_enabled():
+            config = ShardConfig(num_shards=2, heartbeat_interval_s=0.05)
             with ShardService(graph, config) as service:
                 log = service.attach_slow_log(
                     SlowQueryLog(capacity=4096, threshold_ns=0)
                 )
                 with ReachServer(
-                    service, CONFIG, registry=MetricsRegistry(),
-                    slow_log=log,
+                    service, CONFIG, registry=registry, slow_log=log,
                 ) as srv:
                     _, _, health = get(srv.url + "/healthz")
                     assert health["status"] == "ok"
                     assert health["tracing"] is True
                     assert health["shards"] == 2
                     assert health["workers_alive"] == 2
-                    n = graph.num_vertices
-                    pairs = [
-                        [u, v] for u in range(n) for v in range(n)
-                    ]
-                    _, headers, _ = post(
+                    remote = run_loadgen(
+                        srv.url, pairs, concurrency=4, duration_s=0.3
+                    )
+                    _, headers, answered = post(
                         srv.url + "/reach_many", {"pairs": pairs}
                     )
                     wanted = headers["X-Trace-Id"]
@@ -180,9 +189,51 @@ class TestShardBackedServer:
                         srv.url + "/trace?trace_id=" + wanted
                     )
                     _, _, slow = get(srv.url + "/slow")
+                    metrics = _worker_series(srv.url)
+                    chrome = tmp_path / "trace.json"
+                    assert main([
+                        "trace", srv.url, "--trace-id", wanted,
+                        "--out", str(chrome),
+                    ]) == 0
+        assert remote["requests"] > 0
+        assert remote["status"] == {"200": remote["requests"]}
+        assert answered["count"] == len(pairs)
         # The one stitched trace covers the HTTP edge AND the forked
         # workers: at least two distinct pids under a single trace id.
         assert len(payload["pids"]) >= 2
         routed = [r for r in slow["records"] if "shard" in r]
         assert routed, "no slow-log record named its shard"
         assert any(r.get("trace_id") == wanted for r in slow["records"])
+        # Worker telemetry folds into /metrics under shard= labels.
+        tier_shards, counter = metrics
+        assert tier_shards == {"0", "1"}, "tier info missing for a shard"
+        assert counter, "no worker counter with a shard label in /metrics"
+        # `repro trace --out` writes Perfetto-loadable slices of both
+        # processes.
+        doc = json.loads(chrome.read_text(encoding="utf-8"))
+        slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+        assert slices
+        assert all({"name", "ts", "dur", "pid", "tid"} <= set(e) for e in slices)
+        assert len({e["pid"] for e in slices}) >= 2
+
+
+_TIER_INFO = re.compile(r'repro_shard_index_tier_info\{[^}]*shard="(\d+)"')
+_WORKER_COUNTER = re.compile(
+    r'^repro_(?!shard_)[a-z_]+(?:_total|_count)\{[^}]*shard="\d+"',
+    re.MULTILINE,
+)
+
+
+def _worker_series(url: str, wait_s: float = 10.0):
+    """``(shards with a tier-info gauge, a worker counter line or None)``
+    from ``/metrics``, polled until both shards and a worker counter
+    show: telemetry rides the heartbeats, a few beats behind."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        with urlopen(url + "/metrics", timeout=5) as response:
+            text = response.read().decode("utf-8")
+        shards = set(_TIER_INFO.findall(text))
+        counter = _WORKER_COUNTER.search(text)
+        if (shards == {"0", "1"} and counter) or time.monotonic() > deadline:
+            return shards, counter and counter.group(0)
+        time.sleep(0.05)

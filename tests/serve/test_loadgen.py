@@ -128,3 +128,24 @@ class TestCompare:
         for run in doc["runs"]:
             assert run["requests"] > 0
             assert run["errors"] == 0
+
+    def test_coalescing_pays(self):
+        """16 closed-loop clients: the coalesced server merges requests
+        (mean batch above 1) and answers at least 1.05x the baseline
+        leg's throughput, best of interleaved rounds, every request a
+        200."""
+        best = {"baseline": 0.0, "coalesced": 0.0}
+        for _ in range(3):
+            doc = compare_serving(
+                make_oracle(), PAIRS, concurrency=16, duration_s=0.5,
+                warmup_s=0.1,
+            )
+            for run in doc["runs"]:
+                assert run["errors"] == 0
+                assert run["status"] == {"200": run["requests"]}
+                label = run["label"]
+                best[label] = max(best[label], run["throughput_rps"])
+            server = doc["runs"][1]["server"]
+            assert server["coalesce_batch_size"]["mean"] > 1.0
+            assert server["queue_wait_seconds"]["count"] > 0
+        assert best["coalesced"] >= 1.05 * best["baseline"], best

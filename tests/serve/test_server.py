@@ -140,6 +140,42 @@ class TestReachMany:
         assert excinfo.value.code == 405
 
 
+MALFORMED_IDS = {
+    # A float is never truncated: [[2.9, 3]] is not r(2, 3).
+    "body-float": ("/reach_many", b'{"pairs": [[1.0, 2]]}'),
+    "body-fraction": ("/reach_many", b'{"pairs": [[2.9, 3]]}'),
+    "body-bool": ("/reach_many", b'{"pairs": [[true, 2]]}'),
+    "body-string": ("/reach_many", b'{"pairs": [["1", 2]]}'),
+    "body-overflow": ("/reach_many", b'{"pairs": [[1e400, 2]]}'),
+    "body-nan": ("/reach_many", b'{"pairs": [[NaN, 2]]}'),
+    "body-5000-digits": (
+        "/reach_many", b'{"pairs": [[1' + b"0" * 5000 + b', 2]]}'
+    ),
+    "query-underscore": ("/reach?u=1_0&v=2", None),
+    "query-sign": ("/reach?u=+1&v=2", None),
+    "query-space": ("/reach?u=%201&v=2", None),
+    "query-float": ("/reach?u=1.0&v=2", None),
+    "query-arabic-indic": ("/reach?u=%D9%A1&v=2", None),
+    "query-5000-digits": ("/reach?u=1" + "0" * 5000 + "&v=2", None),
+}
+
+
+@pytest.mark.parametrize(
+    "path, body", MALFORMED_IDS.values(), ids=MALFORMED_IDS.keys()
+)
+def test_malformed_vertex_ids_are_bad_requests(server, path, body):
+    request = Request(
+        server.url + path,
+        data=body,
+        method="GET" if body is None else "POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(HTTPError) as excinfo:
+        urlopen(request, timeout=5)
+    assert excinfo.value.code == 400
+    assert json.loads(excinfo.value.read())["error"] == "bad-request"
+
+
 class TestObsEndpoints:
     def test_healthz(self, server):
         with urlopen(server.url + "/healthz", timeout=5) as response:

@@ -129,6 +129,11 @@ class TestSigstopUnderTraffic:
 
 class TestChaosDrill:
     def test_drill_report_honours_the_contract(self):
+        """The drill's whole fault-tolerance contract: at least 20
+        faults, of them at least 3 SIGKILLs, and no wrong or late answer
+        among them; supervision restarted a worker; failover was seen
+        and took at most 5 s; every phase answered; and the permanently
+        halted shard's pairs took the ``fallback`` path."""
         graph = random_dag(250, avg_degree=2.0, seed=42)
         report = chaos_drill(
             graph,
@@ -137,17 +142,24 @@ class TestChaosDrill:
             deadline_ms=DEADLINE_MS,
             grace_ms=GRACE_MS,
             baseline_s=0.3,
-            chaos_s=1.2,
+            chaos_s=1.6,
             degraded_s=0.3,
-            kill_interval_s=0.15,
+            kill_interval_s=0.05,
             seed=7,
         )
+        faults = report["faults"]
+        assert faults["sigkills"] + faults["sigstops"] >= 20, faults
+        assert faults["sigkills"] >= 3, faults
         assert report["contract"]["wrong_answers"] == 0
         assert report["contract"]["deadline_violations"] == 0
-        assert report["faults"]["sigkills"] + report["faults"]["sigstops"] >= 1
+        assert report["service_stats"]["restarts"] >= 1
+        failover = report["failover_latency"]
+        assert failover["count"] >= 1
+        assert failover["max_ms"] <= 5_000.0, failover
         for phase in ("baseline", "chaos", "degraded"):
             assert report["phases"][phase]["queries"] >= 1
-        assert report["service_stats"]["restarts"] >= 1
+        assert report["config"]["on_shard_loss"] == "fallback"
+        assert report["service_stats"]["degraded_fallback"] >= 1
         assert report["plan"]["shard_sizes"]
         assert len(report["plan"]["index_report"]) == 3
 
